@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .config import ExperimentConfig, load_config
-from .errors import ParameterError
+from .errors import BudgetError, ParameterError, StepTooLargeError, TailFitError
 from .io import write_rows
 from .kernels import build_table, c1_const, c1_of_t, free_density
 from .sampler import RngStream, sample_brownian_leg, sample_tempered_subordinator
@@ -309,11 +309,13 @@ def main(argv=None) -> int:
         "residual": cmd_residual,
         "lambda1": cmd_lambda1,
     }
-    if args.subcommand == "verify":
-        return cmd_verify(cfg)
     try:
+        if args.subcommand == "verify":
+            return cmd_verify(cfg)
         handlers[args.subcommand](cfg)
-    except ParameterError as exc:
+    except (ParameterError, StepTooLargeError, BudgetError, TailFitError) as exc:
+        # inputs the estimators cannot serve: a configuration error, not a
+        # failed verification
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -9,7 +9,10 @@ variable z = u t^{-1/beta}, so a single two-parameter profile
 
 serves every (t, r).  `free_density` evaluates F by adaptive quadrature;
 `RadialKernelTable` freezes one radial profile per m*t product for fast
-inner-loop evaluation.
+inner-loop evaluation.  A march scores exits at the products
+m (t - (k - 1/2) dt), so before it starts, `build_tables` builds all of
+them in one batched trapezoid quadrature, theta_beta included; pool
+workers forked afterwards inherit the tables instead of building them.
 """
 
 import csv
@@ -38,6 +41,7 @@ __all__ = [
     "scaled_profile",
     "RadialKernelTable",
     "build_table",
+    "build_tables",
     "table_eval",
     "fast_theta",
 ]
@@ -124,29 +128,43 @@ def scaled_profile(rho: float, w: float, params: ProcessParams, rel_tol: float =
     return (4.0 * math.pi) ** (-d / 2.0) * total
 
 
+def _z_nodes(r_top: float, n_nodes: int = 3000):
+    """Trapezoid nodes s = log z, z and weights for radii up to `r_top`."""
+    s_hi = max(30.0, 2.0 * math.log(max(1.0, r_top)) + 30.0)
+    s = np.linspace(-35.0, s_hi, n_nodes)
+    weights = np.full(n_nodes, s[1] - s[0])
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    return s, np.exp(s), weights
+
+
+def _mass_weights(s, z, theta_z, weights, w, params: ProcessParams):
+    """Quadrature weights of F(., w): z^{1-d/2} e^{-w^{1/beta} z} theta_beta(1, z) ds."""
+    wb = w ** (1.0 / params.beta) if w > 0.0 else 0.0
+    with np.errstate(over="ignore", under="ignore"):
+        return np.exp(s * (1.0 - params.d / 2.0) - wb * z) * theta_z * weights
+
+
+def _gaussian_factor(rhos, z):
+    """exp(-rho^2/(4z)) on the (radius, node) grid, exponentiated in place."""
+    with np.errstate(over="ignore", under="ignore"):
+        out = (-0.25 / z)[None, :] * (rhos**2)[:, None]
+        return np.exp(out, out=out)
+
+
 def _profile_batch(rhos, w, params: ProcessParams, n_nodes: int = 3000):
     """F(rho, w) on an array of radii by trapezoid in log z.
 
     The integrand is analytic and decays double-exponentially in s = log z,
     so the uniform-grid trapezoid converges geometrically; accuracy is
-    ~1e-9 relative, verified against `scaled_profile`.
+    ~1e-9 relative, verified against `scaled_profile`.  Kernel tables use
+    the same rule on their own radii (`build_tables`); this evaluator
+    serves the radii beyond a table's last node.
     """
-    theta = fast_theta(params.beta)
-    d = params.d
-    wb = w ** (1.0 / params.beta) if w > 0.0 else 0.0
     rhos = np.asarray(rhos, dtype=float)
-    r_top = max(1.0, float(rhos.max()) if rhos.size else 1.0)
-    s_hi = max(30.0, 2.0 * math.log(r_top) + 30.0)
-    s = np.linspace(-35.0, s_hi, n_nodes)
-    z = np.exp(s)
-    weights = np.full(n_nodes, s[1] - s[0])
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    with np.errstate(over="ignore", under="ignore"):
-        base = np.exp(s * (1.0 - d / 2.0) - wb * z) * theta(z) * weights
-        expo = (-0.25 / z)[None, :] * (rhos**2)[:, None]
-        out = np.exp(expo) @ base
-    return (4.0 * math.pi) ** (-d / 2.0) * out
+    s, z, weights = _z_nodes(float(rhos.max()) if rhos.size else 1.0, n_nodes)
+    base = _mass_weights(s, z, fast_theta(params.beta)(z), weights, w, params)
+    return (4.0 * math.pi) ** (-params.d / 2.0) * (_gaussian_factor(rhos, z) @ base)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +232,7 @@ def _build_theta_evaluator(beta: float):
             out[left] = stable_density_small_u(z[left], beta)
         big = z > math.exp(hi)
         if big.any():
-            out[big] = [stable_density_tail_series(v, beta)[0] for v in z[big]]
+            out[big] = stable_density_tail_series(z[big], beta)[0]
         return out[0] if scalar else out
 
     return evaluate
@@ -232,7 +250,10 @@ class RadialKernelTable:
     linear in (log rho, log F) after removing the spatial tempering factor
     e^{-(mt)^{1/alpha} rho}, which leaves nearly power-law structure on both
     flanks.  Radii beyond the grid fall back to direct quadrature through
-    the batch evaluator.
+    `_profile_batch`.  Tables are made by `build_tables` (`build_table` is
+    its one-table call): a run builds each march's tables in one batched
+    quadrature before any path moves, and pool workers inherit them.  A
+    table's values do not depend on the batch it was built in.
     """
 
     mt: float
@@ -272,22 +293,57 @@ class RadialKernelTable:
 
 _TABLE_CACHE: dict[tuple, RadialKernelTable] = {}
 _MT_TOL = 1e-9
+# tables per matrix product; a fixed product shape makes a table's bits
+# independent of the batch it is built in (BLAS may round a lone column, or
+# a product of another width, differently)
+_BLOCK = 16
+
+
+def _table_key(mt: float, params: ProcessParams, n_nodes: int) -> tuple:
+    return (params.alpha, params.d, round(mt, 12), n_nodes)
+
+
+def build_tables(mts, params: ProcessParams, n_nodes: int = TABLE_NODES) -> list[RadialKernelTable]:
+    """Build (or fetch from cache) the radial profile tables for several m*t.
+
+    One batched quadrature serves every missing table: exp(-rho^2/(4z)) is
+    evaluated once on the (radius, log-z node) grid and theta_beta once on
+    the nodes, and each block of `_BLOCK` tables, their f0 included (the
+    rho = 0 row), is one matrix product against the tables' weights.
+    """
+    mts = [float(mt) for mt in mts]
+    if any(mt < 0.0 for mt in mts):
+        raise ParameterError(f"mt must be >= 0, got {min(mts)}")
+    keys = [_table_key(mt, params, n_nodes) for mt in mts]
+    missing = {}
+    for key, mt in zip(keys, mts):
+        if key not in _TABLE_CACHE:
+            missing.setdefault(key, mt)
+    if missing:
+        radii = np.geomspace(TABLE_RHO_MIN, TABLE_RHO_MAX, n_nodes)
+        s, z, weights = _z_nodes(TABLE_RHO_MAX)
+        theta_z = fast_theta(params.beta)(z)
+        kernel = _gaussian_factor(np.concatenate([[0.0], radii]), z)
+        norm = (4.0 * math.pi) ** (-params.d / 2.0)
+        items = list(missing.items())
+        for start in range(0, len(items), _BLOCK):
+            block = items[start:start + _BLOCK]
+            base = np.zeros((len(z), _BLOCK))
+            for j, (_, mt) in enumerate(block):
+                base[:, j] = _mass_weights(s, z, theta_z, weights, mt, params)
+            profiles = norm * (kernel @ base)
+            for j, (key, mt) in enumerate(block):
+                _TABLE_CACHE[key] = RadialKernelTable(
+                    mt=mt, radii=radii, values=profiles[1:, j].copy(),
+                    f0=float(profiles[0, j]), params=params,
+                )
+    return [_TABLE_CACHE[key] for key in keys]
 
 
 def build_table(mt: float, params: ProcessParams, n_nodes: int = TABLE_NODES) -> RadialKernelTable:
     """Build (or fetch from cache) the radial profile table for one m*t."""
-    if mt < 0.0:
-        raise ParameterError(f"mt must be >= 0, got {mt}")
-    key = (params.alpha, params.d, round(mt, 12), n_nodes)
-    table = _TABLE_CACHE.get(key)
-    if table is not None:
-        return table
-    radii = np.geomspace(TABLE_RHO_MIN, TABLE_RHO_MAX, n_nodes)
-    values = _profile_batch(radii, mt, params)
-    f0 = float(_profile_batch(np.array([0.0]), mt, params)[0])
-    table = RadialKernelTable(mt=mt, radii=radii, values=values, f0=f0, params=params)
-    _TABLE_CACHE[key] = table
-    return table
+    table = _TABLE_CACHE.get(_table_key(mt, params, n_nodes))
+    return table if table is not None else build_tables([mt], params, n_nodes)[0]
 
 
 def table_eval(table: RadialKernelTable, t: float, r, params: ProcessParams | None = None):

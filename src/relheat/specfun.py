@@ -293,41 +293,58 @@ def tempered_density(t: float, u: float, params: ProcessParams) -> float:
 # corrections in integrals against theta)
 # ---------------------------------------------------------------------------
 
-def _truncate_alternating(terms):
-    """Sum an asymptotic alternating series up to its smallest nonzero term.
+def _truncate_rows(terms):
+    """Sum each row of an asymptotic alternating series up to its smallest term.
 
-    Returns (partial sum, first omitted magnitude).  Exact-zero terms (from
-    sin(pi k beta) at rational beta) are skipped, not treated as minima.
+    `terms` is (rows, k): the columns are the series' nonzero terms in order,
+    which makes the truncation scan one array operation for every row.  A
+    row whose terms underflow to zero ends there; the zeros trail, because
+    the terms shrink with k wherever they can underflow.  Returns (partial
+    sums, first omitted magnitudes); a row with no terms gives (0, 0).
     """
-    nonzero = terms[terms != 0.0]
-    if len(nonzero) == 0:
-        return 0.0, 0.0
-    mag = np.abs(nonzero)
-    stop = len(nonzero)
-    for i in range(1, len(nonzero)):
-        if mag[i] > mag[i - 1]:
-            stop = i
-            break
-    return float(nonzero[:stop].sum()), float(mag[min(stop, len(mag) - 1)])
+    mag = np.abs(terms)
+    length = np.count_nonzero(mag, axis=1)
+    rising = mag[:, 1:] > mag[:, :-1]
+    stop = np.where(rising.any(axis=1), rising.argmax(axis=1) + 1, length)
+    sums = np.zeros(len(terms))
+    # each row is summed over exactly its kept terms, as one contiguous
+    # reduction, so a row's sum does not depend on the rows batched with it
+    for s in np.unique(stop):
+        rows = stop == s
+        sums[rows] = terms[rows, :s].sum(axis=1)
+    last = np.maximum(np.minimum(stop, length - 1), 0)
+    return sums, mag[np.arange(len(terms)), last]
 
 
-def stable_density_tail_series(u: float, beta: float, kmax: int = 90):
-    """Large-u series theta_beta(1,u) = (1/pi) sum_k (-1)^{k+1} Gamma(k beta + 1)/k!
-    sin(pi k beta) u^{-k beta - 1}, truncated at the smallest term.
-
-    Returns (value, relative truncation bound).
-    """
+def _series_coefficients(beta: float, kmax: int):
+    """k and (-1)^{k+1} Gamma(k beta + 1)/k! sin(pi k beta) over the k with a
+    nonzero sine factor; that zero pattern depends on beta alone."""
     k = np.arange(1, kmax + 1)
-    terms = (
+    coef = (
         (-1.0) ** (k + 1)
         * np.exp(gammaln(k * beta + 1.0) - gammaln(k + 1.0))
         * _sine_factor(k, beta)
-        * u ** (-k * beta - 1.0)
     )
-    total, omitted = _truncate_alternating(terms)
+    keep = coef != 0.0
+    return k[keep], coef[keep]
+
+
+def stable_density_tail_series(u, beta: float, kmax: int = 90):
+    """Large-u series theta_beta(1,u) = (1/pi) sum_k (-1)^{k+1} Gamma(k beta + 1)/k!
+    sin(pi k beta) u^{-k beta - 1}, truncated at the smallest term.
+
+    `u` is a scalar or an array.  Returns (value, relative truncation bound),
+    floats for a scalar `u` and arrays of its shape otherwise.
+    """
+    k, coef = _series_coefficients(beta, kmax)
+    u = np.asarray(u, dtype=float)
+    terms = coef * u.reshape(-1, 1) ** (-k * beta - 1.0)
+    total, omitted = _truncate_rows(terms)
     value = total / math.pi
-    bound = omitted / math.pi / max(abs(value), 1e-300)
-    return value, bound
+    bound = omitted / math.pi / np.maximum(np.abs(value), 1e-300)
+    if u.ndim == 0:
+        return float(value[0]), float(bound[0])
+    return value.reshape(u.shape), bound.reshape(u.shape)
 
 
 def _sine_factor(k, beta):
@@ -341,17 +358,11 @@ def _sine_factor(k, beta):
 def stable_density_tail_mass(u: float, beta: float, kmax: int = 90):
     """Tail probability int_u^infty theta_beta(1,v) dv by termwise integration
     of the large-u series.  Returns (value, relative truncation bound)."""
-    k = np.arange(1, kmax + 1)
-    terms = (
-        (-1.0) ** (k + 1)
-        * np.exp(gammaln(k * beta + 1.0) - gammaln(k + 1.0))
-        * _sine_factor(k, beta)
-        * u ** (-k * beta)
-        / (k * beta)
-    )
-    total, omitted = _truncate_alternating(terms)
-    value = total / math.pi
-    bound = omitted / math.pi / max(abs(value), 1e-300)
+    k, coef = _series_coefficients(beta, kmax)
+    terms = coef * u ** (-k * beta) / (k * beta)
+    total, omitted = _truncate_rows(terms[None, :])
+    value = float(total[0]) / math.pi
+    bound = float(omitted[0]) / math.pi / max(abs(value), 1e-300)
     return value, bound
 
 

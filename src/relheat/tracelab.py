@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BudgetError, ParameterError, TailFitError
 from .geometry import Domain
-from .kernels import build_table, c1_of_t, free_density, table_eval
+from .kernels import build_table, build_tables, c1_of_t, free_density, table_eval
 from .sampler import PathGrid, RngStream, sample_brownian_leg, sample_tempered_subordinator
 from .specfun import ProcessParams
 
@@ -216,6 +216,18 @@ def _stratum_chunk(params, domain, t, n_steps, dt, q_lo, q_hi, n_points, n_paths
     return vals.reshape(n_points, n_paths).mean(axis=1)
 
 
+def _warm(t, n_steps, dt, params):
+    """Build every kernel table a march on this grid can score with.
+
+    Called before `_execute`, so the tables, and the theta_beta evaluator
+    they need, are in the process a pool forks and its workers build none.
+    The products m * (t - (k - 1/2) dt) are those `_kernel_at_exits` asks
+    for; at m = 0 they are all one product, and this is a single lookup.
+    """
+    mts = dict.fromkeys(params.m * (t - (k - 0.5) * dt) for k in range(1, n_steps + 1))
+    build_tables(mts, params)
+
+
 def _execute(fn, arglists, workers):
     if workers <= 1 or len(arglists) <= 1:
         return [fn(*args) for args in arglists]
@@ -269,6 +281,7 @@ def r_estimate(
     if not domain.contains(x):
         raise ParameterError("x must lie inside the domain")
     n_steps, dt_eff = _snap_steps(t, dt)
+    _warm(t, n_steps, dt_eff, params)
     sizes = _chunk_sizes(n_paths, chunk_paths)
     args = [
         (params, domain, t, n_steps, dt_eff, x, m, rng.substream(c))
@@ -625,6 +638,7 @@ def _interior_integral(
 ):
     """Stratified estimate of int_D r_D(t,x,x) dx and its standard error."""
     n_steps, dt_eff = _snap_steps(t, dt)
+    _warm(t, n_steps, dt_eff, params)
     counts = _allocate(domain, strata, t, params, n_x)
     total = 0.0
     var = 0.0
@@ -681,12 +695,12 @@ def z_trace(
     if not getattr(domain, "bounded", False):
         raise ParameterError("z_trace requires a bounded domain")
     strata = strata or default_strata(domain, t, params)
+    ft = first_term(t, domain, params)
 
     def run(dt_level, sub):
         interior, se, n_pts, dt_eff, detail = _interior_integral(
             t, domain, n_x, n_paths, dt_level, sub, params, strata, workers, chunk_points
         )
-        ft = first_term(t, domain, params)
         return TraceEstimate(
             value=ft - interior,
             stderr=se,

@@ -141,6 +141,18 @@ class TestMain:
         code = cli.main(["constants", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
 
+    def test_estimator_error_exit_code(self, tmp_path, capsys):
+        # m dt = 25 per step: tempering acceptance e^{-25} is below the
+        # sampler's floor, an input the estimator cannot serve
+        code = cli.main([
+            "trace", "--m", "2000", "--t-grid", "0.1", "--steps", "8",
+            "--n-x", "64", "--n-paths", "100", "--out", str(tmp_path),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_constants_via_main(self, tmp_path):
         code = cli.main([
             "constants", "--out", str(tmp_path), "--t-grid", "0.1",

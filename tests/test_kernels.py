@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from relheat import kernels
 from relheat.errors import ParameterError, StaleTableError
 from relheat.kernels import (
     build_table,
+    build_tables,
     c1_const,
     c1_of_t,
     density_upper_bound,
@@ -191,3 +193,44 @@ class TestRadialTable:
         table = build_table(0.0, params)
         got = table_eval(table, s, 2.0, params)
         assert got == pytest.approx(cauchy_kernel(2.0, 2, t=s), rel=1e-4)
+
+
+class TestBatchedBuild:
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_table_independent_of_batch(self, alpha, monkeypatch):
+        # the worker-count guarantee rests on a table's bits depending on
+        # its m*t alone, not on which tables it was built with
+        params = ProcessParams(alpha, 1.0, 2)
+        t, n = 0.05, 64
+        mts = [params.m * (t - (k - 0.5) * t / n) for k in range(1, n + 1)]
+        monkeypatch.setattr(kernels, "_TABLE_CACHE", {})
+        batch = build_tables(mts, params)
+        for j in (0, 1, 15, 16, 40, 63):
+            monkeypatch.setattr(kernels, "_TABLE_CACHE", {})
+            alone = build_table(mts[j], params)
+            assert np.array_equal(alone.values, batch[j].values)
+            assert alone.f0 == batch[j].f0
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    @pytest.mark.parametrize("mt", [0.0, 0.02, 0.7, 3.0])
+    def test_matches_profile_quadrature(self, alpha, mt):
+        params = ProcessParams(alpha, 1.0, 2)
+        table = build_tables([mt], params)[0]
+        want = kernels._profile_batch(table.radii, mt, params)
+        assert np.max(np.abs(table.values / want - 1.0)) < 1e-13
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_origin_value_is_c1(self, alpha):
+        # f0 comes from the rho = 0 row of the same product: F(0, 0) = C1
+        params = ProcessParams(alpha, 0.0, 2)
+        assert build_tables([0.0], params)[0].f0 == pytest.approx(c1_const(params), rel=1e-9)
+
+    def test_cache_shared_with_single_builds(self, cauchy2d):
+        relativistic = cauchy2d.with_mass(1.0)
+        tables = build_tables([0.3, 0.1, 0.3], relativistic)
+        assert tables[0] is tables[2]
+        assert build_table(0.1, relativistic) is tables[1]
+
+    def test_rejects_negative_mt(self, cauchy2d):
+        with pytest.raises(ParameterError):
+            build_tables([0.1, -0.2], cauchy2d)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaln
 
 from relheat.errors import ParameterError, SingularityError
 from relheat.specfun import (
@@ -15,6 +16,7 @@ from relheat.specfun import (
     levy_density,
     psi,
     stable_density_tail_mass,
+    stable_density_tail_series,
     stable_levy_density,
     stable_subordinator_density,
     subordinator_density_at,
@@ -190,6 +192,50 @@ class TestStableSubordinatorDensity:
         diffs = np.sign(np.diff(vals[first:]))
         changes = np.count_nonzero(np.diff(diffs[diffs != 0]))
         assert changes == 1
+
+
+def tail_series_one_point(u, beta, kmax=90):
+    """The large-u series at one point as a plain loop over its terms:
+    drop exact zeros, stop before the first term larger than its
+    predecessor."""
+    k = np.arange(1, kmax + 1)
+    sine = np.sin(np.pi * k * beta)
+    sine[np.abs(sine) < 1e-10] = 0.0
+    terms = (
+        (-1.0) ** (k + 1)
+        * np.exp(gammaln(k * beta + 1.0) - gammaln(k + 1.0))
+        * sine
+        * u ** (-k * beta - 1.0)
+    )
+    kept = [v for v in terms if v != 0.0]
+    if not kept:
+        return 0.0, 0.0
+    stop = len(kept)
+    for i in range(1, len(kept)):
+        if abs(kept[i]) > abs(kept[i - 1]):
+            stop = i
+            break
+    value = float(np.sum(kept[:stop])) / math.pi
+    omitted = abs(kept[min(stop, len(kept) - 1)])
+    return value, omitted / math.pi / max(abs(value), 1e-300)
+
+
+class TestTailSeries:
+    @pytest.mark.parametrize("beta", [0.6, 0.7, 0.75])
+    def test_array_equals_one_point_series(self, beta):
+        # the fast theta evaluator sends its whole right tail through one
+        # array call; each entry must be the one-point series bit for bit
+        us = np.geomspace(50.0, 1e16, 400)
+        values, bounds = stable_density_tail_series(us, beta)
+        assert values.shape == bounds.shape == us.shape
+        for u, v, b in zip(us, values, bounds):
+            assert (v, b) == tail_series_one_point(u, beta)
+            assert (v, b) == stable_density_tail_series(float(u), beta)
+
+    def test_scalar_returns_floats(self):
+        value, bound = stable_density_tail_series(100.0, 0.75)
+        assert isinstance(value, float) and isinstance(bound, float)
+        assert value > 0.0 and bound < 1e-11
 
 
 class TestScalingAndTempering:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from relheat import kernels
 from relheat.errors import BudgetError, ParameterError, TailFitError
 from relheat.geometry import Ball, HalfSpace
 from relheat.kernels import build_table, free_density, table_eval
@@ -26,6 +27,11 @@ from relheat.tracelab import (
 )
 
 C4_REFERENCE = {"value": 0.0502798, "stderr": 0.0000627}  # frozen high-budget run
+
+
+def cached_in_worker(keys, beta):
+    """Pool probe: which kernel tables and theta evaluator a worker starts with."""
+    return all(k in kernels._TABLE_CACHE for k in keys), round(beta, 12) in kernels._THETA_CACHE
 
 
 def make_path(positions, dt=0.1):
@@ -159,6 +165,22 @@ class TestREstimate:
         assert a.value == b.value
         assert a.stderr == b.stderr
 
+    def test_pool_workers_inherit_warm_tables(self):
+        # after _warm the parent holds every table the march can ask for and
+        # theta_3/4; forked workers must find them instead of building them
+        from relheat.tracelab import _execute, _warm
+
+        params = ProcessParams(alpha=1.5, m=1.0, d=2)
+        t, n_steps = 0.037, 12
+        dt = t / n_steps
+        keys = [
+            kernels._table_key(params.m * (t - (k - 0.5) * dt), params, kernels.TABLE_NODES)
+            for k in range(1, n_steps + 1)
+        ]
+        _warm(t, n_steps, dt, params)
+        seen = _execute(cached_in_worker, [(keys, params.beta)] * 2, workers=2)
+        assert seen == [(True, True)] * 2
+
     def test_extrapolated_reports_bias_budget(self, rng, cauchy2d, unit_ball):
         est = r_estimate_extrapolated(
             0.2, np.array([0.8, 0.0]), unit_ball, 3000, 0.2 / 16, rng.substream(9), cauchy2d
@@ -278,6 +300,18 @@ class TestTrace:
         a = z_trace(0.1, unit_ball, 400, 120, 0.1 / 32, rng.substream(21), relativistic2d)
         b = z_trace(0.1, unit_ball, 400, 120, 0.1 / 32, rng.substream(21), relativistic2d)
         assert a.value == b.value
+
+    def test_worker_count_does_not_change_results(self, rng, unit_ball):
+        # alpha = 1.5: pooled strata score exits with the tables and theta_3/4
+        # the parent built before forking
+        params = ProcessParams(alpha=1.5, m=1.0, d=2)
+        a, b = (
+            z_trace(0.05, unit_ball, 300, 20, 0.05 / 8, rng.substream(31), params,
+                    workers=workers, chunk_points=64)
+            for workers in (1, 2)
+        )
+        assert a.value == b.value
+        assert a.stderr == b.stderr
 
     def test_default_strata_cover_domain(self, cauchy2d, unit_ball):
         strata = default_strata(unit_ball, 0.02, cauchy2d)
