@@ -36,6 +36,11 @@ class ExperimentConfig:
     z_sigma: float = 3.0
     budget_scale: float = 1.0
 
+    def __post_init__(self):
+        # checked here so that a CLI run rejects it before any work starts
+        if not isinstance(self.workers, int) or self.workers < 1:
+            raise ParameterError(f"workers must be an integer >= 1, got {self.workers!r}")
+
     def params(self) -> ProcessParams:
         return ProcessParams(alpha=self.alpha, m=self.m, d=self.d)
 

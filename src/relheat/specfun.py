@@ -177,6 +177,24 @@ def kanter_factor(phi, beta: float):
 
 
 def _log_kanter(phi, beta):
+    """log A(phi), with A(phi) -> A(0+) below phi = 1e-9.
+
+    A Python float (np.float64 included) takes a scalar path that returns a
+    float bit-identical to the array path's entry: `math.sin` rounds like
+    `np.sin` here, but `math.log` does not round like `np.log` in the last
+    bit, so the logs stay `np.log`.  The quadrature in
+    `stable_subordinator_density` calls this on one float at a time, where
+    the array path's 0-d array handling costs several times the arithmetic.
+    """
+    if isinstance(phi, float):
+        if phi < 1e-9:
+            return float((beta / (1.0 - beta)) * math.log(beta) + math.log1p(-beta))
+        log_sin = np.log(math.sin(phi))
+        return float(
+            (beta / (1.0 - beta)) * (np.log(math.sin(beta * phi)) - log_sin)
+            + np.log(math.sin((1.0 - beta) * phi))
+            - log_sin
+        )
     phi = np.asarray(phi, dtype=float)
     out = np.empty_like(phi)
     small = phi < 1e-9
@@ -202,6 +220,11 @@ def stable_subordinator_density(u: float, beta: float, rel_tol: float = 1e-9) ->
     The integrand is unimodal; the integral is split at its maximising angle
     and the common exponential scale is factored out to preserve relative
     accuracy when the density is many orders of magnitude below 1.
+
+    The quadrature evaluates log A one angle at a time, through the scalar
+    path of `_log_kanter`: `math.sin` and `np.log` there give the array
+    path's bits (`math.log` would not), so the density, and the theta
+    spline built from it, does not depend on which path ran.
     """
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"beta must be in (0, 1), got {beta}")

@@ -14,6 +14,7 @@ stratum weighted by its exact volume, with sample allocation proportional
 to volume times the interior-decay envelope min(t/delta^{d+alpha}, t^{-d/alpha}).
 """
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -198,12 +199,34 @@ def _kernel_at_exits(exited, exit_step, exit_dist, t, dt, params):
 
 
 def _r_chunk(params, domain, t, n_steps, dt, start, n_paths, stream):
-    """Path chunk for a single start point; returns (n, sum, sum of squares)."""
+    """Path chunk for a single start point; returns ((n, mean, M2), exits),
+    M2 the sum of squared deviations from the chunk mean."""
     gen = stream.generator()
     starts = np.broadcast_to(np.asarray(start, dtype=float), (n_paths, params.d))
     exited, exit_step, exit_dist = _run_exits(starts, domain, t, n_steps, dt, params, gen)
     vals = _kernel_at_exits(exited, exit_step, exit_dist, t, dt, params)
-    return n_paths, float(vals.sum()), float((vals**2).sum()), int(exited.sum())
+    mean = float(vals.sum()) / n_paths
+    return (n_paths, mean, float(((vals - mean) ** 2).sum())), int(exited.sum())
+
+
+def _merge_moments(a, b):
+    """Merge two samples' (n, mean, M2), M2 the sum of squared deviations
+    from the mean (Chan, Golub & LeVeque 1979).
+
+    Unlike E[x^2] - E[x]^2, the merged M2 keeps its digits when the mean is
+    large against the spread.  The mean is the count-weighted one.
+    """
+    n_a, mean_a, m2_a = a
+    n_b, mean_b, m2_b = b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, (n_a * mean_a + n_b * mean_b) / n, m2_a + m2_b + delta * delta * n_a * n_b / n
+
+
+def _moments(est: TraceEstimate):
+    """(n, mean, M2) of a sample-mean estimate, from its stderr."""
+    n = est.n_samples
+    return n, est.value, est.stderr**2 * n * (n - 1)
 
 
 def _stratum_chunk(params, domain, t, n_steps, dt, q_lo, q_hi, n_points, n_paths, stream):
@@ -229,9 +252,13 @@ def _warm(t, n_steps, dt, params):
 
 
 def _execute(fn, arglists, workers):
-    if workers <= 1 or len(arglists) <= 1:
+    """fn over `arglists`, results in order: serially, or in one pool of at
+    most one worker per task (a fork pool starts all its workers at once)."""
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
+    if workers == 1 or len(arglists) <= 1:
         return [fn(*args) for args in arglists]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(arglists))) as pool:
         return list(pool.map(fn, *zip(*arglists)))
 
 
@@ -288,15 +315,11 @@ def r_estimate(
         for c, m in enumerate(sizes)
     ]
     parts = _execute(_r_chunk, args, workers)
-    n = sum(p[0] for p in parts)
-    s1 = sum(p[1] for p in parts)
-    s2 = sum(p[2] for p in parts)
-    n_exit = sum(p[3] for p in parts)
-    mean = s1 / n
-    var = max(s2 / n - mean**2, 0.0) * n / (n - 1)
+    n, mean, m2 = functools.reduce(_merge_moments, (p[0] for p in parts))
+    n_exit = sum(p[1] for p in parts)
     return TraceEstimate(
         value=mean,
-        stderr=math.sqrt(var / n),
+        stderr=math.sqrt(m2 / (n - 1) / n),
         n_samples=n,
         dt=dt_eff,
         t=t,
@@ -441,16 +464,11 @@ def c2_of_t(
                 x[0] = q
                 top = r_estimate(t, x, half, extra, dt_level, stream.substream(i, 1), params,
                                  workers=workers)
-                n1, n2 = est.n_samples, top.n_samples
-                mean = (n1 * est.value + n2 * top.value) / (n1 + n2)
-                var = (
-                    n1 * (est.stderr**2 * n1 + est.value**2)
-                    + n2 * (top.stderr**2 * n2 + top.value**2)
-                ) / (n1 + n2) - mean**2
+                n, mean, m2 = _merge_moments(_moments(est), _moments(top))
                 est = TraceEstimate(
                     value=mean,
-                    stderr=math.sqrt(max(var, 0.0) / (n1 + n2)),
-                    n_samples=n1 + n2,
+                    stderr=math.sqrt(m2 / (n - 1) / n),
+                    n_samples=n,
                     dt=est.dt,
                     t=t,
                     meta=est.meta,
@@ -636,14 +654,16 @@ def _allocate(domain, strata, t, params, n_x, n_min=8):
 def _interior_integral(
     t, domain, n_x, n_paths, dt, rng, params, strata, workers, chunk_points
 ):
-    """Stratified estimate of int_D r_D(t,x,x) dx and its standard error."""
+    """Stratified estimate of int_D r_D(t,x,x) dx and its standard error.
+
+    The chunks of every stratum go through one `_execute`, so a march forks
+    one pool, after `_warm`.
+    """
     n_steps, dt_eff = _snap_steps(t, dt)
     _warm(t, n_steps, dt_eff, params)
     counts = _allocate(domain, strata, t, params, n_x)
-    total = 0.0
-    var = 0.0
-    n_points_total = 0
-    detail = []
+    layers = []
+    args = []
     for j, ((q_lo, q_hi), n_j) in enumerate(zip(strata, counts)):
         vol = domain.layer_volume(q_lo, q_hi)
         if vol <= 0.0:
@@ -651,11 +671,18 @@ def _interior_integral(
         if n_j < 2:
             raise BudgetError(f"stratum {j} received {n_j} sample points")
         sizes = _chunk_sizes(n_j, chunk_points)
-        args = [
+        layers.append((q_lo, q_hi, vol, n_j, len(sizes)))
+        args += [
             (params, domain, t, n_steps, dt_eff, q_lo, q_hi, m, n_paths, rng.substream(j, c))
             for c, m in enumerate(sizes)
         ]
-        values = np.concatenate(_execute(_stratum_chunk, args, workers))
+    chunks = iter(_execute(_stratum_chunk, args, workers))
+    total = 0.0
+    var = 0.0
+    n_points_total = 0
+    detail = []
+    for q_lo, q_hi, vol, n_j, n_chunks in layers:
+        values = np.concatenate([next(chunks) for _ in range(n_chunks)])
         mean = values.mean()
         sem = values.std(ddof=1) / math.sqrt(len(values))
         total += vol * mean

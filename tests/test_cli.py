@@ -48,6 +48,13 @@ class TestConfig:
         assert cfg.override(seed=7, alpha=None).seed == 7
         assert cfg.override(alpha=None).alpha == 0.8
 
+    @pytest.mark.parametrize("workers", [0, -3, 2.5])
+    def test_bad_worker_count_rejected(self, workers):
+        with pytest.raises(ParameterError):
+            ExperimentConfig(workers=workers)
+        with pytest.raises(ParameterError):
+            ExperimentConfig().override(workers=workers)
+
     def test_t_grid_parsing(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("t_grid = 0.1,0.2,0.4\n")
@@ -152,6 +159,14 @@ class TestMain:
         assert code == 2
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_zero_workers_exit_code(self, tmp_path, capsys):
+        code = cli.main(["trace", "--workers", "0", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_constants_via_main(self, tmp_path):
         code = cli.main([

@@ -10,6 +10,7 @@ from scipy.special import gammaln
 from relheat.errors import ParameterError, SingularityError
 from relheat.specfun import (
     ProcessParams,
+    _log_kanter,
     gamma_strict,
     jump_coefficient,
     kanter_factor,
@@ -279,6 +280,21 @@ class TestScalingAndTempering:
 
 
 class TestKanterFactor:
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.6, 0.75, 0.9])
+    def test_scalar_path_equals_array_path(self, beta):
+        # the theta quadrature takes the scalar path; the sampler the array
+        # path: both must give the same bits
+        phis = np.concatenate([
+            [0.0, 1e-15, 1e-12, 5e-10, 1e-9, 1e-9 * (1 + 1e-15), 2e-9, 1e-6],
+            np.linspace(1e-3, math.pi - 1e-3, 997),
+            [math.pi - 1e-6, math.pi - 1e-9, math.pi - 1e-12],
+        ])
+        for phi in phis:
+            scalar = _log_kanter(float(phi), beta)
+            assert type(scalar) is float
+            assert scalar == _log_kanter(np.array([phi]), beta)[0]
+            assert _log_kanter(phi, beta) == scalar  # np.float64 is a float
+
     def test_midpoint_value(self):
         # A(pi/2) = (sin(pi/4)/sin(pi/2))^1 * sin(pi/4)/sin(pi/2) = 1/2 at beta=1/2
         assert kanter_factor(math.pi / 2, 0.5) == pytest.approx(0.5, rel=1e-12)

@@ -1,9 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from relheat import kernels
+from relheat import kernels, tracelab
 from relheat.errors import BudgetError, ParameterError, TailFitError
 from relheat.geometry import Ball, HalfSpace
 from relheat.kernels import build_table, free_density, table_eval
@@ -32,6 +33,34 @@ C4_REFERENCE = {"value": 0.0502798, "stderr": 0.0000627}  # frozen high-budget r
 def cached_in_worker(keys, beta):
     """Pool probe: which kernel tables and theta evaluator a worker starts with."""
     return all(k in kernels._TABLE_CACHE for k in keys), round(beta, 12) in kernels._THETA_CACHE
+
+
+def record_pools(monkeypatch, make):
+    """Record the max_workers of every pool tracelab starts; `make` builds it."""
+    sizes = []
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        return make(max_workers=max_workers)
+
+    monkeypatch.setattr(tracelab, "ProcessPoolExecutor", pool)
+    return sizes
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor and starts no process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 def make_path(positions, dt=0.1):
@@ -181,6 +210,23 @@ class TestREstimate:
         seen = _execute(cached_in_worker, [(keys, params.beta)] * 2, workers=2)
         assert seen == [(True, True)] * 2
 
+    @pytest.mark.parametrize(
+        "workers,n_tasks,size", [(2, 5, 2), (8, 3, 3), (10**9, 4, 4), (1, 4, None), (3, 1, None)]
+    )
+    def test_pool_size_capped_by_tasks(self, monkeypatch, workers, n_tasks, size):
+        # a fork pool starts all its workers at once: never more than tasks
+        sizes = record_pools(monkeypatch, SerialPool)
+        out = tracelab._execute(pow, [(k, 2) for k in range(n_tasks)], workers)
+        assert out == [k * k for k in range(n_tasks)]
+        assert sizes == ([] if size is None else [size])
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, monkeypatch, workers):
+        sizes = record_pools(monkeypatch, SerialPool)
+        with pytest.raises(ParameterError):
+            tracelab._execute(pow, [(2, 2)] * 3, workers)
+        assert sizes == []
+
     def test_extrapolated_reports_bias_budget(self, rng, cauchy2d, unit_ball):
         est = r_estimate_extrapolated(
             0.2, np.array([0.8, 0.0]), unit_ball, 3000, 0.2 / 16, rng.substream(9), cauchy2d
@@ -313,6 +359,22 @@ class TestTrace:
         assert a.value == b.value
         assert a.stderr == b.stderr
 
+    @pytest.mark.parametrize("extrapolate", [False, True])
+    def test_one_pool_per_march(self, monkeypatch, rng, unit_ball, extrapolate):
+        # the strata of a march share one pool: one fork per dt level (at
+        # 600 points three strata have several 64-point chunks, so a pool
+        # per stratum would fork three)
+        params = ProcessParams(alpha=1.5, m=1.0, d=2)
+        starts = record_pools(monkeypatch, tracelab.ProcessPoolExecutor)
+        a, b = (
+            z_trace(0.05, unit_ball, 600, 20, 0.05 / 8, rng.substream(32), params,
+                    extrapolate=extrapolate, workers=workers, chunk_points=64)
+            for workers in (1, 2)
+        )
+        assert starts == [2] * (1 + extrapolate)
+        assert a.value == b.value
+        assert a.stderr == b.stderr
+
     def test_default_strata_cover_domain(self, cauchy2d, unit_ball):
         strata = default_strata(unit_ball, 0.02, cauchy2d)
         assert strata[0][0] == 0.0
@@ -389,6 +451,40 @@ class TestRyznar:
             relativistic2d,
         )
         assert rep.n_violations == 0
+
+
+class TestMomentMerge:
+    @staticmethod
+    def moments(chunk):
+        mean = float(chunk.sum()) / len(chunk)
+        return len(chunk), mean, float(((chunk - mean) ** 2).sum())
+
+    # at offset 1e4 E[x^2] - E[x]^2 keeps 8 of 16 digits; at 1e8 none.  The
+    # merged variance is limited by the chunk means themselves, which round
+    # at ulp(offset)/2: about 1e-10 relative at 1e8
+    @pytest.mark.parametrize("offset,rel", [(1e4, 1e-12), (1e8, 2e-9)])
+    def test_offset_data_matches_two_pass_variance(self, offset, rel):
+        x = offset + np.random.default_rng(3).standard_normal(10_000)
+        chunks = np.array_split(x, [1000, 3500, 7000])
+        n, mean, m2 = functools.reduce(tracelab._merge_moments, map(self.moments, chunks))
+        assert n == len(x)
+        assert mean == pytest.approx(x.mean(), rel=1e-15)
+        assert m2 / (n - 1) == pytest.approx(np.var(x, ddof=1), rel=rel)
+        s2 = sum(float((c**2).sum()) for c in chunks)
+        naive = (s2 / n - mean**2) * n / (n - 1)
+        assert naive != pytest.approx(np.var(x, ddof=1), rel=1e3 * rel)
+
+    def test_pilot_and_top_up_merge_like_one_sample(self):
+        # a sample-mean estimate round-trips through (n, mean, M2)
+        x = 1e8 + np.random.default_rng(4).standard_normal(4000)
+        parts = [
+            TraceEstimate(value=c.mean(), stderr=c.std(ddof=1) / math.sqrt(len(c)),
+                          n_samples=len(c), dt=0.1, t=1.0)
+            for c in (x[:500], x[500:])
+        ]
+        n, mean, m2 = tracelab._merge_moments(*map(tracelab._moments, parts))
+        assert n == len(x)
+        assert m2 / (n - 1) == pytest.approx(np.var(x, ddof=1), rel=2e-9)
 
 
 class TestTraceEstimate:
