@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .config import ExperimentConfig, load_config
-from .errors import BudgetError, ParameterError, StepTooLargeError, TailFitError
+from .errors import BudgetError, ParameterError, QuadratureError, StepTooLargeError, TailFitError
 from .io import write_rows
 from .kernels import build_table, c1_const, c1_of_t, free_density
 from .sampler import RngStream, sample_brownian_leg, sample_tempered_subordinator
@@ -150,19 +150,19 @@ def cmd_charfn(cfg: ExperimentConfig) -> str:
 def cmd_halfspace(cfg: ExperimentConfig) -> str:
     params = cfg.params()
     rng = RngStream(cfg.seed, 22)
+    n_paths = cfg.budgets().profile_n_paths
     rows = []
     c2_rows = []
     for i, t in enumerate(cfg.t_grid):
         h = t ** (1.0 / params.alpha)
         q_grid = np.geomspace(h / 8.0, max(5.0 * h, 3.0), cfg.q_nodes)
         prof = halfspace_profile(
-            t, q_grid, max(200, int(cfg.profile_n_paths * cfg.budget_scale)),
-            t / cfg.steps, rng.substream(i, 0), params,
+            t, q_grid, n_paths, t / cfg.steps, rng.substream(i, 0), params,
             extrapolate=cfg.extrapolate, workers=cfg.workers,
         )
         rows.extend(prof.to_rows())
         c2 = c2_of_t(
-            t, max(200, int(cfg.profile_n_paths * cfg.budget_scale)), t / cfg.steps,
+            t, n_paths, t / cfg.steps,
             rng.substream(i, 1), params, extrapolate=cfg.extrapolate, workers=cfg.workers,
         )
         c2_rows.append({"t": t, **c2.to_record()})
@@ -313,7 +313,7 @@ def main(argv=None) -> int:
         if args.subcommand == "verify":
             return cmd_verify(cfg)
         handlers[args.subcommand](cfg)
-    except (ParameterError, StepTooLargeError, BudgetError, TailFitError) as exc:
+    except (ParameterError, StepTooLargeError, BudgetError, TailFitError, QuadratureError) as exc:
         # inputs the estimators cannot serve: a configuration error, not a
         # failed verification
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,7 @@ worker count (worker count only sets the process pool size; the stream
 assignment is fixed by the chunking, not by the pool).
 """
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ParameterError
@@ -37,9 +38,16 @@ class ExperimentConfig:
     budget_scale: float = 1.0
 
     def __post_init__(self):
-        # checked here so that a CLI run rejects it before any work starts
+        # checked here so that a CLI run rejects them before any work starts
         if not isinstance(self.workers, int) or self.workers < 1:
             raise ParameterError(f"workers must be an integer >= 1, got {self.workers!r}")
+        for name in ("steps", "chunk_points", "n_x", "n_paths", "profile_n_paths"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or not value >= 1:
+                raise ParameterError(f"{name} must be >= 1, got {value!r}")
+        s = self.budget_scale
+        if not isinstance(s, (int, float)) or not 0.0 < s < math.inf:
+            raise ParameterError(f"budget_scale must be finite and > 0, got {s!r}")
 
     def params(self) -> ProcessParams:
         return ProcessParams(alpha=self.alpha, m=self.m, d=self.d)
@@ -47,7 +55,11 @@ class ExperimentConfig:
     def domain_obj(self):
         return parse_domain(self.domain, self.d)
 
-    def budgets(self) -> Budgets:
+    def budgets(self, **overrides) -> Budgets:
+        """Sample budgets, scaled by `budget_scale` down to fixed floors; with
+        `overrides`, those of this config with those keys replaced."""
+        if overrides:
+            return replace(self, **overrides).budgets()
         s = self.budget_scale
         return Budgets(
             n_paths=max(100, int(self.n_paths * s)),

@@ -8,6 +8,12 @@ remaining discrete-monitoring bias is handled by a dt-halving ladder with
 Richardson extrapolation; the extrapolated value is the reported one and
 the ladder difference is the reported bias budget.
 
+r_D at a point, the half-space profile f_H(t, q) and the strata of int_D
+r_D are one expectation at different start points.  One chunk task,
+`_march_chunk`, marches and scores paths from given start points; each
+estimator call lists the chunks of all its points, strata and ladder
+levels, and `_march` runs them after one `_warm`, through one `_execute`.
+
 Spatial integrals over a bounded domain use stratified sampling on
 boundary layers of width ~t^{1/alpha} (refined near the boundary), each
 stratum weighted by its exact volume, with sample allocation proportional
@@ -17,12 +23,12 @@ to volume times the interior-decay envelope min(t/delta^{d+alpha}, t^{-d/alpha})
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import BudgetError, ParameterError, TailFitError
-from .geometry import Domain
+from .geometry import Domain, HalfSpace
 from .kernels import build_table, build_tables, c1_of_t, free_density, table_eval
 from .sampler import PathGrid, RngStream, sample_brownian_leg, sample_tempered_subordinator
 from .specfun import ProcessParams
@@ -198,15 +204,32 @@ def _kernel_at_exits(exited, exit_step, exit_dist, t, dt, params):
     return vals
 
 
-def _r_chunk(params, domain, t, n_steps, dt, start, n_paths, stream):
-    """Path chunk for a single start point; returns ((n, mean, M2), exits),
-    M2 the sum of squared deviations from the chunk mean."""
-    gen = stream.generator()
-    starts = np.broadcast_to(np.asarray(start, dtype=float), (n_paths, params.d))
+def _march_chunk(params, domain, t, n_steps, dt, points, n_paths, gen):
+    """The one chunk task: `n_paths` paths from each of `points`, marched on
+    the (n_steps, dt) grid with `gen` and scored at their exits.
+
+    Returns the per-point mean and M2 (sum of squared deviations from the
+    mean) of the scores, and the exit count; the (points x paths) score
+    matrix itself stays in the task, so a run holds no more than a chunk's.
+    """
+    starts = np.repeat(points, n_paths, axis=0)
     exited, exit_step, exit_dist = _run_exits(starts, domain, t, n_steps, dt, params, gen)
-    vals = _kernel_at_exits(exited, exit_step, exit_dist, t, dt, params)
-    mean = float(vals.sum()) / n_paths
-    return (n_paths, mean, float(((vals - mean) ** 2).sum())), int(exited.sum())
+    scores = _kernel_at_exits(exited, exit_step, exit_dist, t, dt, params).reshape(-1, n_paths)
+    means = scores.mean(axis=1)
+    return means, ((scores - means[:, None]) ** 2).sum(axis=1), int(exited.sum())
+
+
+def _march(chunks, domain, params, workers):
+    """Run chunk requests (t, n_steps, dt, points, n_paths, gen), results in
+    order.  The caller makes each generator; pickled, it goes on exactly."""
+    _warm(dict.fromkeys(c[:3] for c in chunks), params)
+    return _execute(_march_chunk, [(params, domain, *c) for c in chunks], workers)
+
+
+def _split(items, counts):
+    """`items` cut into consecutive groups of the given sizes."""
+    it = iter(items)
+    return [[next(it) for _ in range(n)] for n in counts]
 
 
 def _merge_moments(a, b):
@@ -229,25 +252,25 @@ def _moments(est: TraceEstimate):
     return n, est.value, est.stderr**2 * n * (n - 1)
 
 
-def _stratum_chunk(params, domain, t, n_steps, dt, q_lo, q_hi, n_points, n_paths, stream):
-    """Stratified chunk: per-point estimates of r_D(t, x, x) for uniform x in a layer."""
-    gen = stream.generator()
-    points = domain.sample_layer(q_lo, q_hi, gen, n_points)
-    starts = np.repeat(points, n_paths, axis=0)
-    exited, exit_step, exit_dist = _run_exits(starts, domain, t, n_steps, dt, params, gen)
-    vals = _kernel_at_exits(exited, exit_step, exit_dist, t, dt, params)
-    return vals.reshape(n_points, n_paths).mean(axis=1)
+def _from_moments(moments, dt, t, meta) -> TraceEstimate:
+    """The sample-mean estimate of a sample's (n, mean, M2)."""
+    n, mean, m2 = moments
+    return TraceEstimate(
+        value=mean, stderr=math.sqrt(m2 / (n - 1) / n), n_samples=n, dt=dt, t=t, meta=meta
+    )
 
 
-def _warm(t, n_steps, dt, params):
-    """Build every kernel table a march on this grid can score with.
+def _warm(grids, params):
+    """Build every kernel table a march on the (t, n_steps, dt) grids can use.
 
     Called before `_execute`, so the tables, and the theta_beta evaluator
     they need, are in the process a pool forks and its workers build none.
     The products m * (t - (k - 1/2) dt) are those `_kernel_at_exits` asks
     for; at m = 0 they are all one product, and this is a single lookup.
     """
-    mts = dict.fromkeys(params.m * (t - (k - 0.5) * dt) for k in range(1, n_steps + 1))
+    mts = dict.fromkeys(
+        params.m * (t - (k - 0.5) * dt) for t, n_steps, dt in grids for k in range(1, n_steps + 1)
+    )
     build_tables(mts, params)
 
 
@@ -289,6 +312,39 @@ def first_exit(path: PathGrid, domain: Domain):
     return k, path.positions[k]
 
 
+def _r_estimates(requests, domain, params, *, workers=1, chunk_paths=100_000):
+    """r_D(t, x, x) for each request (t, x, n_paths, dt, rng), in one march.
+
+    A request's paths run in chunks of at most `chunk_paths` on the streams
+    rng.substream(c), and their (n, mean, M2) are merged chunk by chunk.
+    """
+    chunks, layout = [], []
+    for t, x, n_paths, dt, rng in requests:
+        if n_paths < 100:
+            raise BudgetError(f"n_paths={n_paths} below 100; stderr would be meaningless")
+        x = np.asarray(x, dtype=float)
+        if not domain.contains(x):
+            raise ParameterError("x must lie inside the domain")
+        n_steps, dt_eff = _snap_steps(t, dt)
+        sizes = _chunk_sizes(n_paths, chunk_paths)
+        chunks += [
+            (t, n_steps, dt_eff, x[None], m, rng.substream(c).generator())
+            for c, m in enumerate(sizes)
+        ]
+        layout.append((t, dt_eff, float(domain.delta(x)), sizes))
+    estimates = []
+    parts = _split(_march(chunks, domain, params, workers), [len(r[-1]) for r in layout])
+    for (t, dt_eff, x_delta, sizes), part in zip(layout, parts):
+        moments = functools.reduce(
+            _merge_moments,
+            ((m, float(mean[0]), float(m2[0])) for m, (mean, m2, _) in zip(sizes, part)),
+        )
+        n_exit = sum(e for _, _, e in part)
+        meta = {"estimator": "r_D", "exit_fraction": n_exit / moments[0], "x_delta": x_delta}
+        estimates.append(_from_moments(moments, dt_eff, t, meta))
+    return estimates
+
+
 def r_estimate(
     t: float,
     x,
@@ -302,36 +358,30 @@ def r_estimate(
     chunk_paths: int = 100_000,
 ) -> TraceEstimate:
     """Monte Carlo estimate of r_D(t, x, x)."""
-    if n_paths < 100:
-        raise BudgetError(f"n_paths={n_paths} below 100; stderr would be meaningless")
-    x = np.asarray(x, dtype=float)
-    if not domain.contains(x):
-        raise ParameterError("x must lie inside the domain")
-    n_steps, dt_eff = _snap_steps(t, dt)
-    _warm(t, n_steps, dt_eff, params)
-    sizes = _chunk_sizes(n_paths, chunk_paths)
-    args = [
-        (params, domain, t, n_steps, dt_eff, x, m, rng.substream(c))
-        for c, m in enumerate(sizes)
-    ]
-    parts = _execute(_r_chunk, args, workers)
-    n, mean, m2 = functools.reduce(_merge_moments, (p[0] for p in parts))
-    n_exit = sum(p[1] for p in parts)
-    return TraceEstimate(
-        value=mean,
-        stderr=math.sqrt(m2 / (n - 1) / n),
-        n_samples=n,
-        dt=dt_eff,
-        t=t,
-        meta={"estimator": "r_D", "exit_fraction": n_exit / n, "x_delta": float(domain.delta(x))},
-    )
+    return _r_estimates(
+        [(t, x, n_paths, dt, rng)], domain, params, workers=workers, chunk_paths=chunk_paths
+    )[0]
 
 
-def _richardson(coarse: TraceEstimate, fine: TraceEstimate, order: float = RICHARDSON_ORDER) -> TraceEstimate:
+def _ladder(dt, rng):
+    """The dt-halving pair of monitoring levels (dt, stream): coarse at dt on
+    rng.substream(0), fine at dt/2 on rng.substream(1)."""
+    return [(dt, rng.substream(0)), (dt / 2.0, rng.substream(1))]
+
+
+def _extrapolate(coarse, fine, order: float = RICHARDSON_ORDER):
+    """Richardson value of a quantity measured at dt (coarse) and dt/2 (fine)."""
+    return fine + (fine - coarse) / (2.0**order - 1.0)
+
+
+def _richardson(
+    coarse: TraceEstimate, fine: TraceEstimate = None, order: float = RICHARDSON_ORDER
+) -> TraceEstimate:
     """Extrapolate a dt-halving pair; the reported bias budget is the
-    ladder correction itself."""
+    ladder correction itself.  A single level is reported as it is."""
+    if fine is None:
+        return coarse
     f = 2.0**order - 1.0
-    value = fine.value + (fine.value - coarse.value) / f
     stderr = math.sqrt(((1.0 + 1.0 / f) * fine.stderr) ** 2 + (coarse.stderr / f) ** 2)
     meta = dict(fine.meta)
     meta.update(
@@ -344,7 +394,7 @@ def _richardson(coarse: TraceEstimate, fine: TraceEstimate, order: float = RICHA
         }
     )
     return TraceEstimate(
-        value=value,
+        value=_extrapolate(coarse.value, fine.value, order),
         stderr=stderr,
         n_samples=coarse.n_samples + fine.n_samples,
         dt=fine.dt,
@@ -354,9 +404,15 @@ def _richardson(coarse: TraceEstimate, fine: TraceEstimate, order: float = RICHA
 
 
 def r_estimate_extrapolated(t, x, domain, n_paths, dt, rng, params, **kw) -> TraceEstimate:
-    coarse = r_estimate(t, x, domain, n_paths, dt, rng.substream(0), params, **kw)
-    fine = r_estimate(t, x, domain, n_paths, dt / 2.0, rng.substream(1), params, **kw)
-    return _richardson(coarse, fine)
+    requests = [(t, x, n_paths, dt_l, sub) for dt_l, sub in _ladder(dt, rng)]
+    return _richardson(*_r_estimates(requests, domain, params, **kw))
+
+
+def _axis_point(q, d):
+    """The point (q, 0, ..., 0), at distance q from the half-space boundary."""
+    x = np.zeros(d)
+    x[0] = q
+    return x
 
 
 def halfspace_profile(
@@ -371,24 +427,22 @@ def halfspace_profile(
     extrapolate: bool = False,
     workers: int = 1,
 ) -> HalfspaceProfile:
-    """Profile f_H(t, q) over a grid of boundary distances q."""
-    from .geometry import HalfSpace
+    """Profile f_H(t, q) over a grid of boundary distances q.
 
+    Node i runs on rng.substream(i), through the ladder when extrapolating;
+    every node and level marches in one pool.
+    """
     domain = domain or HalfSpace(d=params.d)
     q_grid = np.asarray(q_grid, dtype=float)
     if (q_grid <= 0).any():
         raise ParameterError("q grid must be positive")
-    estimates = []
+    requests = []
     for i, q in enumerate(q_grid):
-        x = np.zeros(params.d)
-        x[0] = q
-        sub = rng.substream(i)
-        if extrapolate:
-            est = r_estimate_extrapolated(t, x, domain, n_paths, dt, sub, params, workers=workers)
-        else:
-            est = r_estimate(t, x, domain, n_paths, dt, sub, params, workers=workers)
-        estimates.append(est)
-    return HalfspaceProfile(t=t, q_grid=q_grid, f_values=tuple(estimates))
+        levels = _ladder(dt, rng.substream(i)) if extrapolate else [(dt, rng.substream(i))]
+        requests += [(t, _axis_point(q, params.d), n_paths, dt_l, sub) for dt_l, sub in levels]
+    estimates = _r_estimates(requests, domain, params, workers=workers)
+    nodes = _split(estimates, [1 + extrapolate] * len(q_grid))
+    return HalfspaceProfile(t=t, q_grid=q_grid, f_values=tuple(_richardson(*n) for n in nodes))
 
 
 def _default_q_grid(t: float, params: ProcessParams, n_nodes: int = 34):
@@ -425,10 +479,9 @@ def c2_of_t(
 
     `n_paths` is the total path budget over all grid nodes: a uniform pilot
     pass measures per-node variances, the remainder goes where quadrature
-    weight times standard deviation is largest (Neyman allocation).
+    weight times standard deviation is largest (Neyman allocation).  Each
+    pass marches all nodes and ladder levels at once.
     """
-    from .geometry import HalfSpace
-
     half = HalfSpace(d=params.d)
     q_grid = _default_q_grid(t, params) if q_grid is None else np.asarray(q_grid, float)
     n_nodes = len(q_grid)
@@ -440,48 +493,29 @@ def c2_of_t(
     node_w = weights_q[1:]  # trapezoid weight of each MC node
 
     n_pilot = max(500, int(0.15 * n_paths / n_nodes))
+    remaining = max(n_paths - n_pilot * n_nodes, 0)
+    xs = [_axis_point(q, params.d) for q in q_grid]
+    levels = _ladder(dt, rng)[: 1 + extrapolate]
 
-    def run_level(dt_level, stream):
-        estimates = []
-        for i, q in enumerate(q_grid):
-            x = np.zeros(params.d)
-            x[0] = q
-            estimates.append(
-                r_estimate(t, x, half, n_pilot, dt_level, stream.substream(i, 0), params,
-                           workers=workers)
-            )
-        sigmas = np.array(
-            [e.stderr * math.sqrt(e.n_samples) for e in estimates]
-        )
-        remaining = max(n_paths - n_pilot * n_nodes, 0)
+    def run(budget, pass_index):
+        # node i of level k draws from the level's stream at substream(i, pass_index)
+        requests = [
+            (t, xs[i], n, levels[k][0], levels[k][1].substream(i, pass_index))
+            for (i, k), n in budget.items()
+        ]
+        return dict(zip(budget, _r_estimates(requests, half, params, workers=workers)))
+
+    est = run({(i, k): n_pilot for i in range(n_nodes) for k in range(len(levels))}, 0)
+    extra = {}
+    for k in range(len(levels)):
+        sigmas = np.array([est[i, k].stderr * math.sqrt(n_pilot) for i in range(n_nodes)])
         alloc = node_w * sigmas
         alloc = alloc / alloc.sum() * remaining if alloc.sum() > 0 else np.zeros(n_nodes)
-        merged = []
-        for i, (q, est) in enumerate(zip(q_grid, estimates)):
-            extra = int(alloc[i])
-            if extra >= 100:
-                x = np.zeros(params.d)
-                x[0] = q
-                top = r_estimate(t, x, half, extra, dt_level, stream.substream(i, 1), params,
-                                 workers=workers)
-                n, mean, m2 = _merge_moments(_moments(est), _moments(top))
-                est = TraceEstimate(
-                    value=mean,
-                    stderr=math.sqrt(m2 / (n - 1) / n),
-                    n_samples=n,
-                    dt=est.dt,
-                    t=t,
-                    meta=est.meta,
-                )
-            merged.append(est)
-        return merged
-
-    if extrapolate:
-        coarse = run_level(dt, rng.substream(0))
-        fine = run_level(dt / 2.0, rng.substream(1))
-        profile_est = [_richardson(c, f_) for c, f_ in zip(coarse, fine)]
-    else:
-        profile_est = run_level(dt, rng.substream(0))
+        extra.update({(i, k): int(a) for i, a in enumerate(alloc) if int(a) >= 100})
+    for cell, top in run(extra, 1).items():
+        merged = _merge_moments(_moments(est[cell]), _moments(top))
+        est[cell] = _from_moments(merged, est[cell].dt, t, est[cell].meta)
+    profile_est = [_richardson(*[est[i, k] for k in range(len(levels))]) for i in range(n_nodes)]
     f = np.array([e.value for e in profile_est])
     se = np.array([e.stderr for e in profile_est])
 
@@ -595,19 +629,20 @@ def _power_panel_integral(q, f, p0):
     return float(total)
 
 
-def _loglog_fit(q, f, se):
-    """Weighted linear fit of log f against log q; returns (slope, slope se, intercept)."""
-    x = np.log(q)
-    y = np.log(f)
-    w = (np.maximum(f, 1e-300) / np.maximum(se, 1e-300)) ** 2  # var(log f) ~ (se/f)^2
-    w = np.minimum(w, 1e12)
+def _weighted_line_fit(x, y, w):
+    """Weighted least-squares line y = a + s x; returns (s, se of s, a),
+    the se for weights that are inverse variances."""
     xb = (w * x).sum() / w.sum()
     yb = (w * y).sum() / w.sum()
     sxx = (w * (x - xb) ** 2).sum()
     slope = (w * (x - xb) * (y - yb)).sum() / sxx
-    intercept = yb - slope * xb
-    slope_se = math.sqrt(1.0 / sxx)
-    return slope, slope_se, intercept
+    return slope, math.sqrt(1.0 / sxx), yb - slope * xb
+
+
+def _loglog_fit(q, f, se):
+    """Weighted linear fit of log f against log q; returns (slope, slope se, intercept)."""
+    w = (np.maximum(f, 1e-300) / np.maximum(se, 1e-300)) ** 2  # var(log f) ~ (se/f)^2
+    return _weighted_line_fit(np.log(q), np.log(f), np.minimum(w, 1e12))
 
 
 # ---------------------------------------------------------------------------
@@ -651,49 +686,6 @@ def _allocate(domain, strata, t, params, n_x, n_min=8):
     return [max(n_min, int(round(r))) for r in raw]
 
 
-def _interior_integral(
-    t, domain, n_x, n_paths, dt, rng, params, strata, workers, chunk_points
-):
-    """Stratified estimate of int_D r_D(t,x,x) dx and its standard error.
-
-    The chunks of every stratum go through one `_execute`, so a march forks
-    one pool, after `_warm`.
-    """
-    n_steps, dt_eff = _snap_steps(t, dt)
-    _warm(t, n_steps, dt_eff, params)
-    counts = _allocate(domain, strata, t, params, n_x)
-    layers = []
-    args = []
-    for j, ((q_lo, q_hi), n_j) in enumerate(zip(strata, counts)):
-        vol = domain.layer_volume(q_lo, q_hi)
-        if vol <= 0.0:
-            continue
-        if n_j < 2:
-            raise BudgetError(f"stratum {j} received {n_j} sample points")
-        sizes = _chunk_sizes(n_j, chunk_points)
-        layers.append((q_lo, q_hi, vol, n_j, len(sizes)))
-        args += [
-            (params, domain, t, n_steps, dt_eff, q_lo, q_hi, m, n_paths, rng.substream(j, c))
-            for c, m in enumerate(sizes)
-        ]
-    chunks = iter(_execute(_stratum_chunk, args, workers))
-    total = 0.0
-    var = 0.0
-    n_points_total = 0
-    detail = []
-    for q_lo, q_hi, vol, n_j, n_chunks in layers:
-        values = np.concatenate([next(chunks) for _ in range(n_chunks)])
-        mean = values.mean()
-        sem = values.std(ddof=1) / math.sqrt(len(values))
-        total += vol * mean
-        var += (vol * sem) ** 2
-        n_points_total += n_j
-        detail.append(
-            {"q_lo": q_lo, "q_hi": q_hi, "volume": vol, "n_points": n_j, "mean": float(mean)}
-        )
-    return total, math.sqrt(var), n_points_total, dt_eff, detail
-
-
 def first_term(t: float, domain: Domain, params: ProcessParams) -> float:
     """Free-kernel part of the trace: C1(t) e^{mt} |D| / t^{d/alpha}."""
     return (
@@ -718,49 +710,63 @@ def z_trace(
     workers: int = 1,
     chunk_points: int = 512,
 ) -> TraceEstimate:
-    """Heat trace Z_D(t) = first_term - int_D r_D(t,x,x) dx."""
+    """Heat trace Z_D(t) = first_term - int_D r_D(t,x,x) dx.
+
+    The integral is a stratified sum: each stratum's mean of r_D at uniform
+    points, times its exact volume.  Chunk c of stratum j draws its points
+    and its paths from its level's stream at substream(j, c); the chunks of
+    every stratum and ladder level march in one pool.
+    """
     if not getattr(domain, "bounded", False):
         raise ParameterError("z_trace requires a bounded domain")
     strata = strata or default_strata(domain, t, params)
     ft = first_term(t, domain, params)
-
-    def run(dt_level, sub):
-        interior, se, n_pts, dt_eff, detail = _interior_integral(
-            t, domain, n_x, n_paths, dt_level, sub, params, strata, workers, chunk_points
+    levels = [(*_snap_steps(t, dt_l), sub) for dt_l, sub in _ladder(dt, rng)[: 1 + extrapolate]]
+    layers = []
+    for j, ((q_lo, q_hi), n_j) in enumerate(zip(strata, _allocate(domain, strata, t, params, n_x))):
+        vol = domain.layer_volume(q_lo, q_hi)
+        if vol <= 0.0:
+            continue
+        if n_j < 2:
+            raise BudgetError(f"stratum {j} received {n_j} sample points")
+        layers.append((j, q_lo, q_hi, vol, _chunk_sizes(n_j, chunk_points)))
+    chunks = []
+    for n_steps, dt_eff, sub in levels:
+        for j, q_lo, q_hi, vol, sizes in layers:
+            for c, m in enumerate(sizes):
+                gen = sub.substream(j, c).generator()
+                points = domain.sample_layer(q_lo, q_hi, gen, m)
+                chunks.append((t, n_steps, dt_eff, points, n_paths, gen))
+    results = _march(chunks, domain, params, workers)
+    per_stratum = iter(_split(results, [len(layer[-1]) for layer in layers] * len(levels)))
+    n_points = sum(sum(layer[-1]) for layer in layers)
+    per_level = []
+    for _, dt_eff, _ in levels:
+        interior = var = 0.0
+        for (j, q_lo, q_hi, vol, sizes), part in zip(layers, per_stratum):
+            values = np.concatenate([means for means, _, _ in part])
+            sem = values.std(ddof=1) / math.sqrt(len(values))
+            interior += vol * values.mean()
+            var += (vol * sem) ** 2
+        se = math.sqrt(var)
+        meta = {
+            "estimator": "Z_D",
+            "first_term": ft,
+            "interior": interior,
+            "interior_se": se,
+            "n_strata": len(strata),
+        }
+        per_level.append(
+            TraceEstimate(value=ft - interior, stderr=se, n_samples=n_points * n_paths,
+                          dt=dt_eff, t=t, meta=meta)
         )
-        return TraceEstimate(
-            value=ft - interior,
-            stderr=se,
-            n_samples=n_pts * n_paths,
-            dt=dt_eff,
-            t=t,
-            meta={
-                "estimator": "Z_D",
-                "first_term": ft,
-                "interior": interior,
-                "interior_se": se,
-                "n_strata": len(strata),
-            },
-        )
-
-    if not extrapolate:
-        return run(dt, rng.substream(0))
-    coarse = run(dt, rng.substream(0))
-    fine = run(dt / 2.0, rng.substream(1))
-    est = _richardson(coarse, fine)
-    meta = dict(est.meta)
-    # the first term is exact; extrapolate the interior part alongside
-    f = 2.0**RICHARDSON_ORDER - 1.0
-    meta["interior"] = fine.meta["interior"] + (fine.meta["interior"] - coarse.meta["interior"]) / f
-    meta["interior_se"] = est.stderr
-    return TraceEstimate(
-        value=est.value,
-        stderr=est.stderr,
-        n_samples=est.n_samples,
-        dt=est.dt,
-        t=est.t,
-        meta=meta,
-    )
+    est = _richardson(*per_level)
+    if extrapolate:
+        # the first term is exact; extrapolate the interior part alongside
+        coarse, fine = (e.meta["interior"] for e in per_level)
+        est = replace(est, meta={**est.meta, "interior": _extrapolate(coarse, fine),
+                                 "interior_se": est.stderr})
+    return est
 
 
 # ---------------------------------------------------------------------------
@@ -904,12 +910,7 @@ def lambda1_estimate(
     ts = np.array(t_grid)
     y = -np.log(np.array([e.value for e in zs]))
     var_y = np.array([(e.stderr / e.value) ** 2 for e in zs])
-    w = 1.0 / var_y
-    tb = (w * ts).sum() / w.sum()
-    yb = (w * y).sum() / w.sum()
-    sxx = (w * (ts - tb) ** 2).sum()
-    slope = (w * (ts - tb) * (y - yb)).sum() / sxx
-    slope_se = math.sqrt(1.0 / sxx)
+    slope, slope_se, _ = _weighted_line_fit(ts, y, 1.0 / var_y)
     # quadratic term of an unweighted fit measures curvature of log Z
     curvature = float(np.polyfit(ts, y, 2)[0]) if len(ts) >= 3 else 0.0
     meta = {

@@ -23,10 +23,11 @@ from .kernels import c1_const, c1_of_t, free_density
 from .sampler import RngStream, sample_brownian_leg, sample_tempered_subordinator
 from .specfun import ProcessParams, stable_subordinator_density
 from .tracelab import (
-    Budgets,
+    _weighted_line_fit,
     c2_of_t,
     c4_const,
     first_term,
+    halfspace_profile,
     r_estimate_extrapolated,
     residual_scan,
     ryznar_check,
@@ -191,7 +192,7 @@ def check_trace_limit(cfg: ExperimentConfig) -> CheckResult:
     params = ProcessParams(alpha=1.0, m=1.0, d=2)
     ball = Ball(center=(0.0, 0.0), radius=1.0, d=2)
     t = 0.02
-    b = _scaled_budgets(cfg, n_x=3000, n_paths=300)
+    b = cfg.budgets(n_x=3000, n_paths=300)
     est = z_trace(
         t, ball, b.n_x, b.n_paths, t / b.steps, RngStream(cfg.seed, 5), params,
         extrapolate=True, workers=b.workers, chunk_points=b.chunk_points,
@@ -225,7 +226,7 @@ def check_mass_comparison(cfg: ExperimentConfig) -> CheckResult:
     params = ProcessParams(alpha=1.0, m=1.0, d=2)
     ball = Ball(center=(0.0, 0.0), radius=1.0, d=2)
     xs = [(0.0, 0.0), (0.3, 0.0), (0.0, 0.55), (-0.7, 0.0), (0.6, 0.6)]
-    b = _scaled_budgets(cfg, n_paths=6000)
+    b = cfg.budgets(n_paths=6000)
     total_bad = 0
     lines = []
     for j, t in enumerate((0.05, 0.1)):
@@ -298,22 +299,11 @@ def check_halfspace_tail(cfg: ExperimentConfig) -> CheckResult:
     n = max(4000, int(100_000 * cfg.budget_scale))
     rng = RngStream(cfg.seed, 8)
     qs = np.geomspace(2.0, 8.0, 5)
-    fs, ses = [], []
-    for i, q in enumerate(qs):
-        est = r_estimate_extrapolated(
-            1.0, np.array([q, 0.0]), half, n, 1.0 / cfg.steps, rng.substream(i), params
-        )
-        fs.append(est.value)
-        ses.append(est.stderr)
-    fs = np.array(fs)
-    ses = np.array(ses)
-    x = np.log(qs)
-    y = np.log(fs)
+    prof = halfspace_profile(1.0, qs, n, 1.0 / cfg.steps, rng, params, half, extrapolate=True)
+    fs = np.array([est.value for est in prof.f_values])
+    ses = np.array([est.stderr for est in prof.f_values])
     w = (fs / np.maximum(ses, 1e-300)) ** 2
-    xb = (w * x).sum() / w.sum()
-    sxx = (w * (x - xb) ** 2).sum()
-    slope = (w * (x - xb) * (y - (w * y).sum() / w.sum())).sum() / sxx
-    slope_se = math.sqrt(1.0 / sxx)
+    slope, slope_se, _ = _weighted_line_fit(np.log(qs), np.log(fs), w)
     target = -(params.d + params.alpha)
     passed = abs(slope - target) <= 0.5
     return _result(
@@ -345,8 +335,8 @@ def check_residual_stability(cfg: ExperimentConfig) -> CheckResult:
     ball = Ball(center=(0.0, 0.0), radius=1.0, d=2)
     # single fine monitoring level: the grid bias largely cancels between the
     # half-space side and the interior side of the residual
-    b = _scaled_budgets(
-        cfg, n_x=8000, n_paths=120, profile_n_paths=1_500_000, steps=128, extrapolate=False
+    b = cfg.budgets(
+        n_x=8000, n_paths=120, profile_n_paths=1_500_000, steps=128, extrapolate=False
     )
     report = residual_scan((0.02, 0.04, 0.08, 0.16), ball, b, RngStream(cfg.seed, 9), params)
     rhos = [r["rho"] for r in report.rows]
@@ -424,7 +414,7 @@ def check_inequalities(cfg: ExperimentConfig) -> CheckResult:
 
     # Z below the free first term; r below p(t, 0)
     ball = Ball(center=(0.0, 0.0), radius=1.0, d=2)
-    b = _scaled_budgets(cfg, n_x=1200, n_paths=250)
+    b = cfg.budgets(n_x=1200, n_paths=250)
     t = 0.1
     rng = RngStream(cfg.seed, 11)
     zed = z_trace(t, ball, b.n_x, b.n_paths, t / b.steps, rng.substream(0), params,
@@ -531,20 +521,6 @@ def check_determinism(cfg: ExperimentConfig) -> CheckResult:
             + ("identical" if passed else f"mismatches {mismatches}")
         ],
         mismatches=mismatches,
-    )
-
-
-def _scaled_budgets(cfg: ExperimentConfig, **overrides) -> Budgets:
-    s = cfg.budget_scale
-    return Budgets(
-        n_paths=max(100, int(overrides.get("n_paths", cfg.n_paths) * s)),
-        n_x=max(64, int(overrides.get("n_x", cfg.n_x) * s)),
-        steps=overrides.get("steps", cfg.steps),
-        extrapolate=overrides.get("extrapolate", cfg.extrapolate),
-        profile_n_paths=max(500, int(overrides.get("profile_n_paths", cfg.profile_n_paths) * s)),
-        q_nodes=cfg.q_nodes,
-        chunk_points=cfg.chunk_points,
-        workers=cfg.workers,
     )
 
 

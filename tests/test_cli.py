@@ -55,6 +55,28 @@ class TestConfig:
         with pytest.raises(ParameterError):
             ExperimentConfig().override(workers=workers)
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("steps", 0), ("chunk_points", 0), ("n_x", 0), ("n_paths", -5),
+         ("profile_n_paths", 0), ("budget_scale", 0.0), ("budget_scale", -1.0),
+         ("budget_scale", math.inf), ("budget_scale", math.nan), ("n_x", "many")],
+    )
+    def test_bad_budget_rejected(self, key, value):
+        with pytest.raises(ParameterError):
+            ExperimentConfig(**{key: value})
+        with pytest.raises(ParameterError):
+            ExperimentConfig().override(**{key: value})
+
+    def test_budgets_with_overrides(self):
+        cfg = ExperimentConfig(n_paths=2000, profile_n_paths=20000, budget_scale=0.01)
+        b = cfg.budgets(n_x=3000, steps=128, extrapolate=False)
+        assert (b.n_paths, b.n_x, b.profile_n_paths) == (100, 64, 200)
+        assert (b.steps, b.extrapolate) == (128, False)
+        assert cfg.budgets(n_paths=50_000).n_paths == 500
+        assert cfg.budgets() == cfg.budgets(budget_scale=0.01)
+        with pytest.raises(ParameterError):
+            cfg.budgets(n_x=0)
+
     def test_t_grid_parsing(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("t_grid = 0.1,0.2,0.4\n")
@@ -167,6 +189,31 @@ class TestMain:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv,config",
+        [
+            (["trace", "--steps", "0"], None),
+            (["trace"], "chunk_points = 0\n"),
+            (["trace", "--n-x", "0"], None),
+            (["trace", "--budget-scale", "-1"], None),
+            # the free-density quadrature cannot resolve p(t, r) at r/t = 2500
+            (["density", "--m", "0", "--t-grid", "0.002"], None),
+        ],
+        ids=["steps", "chunk_points", "n_x", "budget_scale", "density_quadrature"],
+    )
+    def test_bad_input_exit_code(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            (tmp_path / "bad.cfg").write_text(config)
+            argv = argv + ["--config", str(tmp_path / "bad.cfg")]
+        if "--t-grid" not in argv:
+            argv = argv + ["--t-grid", "0.1", "--n-paths", "100"]
+        code = cli.main(argv + ["--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
     def test_constants_via_main(self, tmp_path):
         code = cli.main([

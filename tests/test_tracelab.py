@@ -206,7 +206,7 @@ class TestREstimate:
             kernels._table_key(params.m * (t - (k - 0.5) * dt), params, kernels.TABLE_NODES)
             for k in range(1, n_steps + 1)
         ]
-        _warm(t, n_steps, dt, params)
+        _warm([(t, n_steps, dt)], params)
         seen = _execute(cached_in_worker, [(keys, params.beta)] * 2, workers=2)
         assert seen == [(True, True)] * 2
 
@@ -235,6 +235,13 @@ class TestREstimate:
         assert est.meta["bias_budget"] >= 0.0
         assert est.dt == pytest.approx(0.2 / 32)
 
+    def test_extrapolated_uses_one_pool(self, monkeypatch, rng, cauchy2d, unit_ball):
+        starts = record_pools(monkeypatch, tracelab.ProcessPoolExecutor)
+        est = r_estimate_extrapolated(0.2, np.array([0.8, 0.0]), unit_ball, 300, 0.2 / 8,
+                                      rng.substream(34), cauchy2d, workers=2)
+        assert starts == [2]
+        assert est.n_samples == 600
+
 
 class TestHalfspaceProfile:
     def test_profile_matches_r_estimate(self, rng, cauchy2d, within_se):
@@ -246,6 +253,27 @@ class TestHalfspaceProfile:
         )
         est = prof.f_values[0]
         within_se(est.value, direct.value, math.hypot(est.stderr, direct.stderr), z=3.0)
+
+    @pytest.mark.parametrize("extrapolate", [False, True])
+    def test_equals_separate_point_estimates(self, monkeypatch, rng, relativistic2d, extrapolate):
+        # one march over all nodes gives each node the numbers of its own
+        # r_estimate call on the same substream, at any worker count, in
+        # one pool
+        half = HalfSpace(d=2)
+        t, qs, n = 0.1, [0.02, 0.1, 0.3], 1500
+        point = r_estimate_extrapolated if extrapolate else r_estimate
+        direct = [
+            point(t, np.array([q, 0.0]), half, n, t / 16, rng.substream(40, i), relativistic2d)
+            for i, q in enumerate(qs)
+        ]
+        starts = record_pools(monkeypatch, tracelab.ProcessPoolExecutor)
+        for workers in (1, 2):
+            prof = halfspace_profile(t, qs, n, t / 16, rng.substream(40), relativistic2d,
+                                     extrapolate=extrapolate, workers=workers)
+            for a, b in zip(prof.f_values, direct):
+                assert (a.value, a.stderr, a.n_samples, a.dt, a.meta) == (
+                    b.value, b.stderr, b.n_samples, b.dt, b.meta)
+        assert starts == [2]
 
     def test_rejects_nonpositive_q(self, rng, cauchy2d):
         with pytest.raises(ParameterError):
@@ -286,6 +314,19 @@ class TestBoundaryCoefficient:
         assert est.value > 0
         assert est.meta["tail_slope"] < -1
         assert est.meta["core"] > 0
+
+    @pytest.mark.parametrize("extrapolate", [False, True])
+    def test_worker_count_does_not_change_results(self, monkeypatch, rng, cauchy2d, extrapolate):
+        # all nodes and levels run their pilots in one pool, their top-ups in
+        # a second
+        starts = record_pools(monkeypatch, tracelab.ProcessPoolExecutor)
+        a, b = (
+            c2_of_t(0.25, 24_000, 0.25 / 16, rng.substream(33), cauchy2d,
+                    extrapolate=extrapolate, workers=workers)
+            for workers in (1, 2)
+        )
+        assert starts == [2, 2]
+        assert (a.value, a.stderr, a.n_samples, a.meta) == (b.value, b.stderr, b.n_samples, b.meta)
 
     def test_tail_fit_failure_on_flat_grid(self, rng, relativistic2d):
         # nodes confined to the flat region near the boundary make the last
@@ -361,9 +402,8 @@ class TestTrace:
 
     @pytest.mark.parametrize("extrapolate", [False, True])
     def test_one_pool_per_march(self, monkeypatch, rng, unit_ball, extrapolate):
-        # the strata of a march share one pool: one fork per dt level (at
-        # 600 points three strata have several 64-point chunks, so a pool
-        # per stratum would fork three)
+        # every stratum and both ladder levels of a z_trace call share one
+        # pool (at 600 points three strata have several 64-point chunks)
         params = ProcessParams(alpha=1.5, m=1.0, d=2)
         starts = record_pools(monkeypatch, tracelab.ProcessPoolExecutor)
         a, b = (
@@ -371,7 +411,7 @@ class TestTrace:
                     extrapolate=extrapolate, workers=workers, chunk_points=64)
             for workers in (1, 2)
         )
-        assert starts == [2] * (1 + extrapolate)
+        assert starts == [2]
         assert a.value == b.value
         assert a.stderr == b.stderr
 
