@@ -7,11 +7,18 @@ variable z = u t^{-1/beta}, so a single two-parameter profile
     F(rho, w) = (4 pi)^{-d/2} int_0^infty z^{-d/2}
                 e^{-rho^2/(4z)} e^{-w^{1/beta} z} theta_beta(1, z) dz,
 
-serves every (t, r).  `free_density` evaluates F by adaptive quadrature;
-`RadialKernelTable` freezes one radial profile per m*t product for fast
-inner-loop evaluation.  A march scores exits at the products
-m (t - (k - 1/2) dt), so before it starts, `build_tables` builds all of
-them in one batched trapezoid quadrature, theta_beta included; pool
+serves every (t, r).  `free_density` evaluates F by adaptive quadrature
+at every alpha.
+
+At alpha = 1 (beta = 1/2) both factors have closed forms: theta_{1/2} is
+the Levy density (`levy_half_density`), and p itself is the Bessel kernel
+of Ryznar (2002), the Cauchy kernel at m = 0 (`cauchy_density`).  A march
+at alpha = 1 scores its exits with `cauchy_density` and needs no table.
+
+For other alpha, `RadialKernelTable` freezes one radial profile per m*t
+product for fast inner-loop evaluation.  A march scores exits at the
+products m (t - (k - 1/2) dt), so before it starts, `build_tables` builds
+all of them in one batched trapezoid quadrature, theta_beta included; pool
 workers forked afterwards inherit the tables instead of building them.
 """
 
@@ -22,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
+from scipy.special import kve
 
 from .errors import ParameterError, QuadratureError, StaleTableError
 from .specfun import (
@@ -36,6 +44,7 @@ from .specfun import (
 __all__ = [
     "c1_const",
     "c1_of_t",
+    "cauchy_density",
     "density_upper_bound",
     "free_density",
     "scaled_profile",
@@ -44,6 +53,7 @@ __all__ = [
     "build_tables",
     "table_eval",
     "fast_theta",
+    "levy_half_density",
 ]
 
 TABLE_RHO_MIN = 1e-3
@@ -92,6 +102,40 @@ def free_density(t: float, r: float, params: ProcessParams, rel_tol: float = 1e-
     rho = r * t ** (-1.0 / params.alpha)
     f = scaled_profile(rho, params.m * t, params, rel_tol=rel_tol)
     return math.exp(params.m * t) * t ** (-params.d / params.alpha) * f
+
+
+def cauchy_density(t, r, params: ProcessParams):
+    """Free transition density p(t, x) at |x| = r in closed form, alpha = 1 only.
+
+    With s = sqrt(r^2 + t^2) and nu = (d+1)/2 (Ryznar, Potential Anal. 17, 2002):
+
+        m = 0:  p = Gamma(nu) pi^{-nu} t / s^{d+1},  the Cauchy kernel;
+        m > 0:  p = 2t (m/(2 pi))^nu K_nu(m s) e^{mt} / s^nu,
+
+    evaluated as kve(nu, m s) e^{m(t-s)}, kve = K_nu e^{m s} the scaled Bessel
+    function, so that K_nu(m s) does not underflow at large m s.  t and r
+    broadcast as arrays; two scalars give a float.
+    """
+    if params.alpha != 1.0:
+        raise ParameterError(f"the closed-form kernel needs alpha = 1, got {params.alpha}")
+    t = np.asarray(t, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if (t <= 0.0).any():
+        raise ParameterError("t must be > 0")
+    if (r < 0.0).any():
+        raise ParameterError("radius must be >= 0")
+    nu = (params.d + 1) / 2.0
+    s = np.hypot(r, t)
+    m = params.m
+    if m == 0.0:
+        out = math.gamma(nu) * math.pi**-nu * t / s ** (params.d + 1)
+    else:
+        # t - s = -r^2 / (t + s), free of cancellation at r << t
+        out = (
+            2.0 * (m / (2.0 * math.pi)) ** nu * t * kve(nu, m * s)
+            * np.exp(-m * r * r / (t + s)) / s**nu
+        )
+    return out if out.shape else float(out)
 
 
 def scaled_profile(rho: float, w: float, params: ProcessParams, rel_tol: float = 1e-8) -> float:
@@ -190,20 +234,23 @@ def fast_theta(beta: float):
     return ev
 
 
+def levy_half_density(z):
+    """Closed form theta_{1/2}(1, z) = z^{-3/2} e^{-1/(4z)} / (2 sqrt(pi)),
+    the Levy density; 0 for z <= 0."""
+    z = np.asarray(z, dtype=float)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        out = np.where(
+            z > 0.0,
+            z ** -1.5 * np.exp(-1.0 / (4.0 * np.maximum(z, 1e-320)))
+            / (2.0 * math.sqrt(math.pi)),
+            0.0,
+        )
+    return out if out.shape else float(out)
+
+
 def _build_theta_evaluator(beta: float):
     if abs(beta - 0.5) < 1e-14:
-        def levy_density_half(z):
-            z = np.asarray(z, dtype=float)
-            with np.errstate(over="ignore", under="ignore", divide="ignore"):
-                out = np.where(
-                    z > 0.0,
-                    z ** -1.5 * np.exp(-1.0 / (4.0 * np.maximum(z, 1e-320)))
-                    / (2.0 * math.sqrt(math.pi)),
-                    0.0,
-                )
-            return out if out.shape else float(out)
-
-        return levy_density_half
+        return levy_half_density
 
     # spline window: left edge where the exponent reaches ~200 (density below
     # ~1e-87, beyond any integral's resolution), right edge where the series

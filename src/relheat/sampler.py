@@ -1,7 +1,9 @@
 """Exact-in-distribution sampling of subordinator increments and paths.
 
-Stable subordinator draws use the rejection-free angle/exponential
-transformation; the relativistic (tempered) subordinator is obtained by
+Stable subordinator draws are rejection-free: at beta = 1/2 (alpha = 1)
+the Levy draw T = dt^2 / (2 Z^2) from one standard normal Z, at every
+other beta the angle/exponential (Kanter) transformation.  The
+relativistic (tempered) subordinator is obtained from these proposals by
 exponential-tilting rejection with acceptance probability e^{-m dt} per
 proposal.  Process increments are Gaussian with per-coordinate variance
 2u conditional on the subordinator value u, matching the Brownian
@@ -92,16 +94,25 @@ def kanter_transform(phi, w, dt: float, beta: float):
 
 
 def sample_stable_subordinator(dt: float, beta: float, rng: RngStream | np.random.Generator, size=None):
-    """Draws of T_beta(dt), the subordinator with E e^{-lam T} = e^{-dt lam^beta}."""
+    """Draws of T_beta(dt), the subordinator with E e^{-lam T} = e^{-dt lam^beta}.
+
+    At beta = 1/2 this is the Levy law, drawn as dt^2 / (2 Z^2) with Z
+    standard normal; `kanter_transform`, which every other beta uses, draws
+    the same law and is its test oracle.
+    """
     if dt <= 0.0:
         raise ParameterError(f"dt must be > 0, got {dt}")
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"beta must be in (0, 1), got {beta}")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     n = 1 if size is None else int(size)
-    phi = gen.uniform(0.0, math.pi, n)
-    w = gen.standard_exponential(n)
-    out = kanter_transform(phi, w, dt, beta)
+    if beta == 0.5:
+        z = gen.standard_normal(n)
+        out = dt * dt / (2.0 * z * z)
+    else:
+        phi = gen.uniform(0.0, math.pi, n)
+        w = gen.standard_exponential(n)
+        out = kanter_transform(phi, w, dt, beta)
     return float(out[0]) if size is None else out
 
 

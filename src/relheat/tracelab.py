@@ -12,7 +12,9 @@ r_D at a point, the half-space profile f_H(t, q) and the strata of int_D
 r_D are one expectation at different start points.  One chunk task,
 `_march_chunk`, marches and scores paths from given start points; each
 estimator call lists the chunks of all its points, strata and ladder
-levels, and `_march` runs them after one `_warm`, through one `_execute`.
+levels, and `_march` runs them through one `_execute`, after one `_warm`
+of the kernel tables when alpha != 1 (alpha = 1 scores exits in closed
+form).
 
 Spatial integrals over a bounded domain use stratified sampling on
 boundary layers of width ~t^{1/alpha} (refined near the boundary), each
@@ -29,7 +31,14 @@ import numpy as np
 
 from .errors import BudgetError, ParameterError, TailFitError
 from .geometry import Domain, HalfSpace
-from .kernels import build_table, build_tables, c1_of_t, free_density, table_eval
+from .kernels import (
+    build_table,
+    build_tables,
+    c1_of_t,
+    cauchy_density,
+    free_density,
+    table_eval,
+)
 from .sampler import PathGrid, RngStream, sample_brownian_leg, sample_tempered_subordinator
 from .specfun import ProcessParams
 
@@ -188,12 +197,19 @@ def _run_exits(starts, domain, t, n_steps, dt, params, gen):
 
 
 def _kernel_at_exits(exited, exit_step, exit_dist, t, dt, params):
-    """p(t - tau, |X_tau - x|) with the mid-step convention tau = (k - 1/2) dt."""
+    """p(t - tau, |X_tau - x|) with the mid-step convention tau = (k - 1/2) dt.
+
+    At alpha = 1 every exit is scored in one call to the closed-form kernel;
+    other alpha read the kernel table of each exit step.
+    """
     vals = np.zeros(len(exited))
     if not exited.any():
         return vals
     steps = exit_step[exited]
     dists = exit_dist[exited]
+    if params.alpha == 1.0:
+        vals[exited] = cauchy_density(t - (steps - 0.5) * dt, dists, params)
+        return vals
     out = np.empty(len(steps))
     for k in np.unique(steps):
         s = t - (k - 0.5) * dt
@@ -221,8 +237,10 @@ def _march_chunk(params, domain, t, n_steps, dt, points, n_paths, gen):
 
 def _march(chunks, domain, params, workers):
     """Run chunk requests (t, n_steps, dt, points, n_paths, gen), results in
-    order.  The caller makes each generator; pickled, it goes on exactly."""
-    _warm(dict.fromkeys(c[:3] for c in chunks), params)
+    order.  The caller makes each generator; pickled, it goes on exactly.
+    At alpha = 1 the exits are scored in closed form and no table is warmed."""
+    if params.alpha != 1.0:
+        _warm(dict.fromkeys(c[:3] for c in chunks), params)
     return _execute(_march_chunk, [(params, domain, *c) for c in chunks], workers)
 
 
@@ -403,9 +421,18 @@ def _richardson(
     )
 
 
+def _r_extrapolated(t, xs, rngs, domain, n_paths, dt, params, **kw):
+    """Richardson estimates of r_D(t, x, x) at each of `xs`, point i through
+    the ladder of rngs[i]; every point and level marches in one batch."""
+    requests = [
+        (t, x, n_paths, dt_l, sub) for x, rng in zip(xs, rngs) for dt_l, sub in _ladder(dt, rng)
+    ]
+    pairs = _split(_r_estimates(requests, domain, params, **kw), [2] * len(xs))
+    return [_richardson(*pair) for pair in pairs]
+
+
 def r_estimate_extrapolated(t, x, domain, n_paths, dt, rng, params, **kw) -> TraceEstimate:
-    requests = [(t, x, n_paths, dt_l, sub) for dt_l, sub in _ladder(dt, rng)]
-    return _richardson(*_r_estimates(requests, domain, params, **kw))
+    return _r_extrapolated(t, [x], [rng], domain, n_paths, dt, params, **kw)[0]
 
 
 def _axis_point(q, d):
@@ -944,21 +971,21 @@ def ryznar_check(
 
     Checks r_D <= e^{2mt} r0_D and (p - r_D) <= e^{mt} (p0 - r0_D), where
     the 0 superscript is the mass-zero process, allowing z_sigma joint
-    standard errors of Monte Carlo slack.
+    standard errors of Monte Carlo slack.  Point i runs on rng.substream(i, 0)
+    at mass m and on rng.substream(i, 1) at mass 0; all points of one mass
+    march in one batch.
     """
     stable = params.with_mass(0.0)
     dt = t / budgets.steps
+    xs = [np.asarray(x, dtype=float) for x in x_list]
+    ests = [
+        _r_extrapolated(t, xs, [rng.substream(i, branch) for i in range(len(xs))], domain,
+                        budgets.n_paths, dt, p, workers=budgets.workers)
+        for branch, p in ((0, params), (1, stable))
+    ]
     rows = []
     n_bad = 0
-    for i, x in enumerate(x_list):
-        x = np.asarray(x, dtype=float)
-        sub = rng.substream(i)
-        est_m = r_estimate_extrapolated(
-            t, x, domain, budgets.n_paths, dt, sub.substream(0), params, workers=budgets.workers
-        )
-        est_0 = r_estimate_extrapolated(
-            t, x, domain, budgets.n_paths, dt, sub.substream(1), stable, workers=budgets.workers
-        )
+    for x, est_m, est_0 in zip(xs, *ests):
         grow = math.exp(2.0 * params.m * t)
         joint = math.sqrt(est_m.stderr**2 + (grow * est_0.stderr) ** 2)
         r_violation = est_m.value - grow * est_0.value > z_sigma * joint

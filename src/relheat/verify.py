@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gamma as spgamma
 
 from .config import ExperimentConfig
 from .geometry import Annulus, Ball, HalfSpace
-from .kernels import c1_const, c1_of_t, free_density
+from .kernels import c1_const, c1_of_t, cauchy_density, free_density, levy_half_density
 from .sampler import RngStream, sample_brownian_leg, sample_tempered_subordinator
 from .specfun import ProcessParams, stable_subordinator_density
 from .tracelab import (
@@ -52,16 +51,6 @@ class CheckResult:
 
 def _result(name, criterion, passed, lines, **data):
     return CheckResult(name=name, criterion=criterion, passed=bool(passed), lines=lines, data=data)
-
-
-def levy_half_density(u):
-    """Closed form theta_{1/2}(1,u) = u^{-3/2} e^{-1/(4u)} / (2 sqrt(pi))."""
-    return u**-1.5 * math.exp(-1.0 / (4.0 * u)) / (2.0 * math.sqrt(math.pi))
-
-
-def cauchy_kernel(r, d, t=1.0):
-    """Isotropic Cauchy density Gamma((d+1)/2) / (pi^{(d+1)/2}) t/(t^2+r^2)^{(d+1)/2}."""
-    return float(spgamma((d + 1) / 2)) / math.pi ** ((d + 1) / 2) * t / (t * t + r * r) ** ((d + 1) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +111,7 @@ def check_free_density(cfg: ExperimentConfig) -> CheckResult:
         params = ProcessParams(alpha=1.0, m=0.0, d=d)
         for r in (0.0, 0.5, 1.0, 2.0, 5.0):
             got = free_density(1.0, r, params)
-            want = cauchy_kernel(r, d)
+            want = cauchy_density(1.0, r, params)
             rel = abs(got / want - 1.0)
             worst = max(worst, rel)
             rows.append({"d": d, "r": r, "value": got, "target": want, "rel_err": rel})
@@ -260,11 +249,13 @@ def check_halfspace_scaling(cfg: ExperimentConfig) -> CheckResult:
         for q in (0.3, 0.6, 1.0):
             x_t = np.array([q, 0.0])
             e_t = r_estimate_extrapolated(
-                t, x_t, half, n, t / cfg.steps, rng.substream(idx, 0), params
+                t, x_t, half, n, t / cfg.steps, rng.substream(idx, 0), params,
+                workers=cfg.workers,
             )
             q1 = q * t ** (-1.0 / params.alpha)
             e_1 = r_estimate_extrapolated(
-                1.0, np.array([q1, 0.0]), half, n, 1.0 / cfg.steps, rng.substream(idx, 1), params
+                1.0, np.array([q1, 0.0]), half, n, 1.0 / cfg.steps, rng.substream(idx, 1), params,
+                workers=cfg.workers,
             )
             scale = t ** (-params.d / params.alpha)
             rescaled = scale * e_1.value
@@ -299,7 +290,8 @@ def check_halfspace_tail(cfg: ExperimentConfig) -> CheckResult:
     n = max(4000, int(100_000 * cfg.budget_scale))
     rng = RngStream(cfg.seed, 8)
     qs = np.geomspace(2.0, 8.0, 5)
-    prof = halfspace_profile(1.0, qs, n, 1.0 / cfg.steps, rng, params, half, extrapolate=True)
+    prof = halfspace_profile(1.0, qs, n, 1.0 / cfg.steps, rng, params, half, extrapolate=True,
+                             workers=cfg.workers)
     fs = np.array([est.value for est in prof.f_values])
     ses = np.array([est.stderr for est in prof.f_values])
     w = (fs / np.maximum(ses, 1e-300)) ** 2
@@ -426,7 +418,8 @@ def check_inequalities(cfg: ExperimentConfig) -> CheckResult:
 
     n_r = max(2000, int(20_000 * cfg.budget_scale))
     r_est = r_estimate_extrapolated(
-        t, np.array([0.85, 0.0]), ball, n_r, t / cfg.steps, rng.substream(1), params
+        t, np.array([0.85, 0.0]), ball, n_r, t / cfg.steps, rng.substream(1), params,
+        workers=cfg.workers,
     )
     p0 = free_density(t, 0.0, params)
     if r_est.value > p0 + 3.0 * r_est.stderr:

@@ -11,6 +11,7 @@ from relheat.kernels import (
     build_tables,
     c1_const,
     c1_of_t,
+    cauchy_density,
     density_upper_bound,
     fast_theta,
     free_density,
@@ -82,6 +83,57 @@ class TestFreeDensity:
             free_density(0.0, 1.0, params)
         with pytest.raises(ParameterError):
             free_density(1.0, -1.0, params)
+
+
+class TestCauchyDensity:
+    """The closed-form kernel at alpha = 1 against the subordination quadrature."""
+
+    TS = (0.005, 0.02, 0.1, 0.5, 1.0)
+    RS = (0.0, 0.001, 0.1, 0.5, 1.0, 3.0, 10.0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("m", [0.0, 1.0, 20.0])
+    def test_matches_quadrature(self, d, m):
+        # scaled radii r/t reach 200, beyond the tables' last node at 50;
+        # free_density's own quadrature fails from r/t ~ 500 (d = 2, m = 0)
+        params = ProcessParams(1.0, m, d)
+        for t in self.TS:
+            for r in self.RS:
+                if r / t <= 400.0:
+                    assert cauchy_density(t, r, params) == pytest.approx(
+                        free_density(t, r, params), rel=1e-9), (t, r)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_large_bessel_argument(self, d):
+        # m s = 710: K_nu(m s) alone is below 1e-300, scaled by kve it is not
+        params = ProcessParams(1.0, 20.0, d)
+        assert cauchy_density(1.0, 35.5, params) == pytest.approx(
+            free_density(1.0, 35.5, params), rel=1e-9)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_massless_is_the_cauchy_kernel(self, d):
+        params = ProcessParams(1.0, 0.0, d)
+        for t in self.TS:
+            for r in self.RS:
+                assert cauchy_density(t, r, params) == pytest.approx(
+                    cauchy_kernel(r, d, t=t), rel=1e-13)
+
+    def test_arrays_broadcast_like_scalar_calls(self, relativistic2d):
+        ts = np.array([[0.01], [0.3]])
+        rs = np.array([0.0, 0.2, 4.0])
+        got = cauchy_density(ts, rs, relativistic2d)
+        assert got.shape == (2, 3)
+        for i, t in enumerate(ts[:, 0]):
+            for j, r in enumerate(rs):
+                assert got[i, j] == cauchy_density(float(t), float(r), relativistic2d)
+
+    def test_rejects_bad_arguments(self, relativistic2d):
+        with pytest.raises(ParameterError):
+            cauchy_density(1.0, 0.5, ProcessParams(1.5, 1.0, 2))
+        with pytest.raises(ParameterError):
+            cauchy_density(np.array([0.1, 0.0]), 0.5, relativistic2d)
+        with pytest.raises(ParameterError):
+            cauchy_density(0.1, -0.5, relativistic2d)
 
 
 class TestUpperBound:

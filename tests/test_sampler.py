@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from relheat.errors import ParameterError, StepTooLargeError
 from relheat.sampler import (
@@ -102,6 +103,31 @@ class TestTemperedSubordinator:
         p = ProcessParams(alpha=1.0, m=1.0, d=2)
         with pytest.raises(StepTooLargeError):
             sample_tempered_subordinator(8.0, p, rng)  # e^{-8} < 1e-3
+
+
+class TestLevyDraws:
+    """beta = 1/2 draws dt^2 / (2 Z^2) instead of the Kanter transform."""
+
+    @pytest.mark.parametrize("m", [1.0, 20.0])
+    @pytest.mark.parametrize("dt", [1e-3, 0.1])
+    def test_tempered_laplace_transform(self, m, dt, rng, within_se):
+        # E e^{-lam T} = e^{-dt (sqrt(lam + m^2) - m)}, at lam on the scale
+        # of the stable part (1/dt^2) and of the tempering (m^2)
+        p = ProcessParams(alpha=1.0, m=m, d=2)
+        n = 200_000
+        draws = sample_tempered_subordinator(dt, p, rng.substream(40, int(m), int(1 / dt)), size=n)
+        for lam in (0.5 / dt**2, 4.0 / dt**2, m * m):
+            emp = np.exp(-lam * draws)
+            target = math.exp(-dt * (math.sqrt(lam + m * m) - m))
+            within_se(emp.mean(), target, emp.std(ddof=1) / math.sqrt(n), z=4.0,
+                      msg=f"m={m}, dt={dt}, lam={lam}")
+
+    def test_same_law_as_kanter_transform(self, rng):
+        n, dt = 20_000, 0.1
+        draws = sample_stable_subordinator(dt, 0.5, rng.substream(41), size=n)
+        gen = rng.substream(42).generator()
+        oracle = kanter_transform(gen.uniform(0.0, math.pi, n), gen.standard_exponential(n), dt, 0.5)
+        assert ks_2samp(draws, oracle).pvalue > 1e-3
 
 
 class TestIncrements:

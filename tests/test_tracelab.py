@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -415,6 +416,28 @@ class TestTrace:
         assert a.value == b.value
         assert a.stderr == b.stderr
 
+    @pytest.mark.parametrize("alpha,builds", [(1.0, False), (1.5, True)])
+    def test_kernel_tables_only_off_alpha_one(self, monkeypatch, rng, unit_ball, alpha, builds):
+        # alpha = 1 scores exits in closed form: no table, no far-field quadrature
+        calls = []
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in ((tracelab, "build_tables"), (tracelab, "build_table"),
+                             (kernels, "_profile_batch")):
+            monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+        params = ProcessParams(alpha=alpha, m=1.0, d=2)
+        est = z_trace(0.05, unit_ball, 200, 20, 0.05 / 8, rng.substream(35), params,
+                      chunk_points=64)
+        assert est.value > 0
+        assert ("build_tables" in calls) == builds
+        if not builds:
+            assert calls == []
+
     def test_default_strata_cover_domain(self, cauchy2d, unit_ball):
         strata = default_strata(unit_ball, 0.02, cauchy2d)
         assert strata[0][0] == 0.0
@@ -491,6 +514,29 @@ class TestRyznar:
             relativistic2d,
         )
         assert rep.n_violations == 0
+
+
+    def test_one_march_per_mass(self, monkeypatch, rng, relativistic2d, unit_ball):
+        # the points of each mass march as one batch, with the numbers of
+        # separate per-point calls on the same substreams, at any worker count
+        t, budgets = 0.1, Budgets(n_paths=300, steps=16)
+        xs = [np.array([0.0, 0.0]), np.array([0.6, 0.0]), np.array([0.0, -0.8])]
+        direct = [
+            [r_estimate_extrapolated(t, x, unit_ball, 300, t / 16, rng.substream(29, i, branch), p)
+             for branch, p in ((0, relativistic2d), (1, relativistic2d.with_mass(0.0)))]
+            for i, x in enumerate(xs)
+        ]
+        sizes = record_pools(monkeypatch, SerialPool)
+        reports = [
+            ryznar_check(t, xs, unit_ball, replace(budgets, workers=workers), rng.substream(29),
+                         relativistic2d)
+            for workers in (1, 2)
+        ]
+        assert sizes == [2, 2]
+        assert reports[0] == reports[1]
+        for row, (est_m, est_0) in zip(reports[0].rows, direct):
+            assert (row["r_mass"], row["r_mass_se"], row["r_stable"], row["r_stable_se"]) == (
+                est_m.value, est_m.stderr, est_0.value, est_0.stderr)
 
 
 class TestMomentMerge:
