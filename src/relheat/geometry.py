@@ -42,6 +42,22 @@ def _points(x, d):
     return arr, single
 
 
+def row_norms(y):
+    """Euclidean length of each row of an (n, d) array.
+
+    The squares are added column by column, the order in which
+    `np.linalg.norm(y, axis=1)` adds fewer than 8 of them, so the lengths
+    are its own bit for bit, without its (n, d) temporaries.  numpy adds 8
+    or more pairwise; such rows go through it unchanged.
+    """
+    if y.shape[1] >= 8:
+        return np.linalg.norm(y, axis=1)
+    s = y[:, 0] * y[:, 0]
+    for j in range(1, y.shape[1]):
+        s += y[:, j] * y[:, j]
+    return np.sqrt(s)
+
+
 @dataclass(frozen=True)
 class Ball(Domain):
     """Open ball; radius may be math.inf to model the whole space."""
@@ -78,13 +94,13 @@ class Ball(Domain):
 
     def contains(self, x):
         pts, single = _points(x, self.d)
-        r = np.linalg.norm(pts - np.asarray(self.center), axis=1)
+        r = row_norms(pts - np.asarray(self.center))
         out = r < self.radius
         return bool(out[0]) if single else out
 
     def delta(self, x):
         pts, single = _points(x, self.d)
-        r = np.linalg.norm(pts - np.asarray(self.center), axis=1)
+        r = row_norms(pts - np.asarray(self.center))
         out = np.maximum(self.radius - r, 0.0)
         if not math.isfinite(self.radius):
             out = np.full(len(pts), math.inf)
@@ -167,13 +183,13 @@ class Annulus(Domain):
 
     def contains(self, x):
         pts, single = _points(x, self.d)
-        r = np.linalg.norm(pts - np.asarray(self.center), axis=1)
+        r = row_norms(pts - np.asarray(self.center))
         out = (r > self.r_in) & (r < self.r_out)
         return bool(out[0]) if single else out
 
     def delta(self, x):
         pts, single = _points(x, self.d)
-        r = np.linalg.norm(pts - np.asarray(self.center), axis=1)
+        r = row_norms(pts - np.asarray(self.center))
         out = np.maximum(np.minimum(r - self.r_in, self.r_out - r), 0.0)
         return float(out[0]) if single else out
 

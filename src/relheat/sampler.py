@@ -166,7 +166,8 @@ def sample_brownian_leg(u, d: int, gen: np.random.Generator):
     """Gaussian displacement over operational time u: per-coordinate variance 2u."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     g = gen.standard_normal((len(u), d))
-    return g * np.sqrt(2.0 * u)[:, None]
+    g *= np.sqrt(2.0 * u)[:, None]
+    return g
 
 
 def sample_increment(dt: float, params: ProcessParams, rng: RngStream | np.random.Generator, size=None):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import BudgetError, ParameterError, TailFitError
-from .geometry import Domain, HalfSpace
+from .geometry import Domain, HalfSpace, row_norms
 from .kernels import (
     build_table,
     build_tables,
@@ -171,28 +171,28 @@ def _run_exits(starts, domain, t, n_steps, dt, params, gen):
     """March paths from `starts` until exit or horizon.
 
     Returns (exited, exit_step, exit_dist): boolean mask, first grid index
-    outside the domain, and |X_exit - start|.
+    outside the domain, and |X_exit - start|.  `pos` holds the alive rows
+    only, in path order (`idx`, their paths), so every draw and every sum
+    falls bit for bit as in a march updating all n rows in place.
     """
     n = len(starts)
-    pos = np.array(starts, dtype=float, copy=True)
-    alive = np.arange(n)
+    pos = np.array(starts, dtype=float)
+    idx = np.arange(n)
     exited = np.zeros(n, dtype=bool)
     exit_step = np.zeros(n, dtype=np.int64)
     exit_dist = np.zeros(n)
     for k in range(1, n_steps + 1):
-        m = len(alive)
-        if m == 0:
+        if len(idx) == 0:
             break
-        u = sample_tempered_subordinator(dt, params, gen, size=m)
-        pos[alive] += sample_brownian_leg(u, params.d, gen)
-        inside = domain.contains(pos[alive])
-        out = ~inside
-        if out.any():
-            idx = alive[out]
-            exited[idx] = True
-            exit_step[idx] = k
-            exit_dist[idx] = np.linalg.norm(pos[idx] - np.asarray(starts)[idx], axis=1)
-        alive = alive[inside]
+        u = sample_tempered_subordinator(dt, params, gen, size=len(idx))
+        pos += sample_brownian_leg(u, params.d, gen)
+        inside = domain.contains(pos)
+        if not inside.all():
+            out = idx[~inside]
+            exited[out] = True
+            exit_step[out] = k
+            exit_dist[out] = row_norms(pos[~inside] - starts[out])
+            pos, idx = pos[inside], idx[inside]
     return exited, exit_step, exit_dist
 
 
@@ -421,18 +421,19 @@ def _richardson(
     )
 
 
-def _r_extrapolated(t, xs, rngs, domain, n_paths, dt, params, **kw):
-    """Richardson estimates of r_D(t, x, x) at each of `xs`, point i through
-    the ladder of rngs[i]; every point and level marches in one batch."""
+def _r_extrapolated(points, domain, n_paths, params, **kw):
+    """Richardson estimates of r_D(t, x, x) at each point (t, x, dt, rng),
+    through the ladder of its dt and rng; every point and level marches in
+    one batch."""
     requests = [
-        (t, x, n_paths, dt_l, sub) for x, rng in zip(xs, rngs) for dt_l, sub in _ladder(dt, rng)
+        (t, x, n_paths, dt_l, sub) for t, x, dt, rng in points for dt_l, sub in _ladder(dt, rng)
     ]
-    pairs = _split(_r_estimates(requests, domain, params, **kw), [2] * len(xs))
+    pairs = _split(_r_estimates(requests, domain, params, **kw), [2] * len(points))
     return [_richardson(*pair) for pair in pairs]
 
 
 def r_estimate_extrapolated(t, x, domain, n_paths, dt, rng, params, **kw) -> TraceEstimate:
-    return _r_extrapolated(t, [x], [rng], domain, n_paths, dt, params, **kw)[0]
+    return _r_extrapolated([(t, x, dt, rng)], domain, n_paths, params, **kw)[0]
 
 
 def _axis_point(q, d):
@@ -979,8 +980,8 @@ def ryznar_check(
     dt = t / budgets.steps
     xs = [np.asarray(x, dtype=float) for x in x_list]
     ests = [
-        _r_extrapolated(t, xs, [rng.substream(i, branch) for i in range(len(xs))], domain,
-                        budgets.n_paths, dt, p, workers=budgets.workers)
+        _r_extrapolated([(t, x, dt, rng.substream(i, branch)) for i, x in enumerate(xs)], domain,
+                        budgets.n_paths, p, workers=budgets.workers)
         for branch, p in ((0, params), (1, stable))
     ]
     rows = []

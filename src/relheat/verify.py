@@ -22,6 +22,7 @@ from .kernels import c1_const, c1_of_t, cauchy_density, free_density, levy_half_
 from .sampler import RngStream, sample_brownian_leg, sample_tempered_subordinator
 from .specfun import ProcessParams, stable_subordinator_density
 from .tracelab import (
+    _r_extrapolated,
     _weighted_line_fit,
     c2_of_t,
     c4_const,
@@ -242,28 +243,26 @@ def check_halfspace_scaling(cfg: ExperimentConfig) -> CheckResult:
     half = HalfSpace(d=2)
     n = max(2000, int(30_000 * cfg.budget_scale))
     rng = RngStream(cfg.seed, 7)
+    pairs = [(t, q) for t in (0.25, 0.5) for q in (0.3, 0.6, 1.0)]
+    # pair idx compares f(t, q) on rng.substream(idx, 0) with the rescaled
+    # f(1, q t^{-1/alpha}) on rng.substream(idx, 1); all of them march at once
+    points = []
+    for idx, (t, q) in enumerate(pairs):
+        q1 = q * t ** (-1.0 / params.alpha)
+        points += [
+            (t, np.array([q, 0.0]), t / cfg.steps, rng.substream(idx, 0)),
+            (1.0, np.array([q1, 0.0]), 1.0 / cfg.steps, rng.substream(idx, 1)),
+        ]
+    ests = _r_extrapolated(points, half, n, params, workers=cfg.workers)
     rows = []
     worst_z = 0.0
-    idx = 0
-    for t in (0.25, 0.5):
-        for q in (0.3, 0.6, 1.0):
-            x_t = np.array([q, 0.0])
-            e_t = r_estimate_extrapolated(
-                t, x_t, half, n, t / cfg.steps, rng.substream(idx, 0), params,
-                workers=cfg.workers,
-            )
-            q1 = q * t ** (-1.0 / params.alpha)
-            e_1 = r_estimate_extrapolated(
-                1.0, np.array([q1, 0.0]), half, n, 1.0 / cfg.steps, rng.substream(idx, 1), params,
-                workers=cfg.workers,
-            )
-            scale = t ** (-params.d / params.alpha)
-            rescaled = scale * e_1.value
-            joint = math.sqrt(e_t.stderr**2 + (scale * e_1.stderr) ** 2)
-            z = (e_t.value - rescaled) / joint
-            worst_z = max(worst_z, abs(z))
-            rows.append({"t": t, "q": q, "f": e_t.value, "rescaled": rescaled, "z": float(z)})
-            idx += 1
+    for (t, q), e_t, e_1 in zip(pairs, ests[::2], ests[1::2]):
+        scale = t ** (-params.d / params.alpha)
+        rescaled = scale * e_1.value
+        joint = math.sqrt(e_t.stderr**2 + (scale * e_1.stderr) ** 2)
+        z = (e_t.value - rescaled) / joint
+        worst_z = max(worst_z, abs(z))
+        rows.append({"t": t, "q": q, "f": e_t.value, "rescaled": rescaled, "z": float(z)})
     passed = worst_z <= cfg.z_sigma
     return _result(
         "halfspace_scaling",

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relheat.errors import ParameterError
-from relheat.geometry import Annulus, Ball, HalfSpace, parse_domain
+from relheat.geometry import Annulus, Ball, HalfSpace, parse_domain, row_norms
 
 
 @pytest.fixture
@@ -55,6 +55,56 @@ class TestMembershipAndDistance:
             a = np.array(xa)
             b = np.array(xb)
             assert abs(dom.delta(a) - dom.delta(b)) <= np.linalg.norm(a - b) + 1e-12
+
+
+def ulps_from(r, k):
+    """r moved k ulps up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        r = np.nextafter(r, math.copysign(math.inf, k))
+    return r
+
+
+class TestRowNorms:
+    """Membership reads `row_norms`, which must equal np.linalg.norm."""
+
+    @staticmethod
+    def points(d, center, radii, seed):
+        """Rays from `center` at each radius and 1, 2 and 3 ulps either side
+        of it, then uniform points in a box around the shells."""
+        gen = np.random.default_rng(seed)
+        r = np.array([ulps_from(R, k) for R in radii for k in range(-3, 4)])
+        r = np.repeat(r, 200)
+        u = gen.standard_normal((len(r), d))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        box = gen.uniform(-2.0, 2.0, (5000, d)) * max(radii)
+        return np.concatenate([center + r[:, None] * u, center + box])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("shape", ["ball", "annulus"])
+    def test_membership_matches_norm_reference(self, shape, d):
+        center = np.array([0.3, -0.7, 0.2][:d])
+        if shape == "ball":
+            dom = Ball(center=tuple(center), radius=1.3, d=d)
+            radii = [dom.radius]
+        else:
+            dom = Annulus(center=tuple(center), r_in=0.4, r_out=1.1, d=d)
+            radii = [dom.r_in, dom.r_out]
+        pts = self.points(d, center, radii, seed=d)
+        r = np.linalg.norm(pts - center, axis=1)
+        ref = r < radii[0] if shape == "ball" else (r > radii[0]) & (r < radii[1])
+        assert np.array_equal(row_norms(pts - center), r)
+        assert np.array_equal(dom.contains(pts), ref)
+        # the near-boundary rays land on both sides of each sphere
+        for R in radii:
+            near = np.abs(r - R) <= 4 * np.spacing(R)
+            assert (r[near] < R).any() and (r[near] >= R).any()
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 9])
+    def test_wide_range_rows(self, d):
+        # squares spanning 80 decades, where the order of summation shows
+        gen = np.random.default_rng(d)
+        y = gen.standard_normal((20_000, d)) * np.exp(gen.uniform(-20.0, 20.0, (20_000, d)))
+        assert np.array_equal(row_norms(y), np.linalg.norm(y, axis=1))
 
 
 class TestAreasAndVolumes:

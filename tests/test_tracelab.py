@@ -7,9 +7,14 @@ import pytest
 
 from relheat import kernels, tracelab
 from relheat.errors import BudgetError, ParameterError, TailFitError
-from relheat.geometry import Ball, HalfSpace
+from relheat.geometry import Annulus, Ball, HalfSpace
 from relheat.kernels import build_table, free_density, table_eval
-from relheat.sampler import PathGrid, simulate_path
+from relheat.sampler import (
+    PathGrid,
+    sample_brownian_leg,
+    sample_tempered_subordinator,
+    simulate_path,
+)
 from relheat.specfun import ProcessParams
 from relheat.tracelab import (
     Budgets,
@@ -111,6 +116,95 @@ class TestFirstExit:
             ses.append(tau.std(ddof=1) / math.sqrt(n))
         for a, b, sa, sb in zip(means[:-1], means[1:], ses[:-1], ses[1:]):
             assert b <= a + 3 * math.hypot(sa, sb)
+
+
+def gather_scatter_exits(starts, domain, t, n_steps, dt, params, gen):
+    """Reference march: every step gathers the alive rows out of all n
+    paths, adds the legs, scatters them back and gathers them again for
+    membership.  `_run_exits` must return its arrays bit for bit."""
+    n = len(starts)
+    pos = np.array(starts, dtype=float, copy=True)
+    alive = np.arange(n)
+    exited = np.zeros(n, dtype=bool)
+    exit_step = np.zeros(n, dtype=np.int64)
+    exit_dist = np.zeros(n)
+    for k in range(1, n_steps + 1):
+        m = len(alive)
+        if m == 0:
+            break
+        u = sample_tempered_subordinator(dt, params, gen, size=m)
+        pos[alive] += sample_brownian_leg(u, params.d, gen)
+        inside = domain.contains(pos[alive])
+        out = ~inside
+        if out.any():
+            idx = alive[out]
+            exited[idx] = True
+            exit_step[idx] = k
+            exit_dist[idx] = np.linalg.norm(pos[idx] - np.asarray(starts)[idx], axis=1)
+        alive = alive[inside]
+    return exited, exit_step, exit_dist
+
+
+class TestRunExits:
+    """The compacting march against the gather/scatter reference."""
+
+    @staticmethod
+    def both(starts, domain, n_steps, dt, params, seed=7):
+        """(compacting, reference) results; each march also returns its
+        generator's final state, so equal states mean equal draw counts."""
+        runs = []
+        for march in (tracelab._run_exits, gather_scatter_exits):
+            gen = np.random.default_rng(seed)
+            runs.append((*march(starts, domain, n_steps * dt, n_steps, dt, params, gen),
+                         gen.bit_generator.state))
+        return runs
+
+    def assert_same(self, *args, **kw):
+        new, ref = self.both(*args, **kw)
+        for a, b in zip(new[:3], ref[:3]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert new[3] == ref[3]
+        return new[:3]
+
+    @staticmethod
+    def domain_and_points(shape, d):
+        c = np.array([0.3, -0.2, 0.1][:d])
+        e = np.eye(d)[0]
+        if shape == "ball":
+            return Ball(center=tuple(c), radius=1.0, d=d), [c + 0.2 * e, c - 0.8 * e]
+        if shape == "annulus":
+            return Annulus(center=tuple(c), r_in=0.5, r_out=1.5, d=d), [c + 1.0 * e, c - 0.6 * e]
+        return HalfSpace(d=d), [0.1 * e, 0.5 * e + 0.3]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    @pytest.mark.parametrize("shape", ["ball", "annulus", "halfspace"])
+    def test_matches_gather_scatter_march(self, shape, alpha, m, d):
+        domain, points = self.domain_and_points(shape, d)
+        starts = np.repeat(points, 150, axis=0)
+        params = ProcessParams(alpha=alpha, m=m, d=d)
+        exited, exit_step, _ = self.assert_same(starts, domain, 16, 0.2 / 16, params)
+        # paths exit on several steps and some survive, so rows are compacted
+        # repeatedly and the march runs to the horizon
+        assert 0 < exited.sum() < len(starts)
+        assert len(np.unique(exit_step[exited])) > 3
+
+    def test_single_path(self, relativistic2d, unit_ball):
+        for seed in range(6):
+            self.assert_same(np.zeros((1, 2)), unit_ball, 32, 0.01, relativistic2d, seed=seed)
+
+    def test_every_path_exits_at_step_one(self, relativistic2d):
+        tiny = Ball(center=(0.5, -0.5), radius=1e-9, d=2)
+        starts = np.repeat([[0.5, -0.5]], 200, axis=0)
+        exited, exit_step, _ = self.assert_same(starts, tiny, 8, 0.1, relativistic2d)
+        assert exited.all() and (exit_step == 1).all()
+
+    def test_no_path_exits(self, relativistic2d):
+        huge = Ball(center=(0.5, -0.5), radius=1e9, d=2)
+        starts = np.repeat([[0.0, 0.0], [1.0, 1.0]], 100, axis=0)
+        exited, _, exit_dist = self.assert_same(starts, huge, 8, 0.01, relativistic2d)
+        assert not exited.any() and not exit_dist.any()
 
 
 class TestREstimate:

@@ -15,8 +15,8 @@ from test_tracelab import SerialPool, record_pools
 @pytest.mark.parametrize(
     "check,n_pools",
     [
-        # one pool per extrapolated point estimate, 6 (t, q) pairs x 2 routes
-        (verify.check_halfspace_scaling, 12),
+        # 6 (t, q) pairs x 2 routes x 2 ladder levels march in one batch
+        (verify.check_halfspace_scaling, 1),
         (verify.check_halfspace_tail, 1),
         # z_trace, the r_D point, and the pilots of C2 and of C4 (this
         # budget leaves nothing for a top-up)
