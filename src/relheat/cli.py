@@ -18,7 +18,8 @@ from .config import ExperimentConfig, load_config
 from .errors import BudgetError, ParameterError, QuadratureError, StepTooLargeError, TailFitError
 from .io import write_rows
 from .kernels import build_table, c1_const, c1_of_t, free_density
-from .sampler import RngStream, sample_brownian_leg, sample_tempered_subordinator
+from .sampler import RngStream, empirical_transform, sample_brownian_leg, sample_tempered_subordinator
+from .specfun import characteristic_exponent, laplace_exponent
 from .tracelab import (
     c2_of_t,
     halfspace_profile,
@@ -99,19 +100,16 @@ def cmd_density(cfg: ExperimentConfig) -> str:
 def cmd_subordinator(cfg: ExperimentConfig) -> str:
     """Sampler self-test: empirical Laplace transform and tempering acceptance."""
     params = cfg.params()
-    n = max(1000, int(200_000 * cfg.budget_scale))
+    n = cfg.scaled(200_000, 1000)
     dt = 0.1
     gen = RngStream(cfg.seed, 20).generator()
     draws, n_prop = sample_tempered_subordinator(dt, params, gen, size=n, return_stats=True)
     rows = []
     for lam in (0.5, 1.0, 2.0):
-        emp = np.exp(-lam * draws)
-        target = math.exp(-dt * ((lam + params.m ** (1 / params.beta)) ** params.beta - params.m))
-        se = emp.std(ddof=1) / math.sqrt(n)
-        rows.append(
-            {"check": "laplace", "lam": lam, "empirical": float(emp.mean()),
-             "target": target, "z": float((emp.mean() - target) / se)}
-        )
+        target = math.exp(-dt * laplace_exponent(lam, params))
+        mean, z = empirical_transform(np.exp(-lam * draws), target)
+        rows.append({"check": "laplace", "lam": lam, "empirical": float(mean),
+                     "target": target, "z": float(z)})
     rate_target = math.exp(-params.m * dt)
     rows.append(
         {"check": "acceptance", "lam": None, "empirical": n / n_prop,
@@ -125,22 +123,16 @@ def cmd_subordinator(cfg: ExperimentConfig) -> str:
 
 def cmd_charfn(cfg: ExperimentConfig) -> str:
     params = cfg.params()
-    n = max(1000, int(500_000 * cfg.budget_scale))
+    n = cfg.scaled(500_000, 1000)
     dt = 0.1
     gen = RngStream(cfg.seed, 21).generator()
     u = sample_tempered_subordinator(dt, params, gen, size=n)
     x = sample_brownian_leg(u, params.d, gen)
     rows = []
     for xi in (0.25, 0.5, 1.0, 2.0, 4.0):
-        ecf = np.cos(x[:, 0] * xi)
-        target = math.exp(
-            -dt * ((params.m ** (2 / params.alpha) + xi**2) ** (params.alpha / 2) - params.m)
-        )
-        se = ecf.std(ddof=1) / math.sqrt(n)
-        rows.append(
-            {"xi": xi, "ecf": float(ecf.mean()), "target": target,
-             "z": float((ecf.mean() - target) / se)}
-        )
+        target = math.exp(-dt * characteristic_exponent(xi, params))
+        mean, z = empirical_transform(np.cos(x[:, 0] * xi), target)
+        rows.append({"xi": xi, "ecf": float(mean), "target": target, "z": float(z)})
     path = write_rows(os.path.join(_out_dir(cfg), "charfn"), rows, cfg.fmt, _artifact_config(cfg))
     worst = max(abs(r["z"]) for r in rows)
     print(f"characteristic function fit: worst |z| = {worst:.2f}")

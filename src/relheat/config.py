@@ -48,6 +48,10 @@ class ExperimentConfig:
         s = self.budget_scale
         if not isinstance(s, (int, float)) or not 0.0 < s < math.inf:
             raise ParameterError(f"budget_scale must be finite and > 0, got {s!r}")
+        if not all(0.0 < t < math.inf for t in self.t_grid):
+            raise ParameterError(f"every t must be finite and > 0, got t_grid={self.t_grid!r}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ParameterError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     def params(self) -> ProcessParams:
         return ProcessParams(alpha=self.alpha, m=self.m, d=self.d)
@@ -55,19 +59,21 @@ class ExperimentConfig:
     def domain_obj(self):
         return parse_domain(self.domain, self.d)
 
+    def scaled(self, budget: int, floor: int) -> int:
+        """A sample count `budget` scaled by `budget_scale`, but not below `floor`."""
+        return max(floor, int(budget * self.budget_scale))
+
     def budgets(self, **overrides) -> Budgets:
         """Sample budgets, scaled by `budget_scale` down to fixed floors; with
         `overrides`, those of this config with those keys replaced."""
         if overrides:
             return replace(self, **overrides).budgets()
-        s = self.budget_scale
         return Budgets(
-            n_paths=max(100, int(self.n_paths * s)),
-            n_x=max(64, int(self.n_x * s)),
+            n_paths=self.scaled(self.n_paths, 100),
+            n_x=self.scaled(self.n_x, 64),
             steps=self.steps,
             extrapolate=self.extrapolate,
-            profile_n_paths=max(200, int(self.profile_n_paths * s)),
-            q_nodes=self.q_nodes,
+            profile_n_paths=self.scaled(self.profile_n_paths, 200),
             chunk_points=self.chunk_points,
             workers=self.workers,
         )
@@ -92,24 +98,16 @@ def _as_float_tuple(value):
     return tuple(float(v) for v in str(value).split(","))
 
 
-def _parse_value(name: str, text: str):
-    text = text.strip()
-    if name == "t_grid":
-        return _as_float_tuple(text)
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    return text
+# a config file value is parsed as the type of its ExperimentConfig field
+_PARSERS = {
+    bool: lambda text: {"true": True, "false": False}[text.lower()],
+    tuple: _as_float_tuple, int: int, float: float, str: str,
+}
 
 
 def load_config(path) -> ExperimentConfig:
     """Read a flat `key = value` file; unknown keys are an error."""
-    known = {f.name for f in fields(ExperimentConfig)}
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -119,9 +117,13 @@ def load_config(path) -> ExperimentConfig:
             if "=" not in line:
                 raise ParameterError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, text = (part.strip() for part in line.split("=", 1))
-            if key not in known:
+            if key not in types:
                 raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _parse_value(key, text)
+            parse = _PARSERS[types[key]]
+            try:
+                values[key] = parse(text)
+            except (KeyError, ValueError):  # KeyError: a bool that is neither true nor false
+                raise ParameterError(f"{path}:{lineno}: bad {key} value {text!r}") from None
     return ExperimentConfig().override(**values)
 
 

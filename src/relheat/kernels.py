@@ -59,6 +59,7 @@ __all__ = [
 TABLE_RHO_MIN = 1e-3
 TABLE_RHO_MAX = 50.0
 TABLE_NODES = 512
+Z_NODES = 3000  # trapezoid nodes in s = log z of the profile quadrature
 
 
 def c1_const(params: ProcessParams) -> float:
@@ -172,11 +173,11 @@ def scaled_profile(rho: float, w: float, params: ProcessParams, rel_tol: float =
     return (4.0 * math.pi) ** (-d / 2.0) * total
 
 
-def _z_nodes(r_top: float, n_nodes: int = 3000):
+def _z_nodes(r_top: float):
     """Trapezoid nodes s = log z, z and weights for radii up to `r_top`."""
     s_hi = max(30.0, 2.0 * math.log(max(1.0, r_top)) + 30.0)
-    s = np.linspace(-35.0, s_hi, n_nodes)
-    weights = np.full(n_nodes, s[1] - s[0])
+    s = np.linspace(-35.0, s_hi, Z_NODES)
+    weights = np.full(Z_NODES, s[1] - s[0])
     weights[0] *= 0.5
     weights[-1] *= 0.5
     return s, np.exp(s), weights
@@ -196,7 +197,7 @@ def _gaussian_factor(rhos, z):
         return np.exp(out, out=out)
 
 
-def _profile_batch(rhos, w, params: ProcessParams, n_nodes: int = 3000):
+def _profile_batch(rhos, w, params: ProcessParams):
     """F(rho, w) on an array of radii by trapezoid in log z.
 
     The integrand is analytic and decays double-exponentially in s = log z,
@@ -206,7 +207,7 @@ def _profile_batch(rhos, w, params: ProcessParams, n_nodes: int = 3000):
     serves the radii beyond a table's last node.
     """
     rhos = np.asarray(rhos, dtype=float)
-    s, z, weights = _z_nodes(float(rhos.max()) if rhos.size else 1.0, n_nodes)
+    s, z, weights = _z_nodes(float(rhos.max()) if rhos.size else 1.0)
     base = _mass_weights(s, z, fast_theta(params.beta)(z), weights, w, params)
     return (4.0 * math.pi) ** (-params.d / 2.0) * (_gaussian_factor(rhos, z) @ base)
 

@@ -26,6 +26,7 @@ __all__ = [
     "sample_tempered_subordinator",
     "sample_brownian_leg",
     "sample_increment",
+    "empirical_transform",
     "simulate_path",
 ]
 
@@ -177,6 +178,13 @@ def sample_increment(dt: float, params: ProcessParams, rng: RngStream | np.rando
     u = np.atleast_1d(sample_tempered_subordinator(dt, params, gen, size=n))
     x = sample_brownian_leg(u, params.d, gen)
     return x[0] if size is None else x
+
+
+def empirical_transform(values, target: float):
+    """Mean of a sample of transform values (e^{-lam T}, cos(xi X), ...) and
+    its z-score against the exact `target`, with se = std(ddof=1) / sqrt(n)."""
+    mean = values.mean()
+    return mean, (mean - target) / (values.std(ddof=1) / math.sqrt(len(values)))
 
 
 def simulate_path(start, horizon: float, dt: float, params: ProcessParams, rng: RngStream | np.random.Generator) -> PathGrid:

@@ -20,6 +20,8 @@ from .errors import ParameterError, QuadratureError, SingularityError
 
 __all__ = [
     "ProcessParams",
+    "characteristic_exponent",
+    "laplace_exponent",
     "gamma_strict",
     "surface_area",
     "psi",
@@ -51,8 +53,8 @@ class ProcessParams:
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
             raise ParameterError(f"alpha must be in (0, 2), got {self.alpha}")
-        if self.m < 0.0:
-            raise ParameterError(f"mass m must be >= 0, got {self.m}")
+        if not 0.0 <= self.m < math.inf:
+            raise ParameterError(f"mass m must be finite and >= 0, got {self.m}")
         if int(self.d) != self.d or self.d < 2:
             raise ParameterError(f"dimension d must be an integer >= 2, got {self.d}")
         object.__setattr__(self, "d", int(self.d))
@@ -64,6 +66,16 @@ class ProcessParams:
 
     def key(self) -> tuple:
         return (self.alpha, self.m, self.d)
+
+
+def characteristic_exponent(xi, params: ProcessParams):
+    """Phi(xi) = (m^{2/alpha} + xi^2)^{alpha/2} - m, so that E cos(xi X_t^1) = e^{-t Phi(xi)}."""
+    return (params.m ** (2 / params.alpha) + xi**2) ** (params.alpha / 2) - params.m
+
+
+def laplace_exponent(lam, params: ProcessParams):
+    """phi(lam) = (lam + m^{1/beta})^beta - m, so that E e^{-lam T_t} = e^{-t phi(lam)}."""
+    return (lam + params.m ** (1 / params.beta)) ** params.beta - params.m
 
 
 def gamma_strict(x: float) -> float:

@@ -11,10 +11,10 @@ the ladder difference is the reported bias budget.
 r_D at a point, the half-space profile f_H(t, q) and the strata of int_D
 r_D are one expectation at different start points.  One chunk task,
 `_march_chunk`, marches and scores paths from given start points; each
-estimator call lists the chunks of all its points, strata and ladder
-levels, and `_march` runs them through one `_execute`, after one `_warm`
-of the kernel tables when alpha != 1 (alpha = 1 scores exits in closed
-form).
+estimator call hands `_march` one group of chunks per point request or
+per (ladder level, stratum), and `_march` runs them all through one
+`_execute`, after one `_warm` of the kernel tables when alpha != 1
+(alpha = 1 scores exits in closed form).
 
 Spatial integrals over a bounded domain use stratified sampling on
 boundary layers of width ~t^{1/alpha} (refined near the boundary), each
@@ -151,7 +151,6 @@ class Budgets:
     steps: int = 64            # grid steps per horizon: dt = t/steps
     extrapolate: bool = True
     profile_n_paths: int = 20000
-    q_nodes: int = 20
     chunk_points: int = 512
     workers: int = 1
 
@@ -235,19 +234,16 @@ def _march_chunk(params, domain, t, n_steps, dt, points, n_paths, gen):
     return means, ((scores - means[:, None]) ** 2).sum(axis=1), int(exited.sum())
 
 
-def _march(chunks, domain, params, workers):
-    """Run chunk requests (t, n_steps, dt, points, n_paths, gen), results in
-    order.  The caller makes each generator; pickled, it goes on exactly.
-    At alpha = 1 the exits are scored in closed form and no table is warmed."""
+def _march(groups, domain, params, workers):
+    """Run groups of chunk requests (t, n_steps, dt, points, n_paths, gen),
+    all chunks in order through one `_warm` (none at alpha = 1, scored in
+    closed form) and one `_execute`; results come back grouped the same
+    way.  The caller makes each generator; pickled, it goes on exactly."""
+    chunks = [c for group in groups for c in group]
     if params.alpha != 1.0:
         _warm(dict.fromkeys(c[:3] for c in chunks), params)
-    return _execute(_march_chunk, [(params, domain, *c) for c in chunks], workers)
-
-
-def _split(items, counts):
-    """`items` cut into consecutive groups of the given sizes."""
-    it = iter(items)
-    return [[next(it) for _ in range(n)] for n in counts]
+    results = iter(_execute(_march_chunk, [(params, domain, *c) for c in chunks], workers))
+    return [[next(results) for _ in group] for group in groups]
 
 
 def _merge_moments(a, b):
@@ -336,7 +332,7 @@ def _r_estimates(requests, domain, params, *, workers=1, chunk_paths=100_000):
     A request's paths run in chunks of at most `chunk_paths` on the streams
     rng.substream(c), and their (n, mean, M2) are merged chunk by chunk.
     """
-    chunks, layout = [], []
+    groups = []
     for t, x, n_paths, dt, rng in requests:
         if n_paths < 100:
             raise BudgetError(f"n_paths={n_paths} below 100; stderr would be meaningless")
@@ -344,21 +340,19 @@ def _r_estimates(requests, domain, params, *, workers=1, chunk_paths=100_000):
         if not domain.contains(x):
             raise ParameterError("x must lie inside the domain")
         n_steps, dt_eff = _snap_steps(t, dt)
-        sizes = _chunk_sizes(n_paths, chunk_paths)
-        chunks += [
+        groups.append([
             (t, n_steps, dt_eff, x[None], m, rng.substream(c).generator())
-            for c, m in enumerate(sizes)
-        ]
-        layout.append((t, dt_eff, float(domain.delta(x)), sizes))
+            for c, m in enumerate(_chunk_sizes(n_paths, chunk_paths))
+        ])
     estimates = []
-    parts = _split(_march(chunks, domain, params, workers), [len(r[-1]) for r in layout])
-    for (t, dt_eff, x_delta, sizes), part in zip(layout, parts):
+    for group, results in zip(groups, _march(groups, domain, params, workers)):
+        t, _, dt_eff, points = group[0][:4]
         moments = functools.reduce(
             _merge_moments,
-            ((m, float(mean[0]), float(m2[0])) for m, (mean, m2, _) in zip(sizes, part)),
+            ((c[4], float(mean[0]), float(m2[0])) for c, (mean, m2, _) in zip(group, results)),
         )
-        n_exit = sum(e for _, _, e in part)
-        meta = {"estimator": "r_D", "exit_fraction": n_exit / moments[0], "x_delta": x_delta}
+        meta = {"estimator": "r_D", "exit_fraction": sum(e for _, _, e in results) / moments[0],
+                "x_delta": float(domain.delta(points[0]))}
         estimates.append(_from_moments(moments, dt_eff, t, meta))
     return estimates
 
@@ -387,32 +381,30 @@ def _ladder(dt, rng):
     return [(dt, rng.substream(0)), (dt / 2.0, rng.substream(1))]
 
 
-def _extrapolate(coarse, fine, order: float = RICHARDSON_ORDER):
+def _extrapolate(coarse, fine):
     """Richardson value of a quantity measured at dt (coarse) and dt/2 (fine)."""
-    return fine + (fine - coarse) / (2.0**order - 1.0)
+    return fine + (fine - coarse) / (2.0**RICHARDSON_ORDER - 1.0)
 
 
-def _richardson(
-    coarse: TraceEstimate, fine: TraceEstimate = None, order: float = RICHARDSON_ORDER
-) -> TraceEstimate:
+def _richardson(coarse: TraceEstimate, fine: TraceEstimate = None) -> TraceEstimate:
     """Extrapolate a dt-halving pair; the reported bias budget is the
     ladder correction itself.  A single level is reported as it is."""
     if fine is None:
         return coarse
-    f = 2.0**order - 1.0
+    f = 2.0**RICHARDSON_ORDER - 1.0
     stderr = math.sqrt(((1.0 + 1.0 / f) * fine.stderr) ** 2 + (coarse.stderr / f) ** 2)
     meta = dict(fine.meta)
     meta.update(
         {
             "extrapolated": True,
-            "richardson_order": order,
+            "richardson_order": RICHARDSON_ORDER,
             "bias_budget": abs(fine.value - coarse.value) / f,
             "value_coarse": coarse.value,
             "value_fine": fine.value,
         }
     )
     return TraceEstimate(
-        value=_extrapolate(coarse.value, fine.value, order),
+        value=_extrapolate(coarse.value, fine.value),
         stderr=stderr,
         n_samples=coarse.n_samples + fine.n_samples,
         dt=fine.dt,
@@ -428,8 +420,8 @@ def _r_extrapolated(points, domain, n_paths, params, **kw):
     requests = [
         (t, x, n_paths, dt_l, sub) for t, x, dt, rng in points for dt_l, sub in _ladder(dt, rng)
     ]
-    pairs = _split(_r_estimates(requests, domain, params, **kw), [2] * len(points))
-    return [_richardson(*pair) for pair in pairs]
+    ests = _r_estimates(requests, domain, params, **kw)
+    return [_richardson(coarse, fine) for coarse, fine in zip(ests[::2], ests[1::2])]
 
 
 def r_estimate_extrapolated(t, x, domain, n_paths, dt, rng, params, **kw) -> TraceEstimate:
@@ -457,35 +449,33 @@ def halfspace_profile(
 ) -> HalfspaceProfile:
     """Profile f_H(t, q) over a grid of boundary distances q.
 
-    Node i runs on rng.substream(i), through the ladder when extrapolating;
-    every node and level marches in one pool.
+    Node i is the point (q_i, 0, ..., 0) on rng.substream(i): one
+    `_r_extrapolated` batch when extrapolating, one `_r_estimates` batch
+    otherwise, so every node and level marches in one pool.
     """
     domain = domain or HalfSpace(d=params.d)
     q_grid = np.asarray(q_grid, dtype=float)
     if (q_grid <= 0).any():
         raise ParameterError("q grid must be positive")
-    requests = []
-    for i, q in enumerate(q_grid):
-        levels = _ladder(dt, rng.substream(i)) if extrapolate else [(dt, rng.substream(i))]
-        requests += [(t, _axis_point(q, params.d), n_paths, dt_l, sub) for dt_l, sub in levels]
-    estimates = _r_estimates(requests, domain, params, workers=workers)
-    nodes = _split(estimates, [1 + extrapolate] * len(q_grid))
-    return HalfspaceProfile(t=t, q_grid=q_grid, f_values=tuple(_richardson(*n) for n in nodes))
+    points = [(t, _axis_point(q, params.d), dt, rng.substream(i)) for i, q in enumerate(q_grid)]
+    if extrapolate:
+        f_values = _r_extrapolated(points, domain, n_paths, params, workers=workers)
+    else:
+        requests = [(t, x, n_paths, dt, sub) for t, x, dt, sub in points]
+        f_values = _r_estimates(requests, domain, params, workers=workers)
+    return HalfspaceProfile(t=t, q_grid=q_grid, f_values=tuple(f_values))
 
 
-def _default_q_grid(t: float, params: ProcessParams, n_nodes: int = 34):
-    """Geometric nodes resolving the cusp of f_H at q -> 0, out to the tail cutoff.
+def _default_q_grid(t: float, params: ProcessParams):
+    """34 geometric nodes resolving the cusp of f_H at q -> 0, out to the tail cutoff.
 
     The profile drops from p(t,0) on the scale of a small fraction of the
-    boundary layer width h = t^{1/alpha}; nodes start at h/128 so the
-    trapezoid bias stays well below the Monte Carlo noise.
+    boundary layer width h = t^{1/alpha}; 25 nodes start at h/128 so the
+    trapezoid bias stays well below the Monte Carlo noise, 9 reach max(5h, 3).
     """
     h = t ** (1.0 / params.alpha)
-    q_max = max(5.0 * h, 3.0)
-    n_core = max(12, (3 * n_nodes) // 4)
-    core = np.geomspace(h / 128.0, 4.0 * h, n_core)
-    n_out = max(4, n_nodes - n_core)
-    outer = np.geomspace(4.0 * h * 1.35, q_max, n_out)
+    core = np.geomspace(h / 128.0, 4.0 * h, 25)
+    outer = np.geomspace(4.0 * h * 1.35, max(5.0 * h, 3.0), 9)
     return np.unique(np.concatenate([core, outer]))
 
 
@@ -699,8 +689,8 @@ def default_strata(domain: Domain, t: float, params: ProcessParams, max_layers: 
     return [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
-def _allocate(domain, strata, t, params, n_x, n_min=8):
-    """Sample counts per stratum: volume times interior-decay envelope."""
+def _allocate(domain, strata, t, params, n_x):
+    """Sample counts per stratum, at least 8: volume times interior-decay envelope."""
     weights = []
     for q_lo, q_hi in strata:
         vol = domain.layer_volume(q_lo, q_hi)
@@ -711,7 +701,7 @@ def _allocate(domain, strata, t, params, n_x, n_min=8):
     if weights.sum() <= 0:
         raise BudgetError("degenerate stratum weights")
     raw = weights / weights.sum() * n_x
-    return [max(n_min, int(round(r))) for r in raw]
+    return [max(8, int(round(r))) for r in raw]
 
 
 def first_term(t: float, domain: Domain, params: ProcessParams) -> float:
@@ -758,21 +748,19 @@ def z_trace(
         if n_j < 2:
             raise BudgetError(f"stratum {j} received {n_j} sample points")
         layers.append((j, q_lo, q_hi, vol, _chunk_sizes(n_j, chunk_points)))
-    chunks = []
+    groups = []
     for n_steps, dt_eff, sub in levels:
-        for j, q_lo, q_hi, vol, sizes in layers:
-            for c, m in enumerate(sizes):
-                gen = sub.substream(j, c).generator()
-                points = domain.sample_layer(q_lo, q_hi, gen, m)
-                chunks.append((t, n_steps, dt_eff, points, n_paths, gen))
-    results = _march(chunks, domain, params, workers)
-    per_stratum = iter(_split(results, [len(layer[-1]) for layer in layers] * len(levels)))
+        for j, q_lo, q_hi, _, sizes in layers:
+            gens = [sub.substream(j, c).generator() for c in range(len(sizes))]
+            groups.append([(t, n_steps, dt_eff, domain.sample_layer(q_lo, q_hi, g, m), n_paths, g)
+                           for g, m in zip(gens, sizes)])
+    per_stratum = iter(_march(groups, domain, params, workers))
     n_points = sum(sum(layer[-1]) for layer in layers)
     per_level = []
     for _, dt_eff, _ in levels:
         interior = var = 0.0
-        for (j, q_lo, q_hi, vol, sizes), part in zip(layers, per_stratum):
-            values = np.concatenate([means for means, _, _ in part])
+        for (j, q_lo, q_hi, vol, sizes), results in zip(layers, per_stratum):
+            values = np.concatenate([means for means, _, _ in results])
             sem = values.std(ddof=1) / math.sqrt(len(values))
             interior += vol * values.mean()
             var += (vol * sem) ** 2

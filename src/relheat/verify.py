@@ -19,8 +19,8 @@ from scipy.integrate import quad
 from .config import ExperimentConfig
 from .geometry import Annulus, Ball, HalfSpace
 from .kernels import c1_const, c1_of_t, cauchy_density, free_density, levy_half_density
-from .sampler import RngStream, sample_brownian_leg, sample_tempered_subordinator
-from .specfun import ProcessParams, stable_subordinator_density
+from .sampler import RngStream, empirical_transform, sample_brownian_leg, sample_tempered_subordinator
+from .specfun import ProcessParams, characteristic_exponent, stable_subordinator_density
 from .tracelab import (
     _r_extrapolated,
     _weighted_line_fit,
@@ -133,7 +133,7 @@ def check_free_density(cfg: ExperimentConfig) -> CheckResult:
 
 def check_sampler_law(cfg: ExperimentConfig) -> CheckResult:
     """Empirical characteristic function of increments and tempering acceptance."""
-    n = max(10_000, int(1_000_000 * cfg.budget_scale))
+    n = cfg.scaled(1_000_000, 10_000)
     dt = 0.1
     rows = []
     worst_z = 0.0
@@ -144,15 +144,11 @@ def check_sampler_law(cfg: ExperimentConfig) -> CheckResult:
         u, n_prop = sample_tempered_subordinator(dt, params, gen, size=n, return_stats=True)
         x = sample_brownian_leg(u, 2, gen)
         for xi1 in (0.5, 1.0, 2.0):
-            ecf = np.cos(x[:, 0] * xi1)
-            target = math.exp(-dt * ((m ** (2 / alpha) + xi1**2) ** (alpha / 2) - m))
-            se = ecf.std(ddof=1) / math.sqrt(n)
-            z = (ecf.mean() - target) / se
+            target = math.exp(-dt * characteristic_exponent(xi1, params))
+            ecf, z = empirical_transform(np.cos(x[:, 0] * xi1), target)
             worst_z = max(worst_z, abs(z))
-            rows.append(
-                {"alpha": alpha, "m": m, "xi": xi1, "ecf": float(ecf.mean()),
-                 "target": target, "z": float(z)}
-            )
+            rows.append({"alpha": alpha, "m": m, "xi": xi1, "ecf": float(ecf),
+                         "target": target, "z": float(z)})
         rate = n / n_prop
         rate_target = math.exp(-m * dt)
         rate_se = math.sqrt(rate_target * (1 - rate_target) / n_prop) if m > 0 else 0.0
@@ -241,7 +237,7 @@ def check_halfspace_scaling(cfg: ExperimentConfig) -> CheckResult:
     """Mass-zero scaling f(t,q) = t^{-d/alpha} f(1, q t^{-1/alpha}) on a 6-point grid."""
     params = ProcessParams(alpha=1.0, m=0.0, d=2)
     half = HalfSpace(d=2)
-    n = max(2000, int(30_000 * cfg.budget_scale))
+    n = cfg.scaled(30_000, 2000)
     rng = RngStream(cfg.seed, 7)
     pairs = [(t, q) for t in (0.25, 0.5) for q in (0.3, 0.6, 1.0)]
     # pair idx compares f(t, q) on rng.substream(idx, 0) with the rescaled
@@ -286,7 +282,7 @@ def check_halfspace_tail(cfg: ExperimentConfig) -> CheckResult:
     """
     params = ProcessParams(alpha=1.0, m=0.0, d=2)
     half = HalfSpace(d=2)
-    n = max(4000, int(100_000 * cfg.budget_scale))
+    n = cfg.scaled(100_000, 4000)
     rng = RngStream(cfg.seed, 8)
     qs = np.geomspace(2.0, 8.0, 5)
     prof = halfspace_profile(1.0, qs, n, 1.0 / cfg.steps, rng, params, half, extrapolate=True,
@@ -348,7 +344,7 @@ def check_residual_stability(cfg: ExperimentConfig) -> CheckResult:
     stable = params.with_mass(0.0)
     t_check = 0.25
     sub = RngStream(cfg.seed, 10)
-    n_prof = max(2000, int(60_000 * cfg.budget_scale))
+    n_prof = cfg.scaled(60_000, 2000)
     c2 = c2_of_t(t_check, n_prof, t_check / cfg.steps, sub.substream(0), stable,
                  workers=cfg.workers)
     c4 = c4_const(n_prof, 1.0 / cfg.steps, sub.substream(1), stable, workers=cfg.workers)
@@ -415,7 +411,7 @@ def check_inequalities(cfg: ExperimentConfig) -> CheckResult:
         failures.append("Z exceeds the free first term")
     lines.append(f"Z({t}) = {zed.value:.3f} <= first term {ft:.3f}: ok")
 
-    n_r = max(2000, int(20_000 * cfg.budget_scale))
+    n_r = cfg.scaled(20_000, 2000)
     r_est = r_estimate_extrapolated(
         t, np.array([0.85, 0.0]), ball, n_r, t / cfg.steps, rng.substream(1), params,
         workers=cfg.workers,
@@ -427,7 +423,7 @@ def check_inequalities(cfg: ExperimentConfig) -> CheckResult:
 
     # C2(t) <= C4 e^{2mt} t^{(1-d)/alpha} within joint uncertainty
     sub = RngStream(cfg.seed, 12)
-    n_prof = max(2000, int(40_000 * cfg.budget_scale))
+    n_prof = cfg.scaled(40_000, 2000)
     c2 = c2_of_t(t, n_prof, t / cfg.steps, sub.substream(0), params, workers=cfg.workers)
     c4 = c4_const(n_prof, 1.0 / cfg.steps, sub.substream(1), params, workers=cfg.workers)
     bound = c4.value * math.exp(2 * params.m * t) * t ** ((1 - params.d) / params.alpha)

@@ -1,11 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from relheat import cli
 from relheat.config import ExperimentConfig, dump_config, load_config
 from relheat.errors import ParameterError
+from relheat.sampler import RngStream, sample_brownian_leg, sample_tempered_subordinator
 
 
 @pytest.fixture
@@ -59,7 +61,9 @@ class TestConfig:
         "key,value",
         [("steps", 0), ("chunk_points", 0), ("n_x", 0), ("n_paths", -5),
          ("profile_n_paths", 0), ("budget_scale", 0.0), ("budget_scale", -1.0),
-         ("budget_scale", math.inf), ("budget_scale", math.nan), ("n_x", "many")],
+         ("budget_scale", math.inf), ("budget_scale", math.nan), ("n_x", "many"),
+         ("t_grid", (0.0,)), ("t_grid", (0.1, -0.2)), ("t_grid", (math.inf,)),
+         ("t_grid", (math.nan,)), ("seed", -1), ("seed", 1.5)],
     )
     def test_bad_budget_rejected(self, key, value):
         with pytest.raises(ParameterError):
@@ -81,6 +85,32 @@ class TestConfig:
         path = tmp_path / "exp.cfg"
         path.write_text("t_grid = 0.1,0.2,0.4\n")
         assert load_config(path).t_grid == (0.1, 0.2, 0.4)
+
+    def test_values_take_their_field_type(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("alpha = 1\nm = 1\nsteps = 32\nextrapolate = False\nout = 7\n")
+        cfg = load_config(path)
+        assert (cfg.alpha, cfg.m, cfg.steps, cfg.extrapolate, cfg.out) == (1.0, 1.0, 32, False, "7")
+        assert isinstance(cfg.alpha, float) and isinstance(cfg.steps, int)
+
+    @pytest.mark.parametrize(
+        "line", ["extrapolate = no", "extrapolate = 1", "steps = 1.5", "alpha = one", "t_grid = 0.1,x"]
+    )
+    def test_value_of_wrong_type_rejected(self, tmp_path, line):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"seed = 3\n{line}\n")
+        with pytest.raises(ParameterError, match=f"{path}:2"):
+            load_config(path)
+
+    def test_config_file_and_flags_write_the_same_bytes(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("alpha = 1\nm = 1\n")
+        common = ["constants", "--t-grid", "0.5"]
+        assert cli.main(common + ["--config", str(path), "--out", str(tmp_path / "a")]) == 0
+        assert cli.main(common + ["--alpha", "1", "--m", "1", "--out", str(tmp_path / "b")]) == 0
+        a = (tmp_path / "a" / "constants.csv").read_bytes()
+        assert a == (tmp_path / "b" / "constants.csv").read_bytes()
+        assert b'"alpha": 1.0' in a
 
 
 class TestSubcommands:
@@ -130,6 +160,45 @@ class TestSubcommands:
     def test_charfn_runs(self, tiny_cfg):
         path = cli.cmd_charfn(tiny_cfg)
         assert "charfn" in path
+
+    @pytest.mark.parametrize("alpha,m", [(1.0, 0.7), (1.5, 0.3)])
+    def test_subordinator_rows_recompute(self, tiny_cfg, alpha, m):
+        cfg = tiny_cfg.override(alpha=alpha, m=m, fmt="json")
+        lines = open(cli.cmd_subordinator(cfg)).read().splitlines()
+        rows = [json.loads(line) for line in lines[1:]]
+        n, dt, beta = 2000, 0.1, alpha / 2  # max(1000, 200 000 x budget_scale 0.01)
+        gen = RngStream(99, 20).generator()
+        draws, n_prop = sample_tempered_subordinator(dt, cfg.params(), gen, size=n, return_stats=True)
+        for row, lam in zip(rows, (0.5, 1.0, 2.0)):
+            emp = np.exp(-lam * draws)
+            target = math.exp(-dt * ((lam + m ** (1 / beta)) ** beta - m))
+            z = (emp.mean() - target) / (emp.std(ddof=1) / math.sqrt(n))
+            assert (row["check"], row["lam"]) == ("laplace", lam)
+            assert row["empirical"] == pytest.approx(emp.mean(), rel=1e-12)
+            assert row["target"] == pytest.approx(target, rel=1e-12)
+            assert row["z"] == pytest.approx(z, rel=1e-9)
+        assert rows[3] == {"check": "acceptance", "lam": None, "empirical": n / n_prop,
+                           "target": pytest.approx(math.exp(-m * dt), rel=1e-12), "z": None}
+        assert len(rows) == 4
+
+    @pytest.mark.parametrize("alpha,m", [(1.0, 0.7), (1.5, 0.3)])
+    def test_charfn_rows_recompute(self, tiny_cfg, alpha, m):
+        cfg = tiny_cfg.override(alpha=alpha, m=m, fmt="json")
+        lines = open(cli.cmd_charfn(cfg)).read().splitlines()
+        rows = [json.loads(line) for line in lines[1:]]
+        n, dt = 5000, 0.1  # max(1000, 500 000 x budget_scale 0.01)
+        gen = RngStream(99, 21).generator()
+        u = sample_tempered_subordinator(dt, cfg.params(), gen, size=n)
+        x = sample_brownian_leg(u, 2, gen)
+        xis = (0.25, 0.5, 1.0, 2.0, 4.0)
+        assert [row["xi"] for row in rows] == list(xis)
+        for row, xi in zip(rows, xis):
+            ecf = np.cos(x[:, 0] * xi)
+            target = math.exp(-dt * ((m ** (2 / alpha) + xi**2) ** (alpha / 2) - m))
+            z = (ecf.mean() - target) / (ecf.std(ddof=1) / math.sqrt(n))
+            assert row["ecf"] == pytest.approx(ecf.mean(), rel=1e-12)
+            assert row["target"] == pytest.approx(target, rel=1e-12)
+            assert row["z"] == pytest.approx(z, rel=1e-9)
 
     def test_halfspace_emits_profile_and_c2(self, tiny_cfg, tmp_path):
         cfg = tiny_cfg.override(t_grid=(0.5,), profile_n_paths=6000, q_nodes=6)
@@ -199,8 +268,16 @@ class TestMain:
             (["trace", "--budget-scale", "-1"], None),
             # the free-density quadrature cannot resolve p(t, r) at r/t = 2500
             (["density", "--m", "0", "--t-grid", "0.002"], None),
+            (["constants", "--m", "nan"], None),
+            (["trace", "--t-grid", "0"], None),
+            (["trace", "--t-grid", "inf"], None),
+            (["trace", "--t-grid", "nan"], None),
+            (["constants", "--t-grid", "0"], None),
+            (["trace", "--seed", "-1"], None),
+            (["subordinator", "--seed", "-1"], None),
         ],
-        ids=["steps", "chunk_points", "n_x", "budget_scale", "density_quadrature"],
+        ids=["steps", "chunk_points", "n_x", "budget_scale", "density_quadrature", "m_nan",
+             "t_zero", "t_inf", "t_nan", "constants_t_zero", "seed", "subordinator_seed"],
     )
     def test_bad_input_exit_code(self, tmp_path, capsys, argv, config):
         if config is not None:

@@ -11,9 +11,11 @@ from relheat.errors import ParameterError, SingularityError
 from relheat.specfun import (
     ProcessParams,
     _log_kanter,
+    characteristic_exponent,
     gamma_strict,
     jump_coefficient,
     kanter_factor,
+    laplace_exponent,
     levy_density,
     psi,
     stable_density_tail_mass,
@@ -37,7 +39,11 @@ class TestProcessParams:
         assert p.beta == 0.6
         assert p.p == (3 + 1.2) / 2
 
-    @pytest.mark.parametrize("bad", [dict(alpha=0.0), dict(alpha=2.0), dict(alpha=1.0, m=-1.0), dict(alpha=1.0, d=1)])
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(alpha=0.0), dict(alpha=2.0), dict(alpha=1.0, m=-1.0), dict(alpha=1.0, d=1),
+         dict(alpha=1.0, m=math.nan), dict(alpha=1.0, m=math.inf)],
+    )
     def test_invalid(self, bad):
         with pytest.raises(ParameterError):
             ProcessParams(**{"alpha": 1.0, **bad})
@@ -277,6 +283,33 @@ class TestScalingAndTempering:
         p = ProcessParams(alpha=2 * beta, m=m, d=2)
         val, _ = quad(lambda u: tempered_density(t, u, p), 0, np.inf, limit=400)
         assert val == pytest.approx(1.0, abs=1e-6)
+
+
+class TestExponents:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_massless_powers(self, alpha):
+        p = ProcessParams(alpha=alpha, m=0.0, d=2)
+        for v in (0.3, 1.0, 2.5):
+            assert characteristic_exponent(v, p) == pytest.approx(v**alpha, rel=1e-14)
+            assert characteristic_exponent(-v, p) == pytest.approx(v**alpha, rel=1e-14)
+            assert laplace_exponent(v, p) == pytest.approx(v ** (alpha / 2), rel=1e-14)
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 3.0])
+    def test_alpha_one_is_relativistic_energy(self, m):
+        p = ProcessParams(alpha=1.0, m=m, d=2)
+        for xi in (0.0, 0.25, 1.0, 4.0):
+            assert characteristic_exponent(xi, p) == pytest.approx(
+                math.sqrt(m * m + xi * xi) - m, rel=1e-12, abs=1e-15
+            )
+
+    @pytest.mark.parametrize(
+        "alpha,m,lam,t", [(1.0, 1.0, 0.5, 1.0), (0.5, 0.5, 2.0, 1.0), (1.5, 2.0, 1.0, 0.5)]
+    )
+    def test_laplace_exponent_is_transform_of_density(self, alpha, m, lam, t):
+        # int e^{-lam u} theta_beta(t, u, m) du = e^{-t (laplace exponent)}
+        p = ProcessParams(alpha=alpha, m=m, d=2)
+        val, _ = quad(lambda u: math.exp(-lam * u) * tempered_density(t, u, p), 0, np.inf, limit=400)
+        assert val == pytest.approx(math.exp(-t * laplace_exponent(lam, p)), rel=1e-6)
 
 
 class TestKanterFactor:
