@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .config import ExperimentConfig, load_config
+from .config import FORMATS, ExperimentConfig, load_config
 from .errors import BudgetError, ParameterError, QuadratureError, StepTooLargeError, TailFitError
 from .io import write_rows
 from .kernels import build_table, c1_const, c1_of_t, free_density
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--workers", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
+        p.add_argument("--format", dest="fmt", choices=FORMATS, default=None)
         p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--m", type=float, default=None)
         p.add_argument("--d", type=int, default=None)

@@ -14,6 +14,7 @@ from .specfun import ProcessParams
 from .tracelab import Budgets
 
 SCHEMA_VERSION = 1
+FORMATS = ("csv", "json")  # artifact formats io.write_rows writes
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,8 @@ class ExperimentConfig:
             raise ParameterError(f"every t must be finite and > 0, got t_grid={self.t_grid!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ParameterError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if self.fmt not in FORMATS:
+            raise ParameterError(f"fmt must be one of {', '.join(FORMATS)}, got {self.fmt!r}")
 
     def params(self) -> ProcessParams:
         return ProcessParams(alpha=self.alpha, m=self.m, d=self.d)

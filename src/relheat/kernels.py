@@ -223,9 +223,10 @@ def fast_theta(beta: float):
     """Vectorized dense evaluator for theta_beta(1, .).
 
     beta = 1/2 uses the closed form.  Other beta combine a log-log cubic
-    spline over the numerically relevant window, the large-u series where
-    its truncation bound is below 1e-11, and the Laplace-point form in the
-    far left tail (values below ~1e-25).
+    spline over 900 nodes of the numerically relevant window, all computed
+    by one array call of `stable_subordinator_density`, the large-u series
+    where its truncation bound is below 1e-11, and the Laplace-point form in
+    the far left tail (values below ~1e-25).
     """
     key = round(beta, 12)
     ev = _THETA_CACHE.get(key)
@@ -249,21 +250,27 @@ def levy_half_density(z):
     return out if out.shape else float(out)
 
 
-def _build_theta_evaluator(beta: float):
-    if abs(beta - 0.5) < 1e-14:
-        return levy_half_density
+def _theta_nodes(beta: float):
+    """The 900 spline nodes of `fast_theta`, geometric over its window.
 
-    # spline window: left edge where the exponent reaches ~200 (density below
-    # ~1e-87, beyond any integral's resolution), right edge where the series
-    # takes over
+    The left edge is where the exponent reaches ~200 (density below ~1e-87,
+    beyond any integral's resolution), the right edge where the series takes
+    over.
+    """
     expo = (1.0 - beta) * beta ** (beta / (1.0 - beta))
     z_lo = (expo / 200.0) ** ((1.0 - beta) / beta)
     z_hi = 10.0
     while stable_density_tail_series(z_hi, beta)[1] > 1e-11:
         z_hi *= 1.6
-    n = 900
-    zs = np.geomspace(z_lo, z_hi * 1.05, n)
-    vals = np.array([stable_subordinator_density(z, beta, rel_tol=1e-6) for z in zs])
+    return np.geomspace(z_lo, z_hi * 1.05, 900)
+
+
+def _build_theta_evaluator(beta: float):
+    if abs(beta - 0.5) < 1e-14:
+        return levy_half_density
+
+    zs = _theta_nodes(beta)
+    vals = stable_subordinator_density(zs, beta)
     spline = CubicSpline(np.log(zs), np.log(np.maximum(vals, 1e-300)))
     lo, hi = math.log(zs[0]), math.log(zs[-1])
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
-from scipy.special import gammaln
+from scipy.special import gammaln, roots_legendre
 from scipy.special import gamma as _scipy_gamma
 
 from .errors import ParameterError, QuadratureError, SingularityError
@@ -194,9 +194,9 @@ def _log_kanter(phi, beta):
     A Python float (np.float64 included) takes a scalar path that returns a
     float bit-identical to the array path's entry: `math.sin` rounds like
     `np.sin` here, but `math.log` does not round like `np.log` in the last
-    bit, so the logs stay `np.log`.  The quadrature in
-    `stable_subordinator_density` calls this on one float at a time, where
-    the array path's 0-d array handling costs several times the arithmetic.
+    bit, so the logs stay `np.log`.  The one-point quadrature
+    `_theta_adaptive` calls this on one float at a time, where the array
+    path's 0-d array handling costs several times the arithmetic.
     """
     if isinstance(phi, float):
         if phi < 1e-9:
@@ -221,25 +221,47 @@ def _log_kanter(phi, beta):
     return out if out.shape else float(out)
 
 
-def stable_subordinator_density(u: float, beta: float, rel_tol: float = 1e-9) -> float:
+def stable_subordinator_density(u, beta: float, rel_tol: float = 1e-9):
     """Density theta_beta(1, u) of the stable subordinator at time 1.
 
     Uses the single-integral representation over the angle phi in (0, pi):
 
         theta_beta(1,u) = beta/((1-beta) pi) u^{-1/(1-beta)}
-                          int_0^pi A(phi) exp(-A(phi) u^{-beta/(1-beta)}) dphi.
+                          int_0^pi A(phi) exp(-A(phi) x) dphi,   x = u^{-beta/(1-beta)}.
 
-    The integrand is unimodal; the integral is split at its maximising angle
-    and the common exponential scale is factored out to preserve relative
-    accuracy when the density is many orders of magnitude below 1.
+    The integrand is unimodal, with its peak at the angle phi* where
+    log A(phi*) = -log x (phi* = 0 when A(0+) x >= 1).  The integral is
+    split there and where the integrand has fallen by e^{-30}, and the
+    common exponential scale is factored out to preserve relative accuracy
+    when the density is many orders of magnitude below 1.
 
-    The quadrature evaluates log A one angle at a time, through the scalar
-    path of `_log_kanter`: `math.sin` and `np.log` there give the array
-    path's bits (`math.log` would not), so the density, and the theta
-    spline built from it, does not depend on which path ran.
+    `u` is a scalar or an array.  A scalar takes adaptive `quad`, to
+    `rel_tol` relative, and returns a float.  An array returns an array of
+    u's shape: the large-u series wherever its truncation bound is below
+    1e-10, and elsewhere one Gauss-Legendre rule on the same three panels
+    for all its entries, to 1e-10 relative (see `_theta_panels`).  Where a
+    quadrature cannot reach its tolerance, either route returns the large-u
+    series if its truncation bound is below max(rel_tol, 1e-9), and raises
+    `QuadratureError` otherwise.
     """
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"beta must be in (0, 1), got {beta}")
+    if np.ndim(u) == 0:
+        return _theta_adaptive(float(u), beta, rel_tol)
+    u = np.asarray(u, dtype=float)
+    if not np.all(u > 0.0):
+        raise ParameterError("u must be > 0 everywhere")
+    return _theta_panels(u.ravel(), beta, rel_tol).reshape(u.shape)
+
+
+def _theta_adaptive(u: float, beta: float, rel_tol: float) -> float:
+    """theta_beta(1, u) at one point by adaptive `quad`.
+
+    The quadrature evaluates log A one angle at a time, through the scalar
+    path of `_log_kanter`: `math.sin` and `np.log` there give the array
+    path's bits (`math.log` would not), so the result does not depend on
+    which path ran.
+    """
     if u <= 0.0:
         raise ParameterError(f"u must be > 0, got {u}")
 
@@ -301,6 +323,131 @@ def stable_subordinator_density(u: float, beta: float, rel_tol: float = 1e-9) ->
     if log_out < -700.0:
         return 0.0
     return math.exp(log_out)
+
+
+_PANEL_NODES = 64  # Gauss-Legendre nodes per panel on the first pass
+_PANEL_MAX_NODES = 1024
+_PANEL_RTOL = 1e-10  # agreement of the n- and n/2-node sums that accepts a row
+_PANEL_BLOCK = 1 << 14  # integrand values per block: 128 kB per temporary
+
+
+def _theta_panels(u, beta: float, rel_tol: float):
+    """theta_beta(1, u) for a 1-d array u, every entry by one fixed rule.
+
+    Entries where the large-u series' truncation bound is below 1e-10 take
+    the series: there the angle integrand's mass sits in a spike at pi that
+    a fixed rule can miss without its two sums noticing.  For the others,
+    each entry's peak angle phi* and e^{-30} angle w are found by bisection,
+    all entries at once; the integral is then n-node Gauss-Legendre on
+    [0, phi*], [phi*, w] and [w, pi], checked against the same panels at
+    n/2 nodes.  Entries whose two sums differ by more than 1e-10 relative
+    are recomputed at twice the nodes, up to `_PANEL_MAX_NODES`.  Every
+    entry is computed on its own, so its value does not depend on the
+    others.
+    """
+    series, bound = stable_density_tail_series(u, beta)
+    out = np.where(bound < _PANEL_RTOL, series, 0.0)
+    rows = np.flatnonzero(~(bound < _PANEL_RTOL))
+    with np.errstate(over="ignore"):  # x = inf: a zero density, dropped below
+        x = u[rows] ** (-beta / (1.0 - beta))
+    log_prefactor = math.log(beta / ((1.0 - beta) * math.pi)) - np.log(u[rows]) / (1.0 - beta)
+    log_a0 = _log_kanter(1e-12, beta)
+    phi_star = np.zeros_like(x)
+    log_peak = np.full_like(x, log_a0)
+    inner = math.exp(log_a0) * x < 1.0
+    if inner.any():
+        log_x = np.log(x[inner])
+        phi_star[inner] = _bisect(
+            lambda p: _log_kanter(p, beta) + log_x, 1e-12, math.pi - 1e-12
+        )
+        log_peak[inner] = _log_kanter(phi_star[inner], beta)
+    scale = log_peak - np.exp(log_peak) * x
+    live = scale + log_prefactor >= -720.0
+    if not live.any():
+        return out
+    rows, x, scale, phi_star = rows[live], x[live], scale[live], phi_star[live]
+
+    edge = math.pi - 1e-9
+    w = np.full_like(x, math.pi)
+    with np.errstate(over="ignore"):
+        falls = _log_integrand(np.full_like(x, edge), x, scale, beta) < -30.0
+        if falls.any():
+            xf, sf = x[falls], scale[falls]
+            w[falls] = _bisect(
+                lambda p: -30.0 - _log_integrand(p, xf, sf, beta),
+                np.maximum(phi_star[falls], 1e-13),
+                edge,
+            )
+    a = np.stack([np.zeros_like(x), phi_star, w], axis=1)
+    b = np.stack([phi_star, w, np.full_like(x, math.pi)], axis=1)
+
+    n = _PANEL_NODES
+    coarse = _panel_sums(a, b, x, scale, beta, n // 2)
+    value = _panel_sums(a, b, x, scale, beta, n)
+    todo = np.arange(len(x))
+    while True:
+        # NaN and negative sums never pass
+        done = np.abs(value[todo] - coarse[todo]) <= _PANEL_RTOL * value[todo]
+        todo = todo[~done]
+        if not todo.size or n == _PANEL_MAX_NODES:
+            break
+        n *= 2
+        coarse[todo] = value[todo]
+        value[todo] = _panel_sums(a[todo], b[todo], x[todo], scale[todo], beta, n)
+
+    log_out = np.log(np.maximum(value, 1e-300)) + scale + log_prefactor[live]
+    out[rows] = np.where(log_out < -700.0, 0.0, np.exp(log_out))
+    if todo.size:
+        fix = rows[todo]
+        ok = (series[fix] > 0.0) & (bound[fix] < max(rel_tol, 1e-9))
+        if not ok.all():
+            i = todo[np.argmin(ok)]
+            err = abs(value[i] - coarse[i])
+            raise QuadratureError(
+                f"theta quadrature failed at (u={u[rows[i]]}, beta={beta}): "
+                f"{n} and {n // 2} nodes differ by {err:.2e}",
+                value=value[i],
+                residual=err,
+            )
+        out[fix] = series[fix]
+    return out
+
+
+def _log_integrand(phi, x, scale, beta):
+    """log(A(phi) e^{-A(phi) x}) - scale; x and scale broadcast against phi."""
+    la = _log_kanter(phi, beta)
+    return la - np.exp(la) * x - scale
+
+
+def _bisect(f, lo, hi):
+    """Root in [lo, hi] of each entry of f, increasing in its argument, by
+    64 halvings of the bracket; f sees one angle per entry."""
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        above = f(mid) > 0.0
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+def _panel_sums(a, b, x, scale, beta, n):
+    """sum over panels of int_a^b e^{log integrand} dphi by n-node
+    Gauss-Legendre; a and b are (rows, panels).
+
+    Rows go in blocks of about `_PANEL_BLOCK` integrand values, and each
+    row's weighted sum is one contiguous reduction of its own, so a row's
+    value does not depend on the rows computed with it.
+    """
+    t, wts = roots_legendre(n)
+    out = np.empty(len(x))
+    step = max(1, _PANEL_BLOCK // (a.shape[1] * n))
+    with np.errstate(over="ignore"):
+        for s in range(0, len(x), step):
+            blk = slice(s, s + step)
+            half = 0.5 * (b[blk] - a[blk])
+            phi = (a[blk] + half)[:, :, None] + half[:, :, None] * t
+            f = np.exp(_log_integrand(phi, x[blk, None, None], scale[blk, None, None], beta))
+            out[blk] = (f * (half[:, :, None] * wts)).reshape(len(half), -1).sum(axis=1)
+    return out
 
 
 def subordinator_density_at(t: float, u: float, beta: float) -> float:

@@ -63,7 +63,7 @@ class TestConfig:
          ("profile_n_paths", 0), ("budget_scale", 0.0), ("budget_scale", -1.0),
          ("budget_scale", math.inf), ("budget_scale", math.nan), ("n_x", "many"),
          ("t_grid", (0.0,)), ("t_grid", (0.1, -0.2)), ("t_grid", (math.inf,)),
-         ("t_grid", (math.nan,)), ("seed", -1), ("seed", 1.5)],
+         ("t_grid", (math.nan,)), ("seed", -1), ("seed", 1.5), ("fmt", "jsonl")],
     )
     def test_bad_budget_rejected(self, key, value):
         with pytest.raises(ParameterError):
@@ -275,9 +275,11 @@ class TestMain:
             (["constants", "--t-grid", "0"], None),
             (["trace", "--seed", "-1"], None),
             (["subordinator", "--seed", "-1"], None),
+            (["constants"], "fmt = jsonl\n"),
         ],
         ids=["steps", "chunk_points", "n_x", "budget_scale", "density_quadrature", "m_nan",
-             "t_zero", "t_inf", "t_nan", "constants_t_zero", "seed", "subordinator_seed"],
+             "t_zero", "t_inf", "t_nan", "constants_t_zero", "seed", "subordinator_seed",
+             "fmt_jsonl"],
     )
     def test_bad_input_exit_code(self, tmp_path, capsys, argv, config):
         if config is not None:

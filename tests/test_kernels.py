@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from relheat import kernels
+from relheat import kernels, specfun
 from relheat.errors import ParameterError, StaleTableError
 from relheat.kernels import (
     build_table,
@@ -173,6 +173,18 @@ class TestFastTheta:
         zs = np.geomspace(0.05, 200.0, 60)
         exact = np.array([stable_subordinator_density(z, 0.7) for z in zs])
         assert np.max(np.abs(ev(zs) / exact - 1)) < 1e-7
+
+    def test_spline_nodes_take_no_one_point_quadrature(self, monkeypatch):
+        # the 900 nodes are one array call of the panel rule; one adaptive
+        # quad per node would cost about 20x as much
+        calls = []
+        one_point = specfun._theta_adaptive
+        monkeypatch.setattr(specfun, "_theta_adaptive", lambda *a: calls.append(a) or one_point(*a))
+        monkeypatch.setattr(kernels, "_THETA_CACHE", {})
+        fast_theta(0.7)
+        assert calls == []
+        stable_subordinator_density(1.0, 0.7)
+        assert len(calls) == 1
 
 
 class TestRadialTable:

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from relheat.errors import ParameterError, SingularityError
+from relheat.kernels import _theta_nodes, levy_half_density
 from relheat.specfun import (
     ProcessParams,
     _log_kanter,
@@ -199,6 +200,49 @@ class TestStableSubordinatorDensity:
         diffs = np.sign(np.diff(vals[first:]))
         changes = np.count_nonzero(np.diff(diffs[diffs != 0]))
         assert changes == 1
+
+
+class TestSubordinatorDensityArrays:
+    @pytest.mark.parametrize("beta", [0.3, 0.6, 0.75, 0.9])
+    def test_array_route_matches_float_route(self, beta):
+        # over the theta spline's own nodes; at beta = 0.9 the rows near the
+        # right edge pass only after refining past 64 nodes per panel
+        zs = _theta_nodes(beta)
+        got = stable_subordinator_density(zs, beta)
+        want = np.array([stable_subordinator_density(float(z), beta) for z in zs])
+        assert np.max(np.abs(got / want - 1.0)) < 1e-10
+
+    @pytest.mark.parametrize("beta", [0.75, 0.9, 0.99])
+    def test_right_tail_is_the_series(self, beta):
+        # out here the angle integrand is a spike at pi that fixed panels
+        # can miss while their n- and n/2-node sums still agree (74% off at
+        # u = 3.9e8, beta = 3/4); the series is exact to its bound instead
+        us = np.geomspace(10.0, 1e14, 500)
+        series, bound = stable_density_tail_series(us, beta)
+        assert bound.max() < 1e-10
+        got = stable_subordinator_density(us, beta)
+        assert np.max(np.abs(got / series - 1.0)) < 1e-10
+
+    def test_half_matches_levy_density(self):
+        us = np.geomspace(1e-3, 1e3, 200)
+        got = stable_subordinator_density(us, 0.5)
+        assert np.max(np.abs(got / levy_half_density(us) - 1.0)) < 1e-10
+
+    @pytest.mark.parametrize("beta", [0.3, 0.75, 0.9])
+    def test_entries_do_not_depend_on_the_batch(self, beta):
+        us = _theta_nodes(beta)[::9]
+        got = stable_subordinator_density(us, beta)
+        for u, v in zip(us, got):
+            assert stable_subordinator_density(np.array([u]), beta)[0] == v
+        grid = stable_subordinator_density(us.reshape(4, 25), beta)
+        assert grid.shape == (4, 25)
+        assert np.array_equal(grid.ravel(), got)
+
+    def test_domain_errors(self):
+        for bad in ([1.0, 0.0], [1.0, -2.0], [1.0, math.nan]):
+            with pytest.raises(ParameterError):
+                stable_subordinator_density(np.array(bad), 0.75)
+        assert stable_subordinator_density(np.array([]), 0.75).shape == (0,)
 
 
 def tail_series_one_point(u, beta, kmax=90):
