@@ -18,8 +18,17 @@ at alpha = 1 scores its exits with `cauchy_density` and needs no table.
 For other alpha, `RadialKernelTable` freezes one radial profile per m*t
 product for fast inner-loop evaluation.  A march scores exits at the
 products m (t - (k - 1/2) dt), so before it starts, `build_tables` builds
-all of them in one batched trapezoid quadrature, theta_beta included; pool
-workers forked afterwards inherit the tables instead of building them.
+all of them in one batched trapezoid quadrature; pool workers forked
+afterwards inherit the tables instead of building them.
+
+Every trapezoid quadrature of F, the tables' and `_profile_batch`'s for
+radii beyond a table, runs on one lattice in s = log z, s_k = -35 + k h,
+cut where the Gaussian factor has let go of the integrand's tail (about
+2 ln rho + 30).  theta_beta(1, e^{s_k}) is computed once per process for
+each beta and cached (`_lattice_theta`): a table build fills the lattice's
+first `Z_NODES` nodes before the pool forks, and a larger radius appends
+only the nodes past the cached ones.  A far-field call then costs one mass
+weight vector and one small matrix product.
 """
 
 import csv
@@ -59,7 +68,9 @@ __all__ = [
 TABLE_RHO_MIN = 1e-3
 TABLE_RHO_MAX = 50.0
 TABLE_NODES = 512
-Z_NODES = 3000  # trapezoid nodes in s = log z of the profile quadrature
+Z_NODES = 3000  # lattice nodes of a table build, in s = log z
+_S_LO = -35.0  # the log-z lattice s_k = _S_LO + k * _S_STEP
+_S_STEP = (2.0 * math.log(TABLE_RHO_MAX) + 65.0) / (Z_NODES - 1)
 
 
 def c1_const(params: ProcessParams) -> float:
@@ -173,14 +184,38 @@ def scaled_profile(rho: float, w: float, params: ProcessParams, rel_tol: float =
     return (4.0 * math.pi) ** (-d / 2.0) * total
 
 
-def _z_nodes(r_top: float):
-    """Trapezoid nodes s = log z, z and weights for radii up to `r_top`."""
+def _z_nodes(r_top: float, beta: float):
+    """The lattice prefix for radii up to `r_top`: nodes s = log z, z,
+    trapezoid weights and theta_beta(1, z).
+
+    Every profile quadrature uses the one lattice s_k = -35 + k h, cut at
+    max(30, 2 ln r_top + 30); h puts the table build's cut (r_top =
+    `TABLE_RHO_MAX`) at node `Z_NODES` - 1.  theta_beta on the lattice is
+    cached per beta and only extended (`_lattice_theta`).
+    """
     s_hi = max(30.0, 2.0 * math.log(max(1.0, r_top)) + 30.0)
-    s = np.linspace(-35.0, s_hi, Z_NODES)
-    weights = np.full(Z_NODES, s[1] - s[0])
+    n = math.ceil((s_hi - _S_LO) / _S_STEP - 1e-9) + 1
+    s = _S_LO + _S_STEP * np.arange(n)
+    z = np.exp(s)
+    weights = np.full(n, _S_STEP)
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    return s, np.exp(s), weights
+    return s, z, weights, _lattice_theta(beta, z)
+
+
+def _lattice_theta(beta: float, z):
+    """theta_beta(1, z) on a lattice prefix z, from the per-beta cache.
+
+    Only the nodes past the cached prefix are evaluated, and appended.
+    `fast_theta` is elementwise, so the cached values do not depend on the
+    order in which the prefix grew, nor on the process that grew it.
+    """
+    key = round(beta, 12)
+    have = _LATTICE_THETA.get(key, np.empty(0))
+    if len(have) < len(z):
+        have = np.concatenate([have, fast_theta(beta)(z[len(have):])])
+        _LATTICE_THETA[key] = have
+    return have[:len(z)]
 
 
 def _mass_weights(s, z, theta_z, weights, w, params: ProcessParams):
@@ -202,13 +237,15 @@ def _profile_batch(rhos, w, params: ProcessParams):
 
     The integrand is analytic and decays double-exponentially in s = log z,
     so the uniform-grid trapezoid converges geometrically; accuracy is
-    ~1e-9 relative, verified against `scaled_profile`.  Kernel tables use
-    the same rule on their own radii (`build_tables`); this evaluator
-    serves the radii beyond a table's last node.
+    ~1e-9 relative, verified against `scaled_profile`.  The nodes are the
+    lattice prefix out to the largest radius, with theta_beta from the
+    per-beta cache (`_z_nodes`).  Kernel tables use the same rule on their
+    own radii (`build_tables`); this evaluator serves the radii beyond a
+    table's last node.
     """
     rhos = np.asarray(rhos, dtype=float)
-    s, z, weights = _z_nodes(float(rhos.max()) if rhos.size else 1.0)
-    base = _mass_weights(s, z, fast_theta(params.beta)(z), weights, w, params)
+    s, z, weights, theta_z = _z_nodes(float(rhos.max()) if rhos.size else 1.0, params.beta)
+    base = _mass_weights(s, z, theta_z, weights, w, params)
     return (4.0 * math.pi) ** (-params.d / 2.0) * (_gaussian_factor(rhos, z) @ base)
 
 
@@ -217,6 +254,7 @@ def _profile_batch(rhos, w, params: ProcessParams):
 # ---------------------------------------------------------------------------
 
 _THETA_CACHE: dict[float, object] = {}
+_LATTICE_THETA: dict[float, np.ndarray] = {}  # theta_beta on the lattice prefix, per beta
 
 
 def fast_theta(beta: float):
@@ -304,11 +342,12 @@ class RadialKernelTable:
     p(t, x) = e^{mt} t^{-d/alpha} F(|x| t^{-1/alpha}, mt).  Interpolation is
     linear in (log rho, log F) after removing the spatial tempering factor
     e^{-(mt)^{1/alpha} rho}, which leaves nearly power-law structure on both
-    flanks.  Radii beyond the grid fall back to direct quadrature through
-    `_profile_batch`.  Tables are made by `build_tables` (`build_table` is
-    its one-table call): a run builds each march's tables in one batched
-    quadrature before any path moves, and pool workers inherit them.  A
-    table's values do not depend on the batch it was built in.
+    flanks.  Radii beyond the grid go to `_profile_batch`, the same
+    trapezoid rule on a longer prefix of the tables' log-z lattice.  Tables
+    are made by `build_tables` (`build_table` is its one-table call): a run
+    builds each march's tables in one batched quadrature before any path
+    moves, and pool workers inherit them.  A table's values do not depend
+    on the batch it was built in.
     """
 
     mt: float
@@ -362,9 +401,9 @@ def build_tables(mts, params: ProcessParams, n_nodes: int = TABLE_NODES) -> list
     """Build (or fetch from cache) the radial profile tables for several m*t.
 
     One batched quadrature serves every missing table: exp(-rho^2/(4z)) is
-    evaluated once on the (radius, log-z node) grid and theta_beta once on
-    the nodes, and each block of `_BLOCK` tables, their f0 included (the
-    rho = 0 row), is one matrix product against the tables' weights.
+    evaluated once on the (radius, log-z node) grid, theta_beta comes from
+    the lattice cache, and each block of `_BLOCK` tables, their f0 included
+    (the rho = 0 row), is one matrix product against the tables' weights.
     """
     mts = [float(mt) for mt in mts]
     if any(mt < 0.0 for mt in mts):
@@ -376,8 +415,7 @@ def build_tables(mts, params: ProcessParams, n_nodes: int = TABLE_NODES) -> list
             missing.setdefault(key, mt)
     if missing:
         radii = np.geomspace(TABLE_RHO_MIN, TABLE_RHO_MAX, n_nodes)
-        s, z, weights = _z_nodes(TABLE_RHO_MAX)
-        theta_z = fast_theta(params.beta)(z)
+        s, z, weights, theta_z = _z_nodes(TABLE_RHO_MAX, params.beta)
         kernel = _gaussian_factor(np.concatenate([[0.0], radii]), z)
         norm = (4.0 * math.pi) ** (-params.d / 2.0)
         items = list(missing.items())

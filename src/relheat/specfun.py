@@ -235,14 +235,14 @@ def stable_subordinator_density(u, beta: float, rel_tol: float = 1e-9):
     common exponential scale is factored out to preserve relative accuracy
     when the density is many orders of magnitude below 1.
 
-    `u` is a scalar or an array.  A scalar takes adaptive `quad`, to
-    `rel_tol` relative, and returns a float.  An array returns an array of
-    u's shape: the large-u series wherever its truncation bound is below
-    1e-10, and elsewhere one Gauss-Legendre rule on the same three panels
-    for all its entries, to 1e-10 relative (see `_theta_panels`).  Where a
-    quadrature cannot reach its tolerance, either route returns the large-u
-    series if its truncation bound is below max(rel_tol, 1e-9), and raises
-    `QuadratureError` otherwise.
+    `u` is a scalar or an array.  Both routes take the large-u series
+    wherever its truncation bound is below 1e-10.  Elsewhere a scalar takes
+    adaptive `quad`, to `rel_tol` relative, and returns a float; an array
+    returns an array of u's shape, by one Gauss-Legendre rule on the same
+    three panels for all its entries, to 1e-10 relative (see
+    `_theta_panels`).  Where a quadrature cannot reach its tolerance, either
+    route returns the large-u series if its truncation bound is below
+    max(rel_tol, 1e-9), and raises `QuadratureError` otherwise.
     """
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"beta must be in (0, 1), got {beta}")
@@ -255,7 +255,8 @@ def stable_subordinator_density(u, beta: float, rel_tol: float = 1e-9):
 
 
 def _theta_adaptive(u: float, beta: float, rel_tol: float) -> float:
-    """theta_beta(1, u) at one point by adaptive `quad`.
+    """theta_beta(1, u) at one point: the large-u series where its bound is
+    below `_SERIES_BOUND`, adaptive `quad` elsewhere.
 
     The quadrature evaluates log A one angle at a time, through the scalar
     path of `_log_kanter`: `math.sin` and `np.log` there give the array
@@ -264,6 +265,11 @@ def _theta_adaptive(u: float, beta: float, rel_tol: float) -> float:
     """
     if u <= 0.0:
         raise ParameterError(f"u must be > 0, got {u}")
+    # far in the right tail the angle integrand is a spike at pi that quad
+    # can miss while its error estimate passes; the series is exact there
+    series, bound = stable_density_tail_series(u, beta)
+    if bound < _SERIES_BOUND:
+        return series
 
     x = u ** (-beta / (1.0 - beta))
     log_a0 = _log_kanter(1e-12, beta)
@@ -285,6 +291,10 @@ def _theta_adaptive(u: float, beta: float, rel_tol: float) -> float:
 
     def log_integrand(phi):
         la = _log_kanter(phi, beta)
+        if la > 709.0:
+            # e^la overflows (beta near 1, phi near pi): e^la x dwarfs every
+            # other term, and the integrand is zero
+            return -math.inf
         return la - math.exp(la) * x - scale
 
     def integrand(phi):
@@ -309,9 +319,6 @@ def _theta_adaptive(u: float, beta: float, rel_tol: float) -> float:
         )
     ok = math.isfinite(value) and value >= 0.0 and err <= rel_tol * max(value, 1e-290)
     if not ok:
-        # far in the right tail the angle integrand degenerates toward the
-        # endpoint; the asymptotic series is the accurate route there
-        series, bound = stable_density_tail_series(u, beta)
         if series > 0.0 and bound < max(rel_tol, 1e-9):
             return series
         raise QuadratureError(
@@ -328,6 +335,7 @@ def _theta_adaptive(u: float, beta: float, rel_tol: float) -> float:
 _PANEL_NODES = 64  # Gauss-Legendre nodes per panel on the first pass
 _PANEL_MAX_NODES = 1024
 _PANEL_RTOL = 1e-10  # agreement of the n- and n/2-node sums that accepts a row
+_SERIES_BOUND = 1e-10  # truncation bound below which both routes take the series
 _PANEL_BLOCK = 1 << 14  # integrand values per block: 128 kB per temporary
 
 
@@ -346,8 +354,8 @@ def _theta_panels(u, beta: float, rel_tol: float):
     others.
     """
     series, bound = stable_density_tail_series(u, beta)
-    out = np.where(bound < _PANEL_RTOL, series, 0.0)
-    rows = np.flatnonzero(~(bound < _PANEL_RTOL))
+    out = np.where(bound < _SERIES_BOUND, series, 0.0)
+    rows = np.flatnonzero(~(bound < _SERIES_BOUND))
     with np.errstate(over="ignore"):  # x = inf: a zero density, dropped below
         x = u[rows] ** (-beta / (1.0 - beta))
     log_prefactor = math.log(beta / ((1.0 - beta) * math.pi)) - np.log(u[rows]) / (1.0 - beta)

@@ -298,3 +298,76 @@ class TestBatchedBuild:
     def test_rejects_negative_mt(self, cauchy2d):
         with pytest.raises(ParameterError):
             build_tables([0.1, -0.2], cauchy2d)
+
+
+def stable_expansion_term(k, rho, params):
+    """k-th term of the large-|x| series of the m = 0 density p(1, x)
+    (Blumenthal & Getoor 1960); the first is the Levy density nu(x)."""
+    a, d = params.alpha, params.d
+    return (
+        (-1) ** (k + 1) / math.factorial(k)
+        * math.gamma(k * a / 2 + 1) * math.gamma((k * a + d) / 2)
+        * math.sin(math.pi * k * a / 2) * 2 ** (k * a)
+        * rho ** (-k * a - d) / math.pi ** (d / 2 + 1)
+    )
+
+
+class TestLogZLattice:
+    def test_table_cut_is_a_lattice_node(self):
+        s, z, weights, theta_z = kernels._z_nodes(kernels.TABLE_RHO_MAX, 0.75)
+        assert len(s) == kernels.Z_NODES
+        assert s[-1] == pytest.approx(2 * math.log(kernels.TABLE_RHO_MAX) + 30, rel=1e-14)
+        far = kernels._z_nodes(234.0, 0.75)[0]
+        assert np.array_equal(far[: len(s)], s)
+        assert far[-2] < 2 * math.log(234.0) + 30 <= far[-1]
+
+    @pytest.mark.parametrize("beta", [0.4, 0.75])
+    def test_theta_grown_in_pieces_equals_one_build(self, beta, monkeypatch):
+        z = np.exp(kernels._S_LO + kernels._S_STEP * np.arange(3437))
+        monkeypatch.setattr(kernels, "_LATTICE_THETA", {})
+        for n in (3000, 3035, 3437):
+            pieces = kernels._lattice_theta(beta, z[:n])
+        monkeypatch.setattr(kernels, "_LATTICE_THETA", {})
+        whole = kernels._lattice_theta(beta, z)
+        assert np.array_equal(pieces, whole)
+        assert np.array_equal(whole, fast_theta(beta)(z))
+
+    def test_far_field_reuses_cached_theta(self, monkeypatch):
+        params = ProcessParams(1.5, 1.0, 2)
+        monkeypatch.setattr(kernels, "_LATTICE_THETA", {})
+        kernels._profile_batch(np.array([80.0, 234.0]), 0.3, params)
+        calls = []
+        series = kernels.stable_density_tail_series
+        monkeypatch.setattr(
+            kernels, "stable_density_tail_series", lambda u, b: calls.append(u) or series(u, b)
+        )
+        kernels._profile_batch(np.array([234.0]), 0.3, params)
+        kernels._profile_batch(np.array([60.0, 100.0]), 0.7, params)
+        assert calls == []
+        # a larger radius evaluates only the nodes past the cached prefix
+        kernels._profile_batch(np.array([1e4]), 0.3, params)
+        n_far, n_near = (len(kernels._z_nodes(r, params.beta)[0]) for r in (1e4, 234.0))
+        assert [len(u) for u in calls] == [n_far - n_near]
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.2, 1.5])
+    @pytest.mark.parametrize("w", [0.0, 0.5])
+    def test_far_field_matches_adaptive_profile(self, alpha, w):
+        params = ProcessParams(alpha, 1.0, 2)
+        rhos = np.array([60.0, 120.0, 234.0])
+        got = kernels._profile_batch(rhos, w, params)
+        want = np.array([kernels.scaled_profile(r, w, params) for r in rhos])
+        assert np.max(np.abs(got / want - 1.0)) < 1e-9
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.2, 1.5])
+    def test_far_field_is_the_jump_density(self, alpha):
+        # p(1, x) = nu(x) (1 + c rho^{-alpha} + ...): nu alone is off by
+        # 2.4e-3 at alpha = 0.8, rho = 1e3, so the comparison keeps the
+        # series' second term and leaves O(rho^{-2 alpha}) relative
+        params = ProcessParams(alpha, 0.0, 2)
+        for rho in (1e3, 1e4, 1e5):
+            nu = specfun.stable_levy_density(rho, params)
+            assert stable_expansion_term(1, rho, params) == pytest.approx(nu, rel=1e-13)
+            want = nu + stable_expansion_term(2, rho, params)
+            assert kernels._profile_batch(np.array([rho]), 0.0, params)[0] == pytest.approx(
+                want, rel=2e-5
+            )

@@ -223,6 +223,24 @@ class TestSubordinatorDensityArrays:
         got = stable_subordinator_density(us, beta)
         assert np.max(np.abs(got / series - 1.0)) < 1e-10
 
+    @pytest.mark.parametrize("beta", [0.6, 0.75, 0.9])
+    def test_float_route_takes_the_series_in_the_right_tail(self, beta):
+        # quad alone, its error estimate passing, gave 5.38e-16 at u = 1e8,
+        # beta = 3/4, where the series gives 2.07e-15
+        us = np.geomspace(20.0, 1e12, 60)
+        got = np.array([stable_subordinator_density(float(u), beta) for u in us])
+        assert np.max(np.abs(got / stable_subordinator_density(us, beta) - 1.0)) < 1e-9
+
+    @pytest.mark.parametrize("beta", [0.98, 0.99])
+    def test_float_route_near_beta_one(self, beta):
+        # e^{log A} overflows near phi = pi; the integrand is zero there,
+        # not an OverflowError
+        us = np.geomspace(0.85, 20.0, 12)
+        want = stable_subordinator_density(us, beta)
+        for u, v in zip(us, want):
+            assert stable_subordinator_density(float(u), beta) == pytest.approx(v, rel=1e-8)
+        assert stable_subordinator_density(2.0, 0.98) > 0.0
+
     def test_half_matches_levy_density(self):
         us = np.geomspace(1e-3, 1e3, 200)
         got = stable_subordinator_density(us, 0.5)
