@@ -7,8 +7,8 @@ variable z = u t^{-1/beta}, so a single two-parameter profile
     F(rho, w) = (4 pi)^{-d/2} int_0^infty z^{-d/2}
                 e^{-rho^2/(4z)} e^{-w^{1/beta} z} theta_beta(1, z) dz,
 
-serves every (t, r).  `free_density` evaluates F by adaptive quadrature
-at every alpha.
+serves every (t, r).  `free_density`, `c1_of_t` and the kernel tables
+all evaluate F by one trapezoid rule in s = log z (`_profile_batch`).
 
 At alpha = 1 (beta = 1/2) both factors have closed forms: theta_{1/2} is
 the Levy density (`levy_half_density`), and p itself is the Bessel kernel
@@ -21,14 +21,15 @@ products m (t - (k - 1/2) dt), so before it starts, `build_tables` builds
 all of them in one batched trapezoid quadrature; pool workers forked
 afterwards inherit the tables instead of building them.
 
-Every trapezoid quadrature of F, the tables' and `_profile_batch`'s for
-radii beyond a table, runs on one lattice in s = log z, s_k = -35 + k h,
-cut where the Gaussian factor has let go of the integrand's tail (about
-2 ln rho + 30).  theta_beta(1, e^{s_k}) is computed once per process for
-each beta and cached (`_lattice_theta`): a table build fills the lattice's
-first `Z_NODES` nodes before the pool forks, and a larger radius appends
-only the nodes past the cached ones.  A far-field call then costs one mass
-weight vector and one small matrix product.
+That rule runs on one lattice, s_k = -35 + k h (k < 0 only for alpha <
+0.3, where theta_beta's left tail passes e^{-35}), cut where the Gaussian
+factor has let go of the integrand's tail (about 2 ln rho + 30).
+theta_beta(1, e^{s_k}) is computed once per process for each beta and
+cached (`_lattice_theta`): a table build fills the lattice out to its cut
+before the pool forks, and a larger radius appends only the nodes past
+the cached ones.  A far-field call then costs one mass weight vector and
+one small matrix product.  The sum on every second node checks the rule:
+past 1e-8 relative error it raises `QuadratureError`.
 """
 
 import csv
@@ -36,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.special import kve
 
@@ -56,7 +56,6 @@ __all__ = [
     "cauchy_density",
     "density_upper_bound",
     "free_density",
-    "scaled_profile",
     "RadialKernelTable",
     "build_table",
     "build_tables",
@@ -71,6 +70,8 @@ TABLE_NODES = 512
 Z_NODES = 3000  # lattice nodes of a table build, in s = log z
 _S_LO = -35.0  # the log-z lattice s_k = _S_LO + k * _S_STEP
 _S_STEP = (2.0 * math.log(TABLE_RHO_MAX) + 65.0) / (Z_NODES - 1)
+_Z_FLOOR = math.exp(-700.0)  # the lattice's lowest node, ~1e-304
+_PROFILE_TOL = 1e-8  # relative error a profile quadrature may not exceed
 
 
 def c1_const(params: ProcessParams) -> float:
@@ -83,7 +84,7 @@ def c1_const(params: ProcessParams) -> float:
     )
 
 
-def c1_of_t(t: float, params: ProcessParams, rel_tol: float = 1e-8) -> float:
+def c1_of_t(t: float, params: ProcessParams) -> float:
     """Damped trace coefficient
 
         C1(t) = (4 pi)^{-d/2} int_0^infty z^{-d/2} e^{-(mt)^{1/beta} z}
@@ -95,7 +96,7 @@ def c1_of_t(t: float, params: ProcessParams, rel_tol: float = 1e-8) -> float:
         raise ParameterError(f"t must be >= 0, got {t}")
     if t == 0.0 or params.m == 0.0:
         return c1_const(params)
-    return scaled_profile(0.0, params.m * t, params, rel_tol=rel_tol)
+    return float(_profile_batch(np.zeros(1), params.m * t, params)[0])
 
 
 def density_upper_bound(t: float, params: ProcessParams) -> float:
@@ -105,14 +106,14 @@ def density_upper_bound(t: float, params: ProcessParams) -> float:
     return math.exp(params.m * t) * t ** (-params.d / params.alpha) * c1_const(params)
 
 
-def free_density(t: float, r: float, params: ProcessParams, rel_tol: float = 1e-8) -> float:
-    """Free transition density p(t, x) at |x| = r, by adaptive quadrature."""
+def free_density(t: float, r: float, params: ProcessParams) -> float:
+    """Free transition density p(t, x) at |x| = r, by the profile quadrature."""
     if t <= 0.0:
         raise ParameterError(f"t must be > 0, got {t}")
     if r < 0.0:
         raise ParameterError(f"radius must be >= 0, got {r}")
     rho = r * t ** (-1.0 / params.alpha)
-    f = scaled_profile(rho, params.m * t, params, rel_tol=rel_tol)
+    f = float(_profile_batch(np.array([rho]), params.m * t, params)[0])
     return math.exp(params.m * t) * t ** (-params.d / params.alpha) * f
 
 
@@ -150,54 +151,24 @@ def cauchy_density(t, r, params: ProcessParams):
     return out if out.shape else float(out)
 
 
-def scaled_profile(rho: float, w: float, params: ProcessParams, rel_tol: float = 1e-8) -> float:
-    """F(rho, w) by adaptive quadrature on the two sides of the integrand peak."""
-    theta = fast_theta(params.beta)
-    d = params.d
-    wb = w ** (1.0 / params.beta) if w > 0.0 else 0.0
-
-    def integrand(z):
-        if z <= 0.0:
-            return 0.0
-        expo = -rho * rho / (4.0 * z) - wb * z
-        if expo < -745.0:
-            return 0.0
-        return z ** (-d / 2.0) * math.exp(expo) * theta(z)
-
-    # coarse scan locates the peak; the two quad calls then converge fast
-    zs = np.geomspace(1e-8, 1e8, 161)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        vals = zs ** (-d / 2.0) * np.exp(-rho * rho / (4.0 * zs) - wb * zs) * theta(zs)
-    vals = np.nan_to_num(vals)
-    z_star = float(zs[int(np.argmax(vals))])
-    with np.errstate(over="ignore", under="ignore"):
-        left, e1 = quad(integrand, 0.0, z_star, limit=300, epsabs=0.0, epsrel=1e-10)
-        right, e2 = quad(integrand, z_star, np.inf, limit=300, epsabs=0.0, epsrel=1e-10)
-    total = left + right
-    err = e1 + e2
-    if not math.isfinite(total) or total < 0.0 or err > rel_tol * max(total, 1e-300):
-        raise QuadratureError(
-            f"profile quadrature failed at (rho={rho}, w={w}), residual {err:.2e}",
-            value=(4.0 * math.pi) ** (-d / 2.0) * total,
-            residual=err,
-        )
-    return (4.0 * math.pi) ** (-d / 2.0) * total
-
-
 def _z_nodes(r_top: float, beta: float):
     """The lattice prefix for radii up to `r_top`: nodes s = log z, z,
     trapezoid weights and theta_beta(1, z).
 
     Every profile quadrature uses the one lattice s_k = -35 + k h, cut at
     max(30, 2 ln r_top + 30); h puts the table build's cut (r_top =
-    `TABLE_RHO_MAX`) at node `Z_NODES` - 1.  theta_beta on the lattice is
-    cached per beta and only extended (`_lattice_theta`).
+    `TABLE_RHO_MAX`) at k = `Z_NODES` - 1.  It starts at k = 0, or for
+    alpha < 0.3 at the left edge of theta_beta's spline (`_theta_z_lo`,
+    floored at `_Z_FLOOR`).  theta_beta on the lattice is cached per beta
+    and only extended (`_lattice_theta`).
     """
     s_hi = max(30.0, 2.0 * math.log(max(1.0, r_top)) + 30.0)
-    n = math.ceil((s_hi - _S_LO) / _S_STEP - 1e-9) + 1
-    s = _S_LO + _S_STEP * np.arange(n)
+    s_lo = math.log(max(_theta_z_lo(beta), _Z_FLOOR))
+    k_lo = min(0, math.floor((s_lo - _S_LO) / _S_STEP))
+    k_hi = math.ceil((s_hi - _S_LO) / _S_STEP - 1e-9)
+    s = _S_LO + _S_STEP * np.arange(k_lo, k_hi + 1)
     z = np.exp(s)
-    weights = np.full(n, _S_STEP)
+    weights = np.full(len(s), _S_STEP)
     weights[0] *= 0.5
     weights[-1] *= 0.5
     return s, z, weights, _lattice_theta(beta, z)
@@ -233,20 +204,36 @@ def _gaussian_factor(rhos, z):
 
 
 def _profile_batch(rhos, w, params: ProcessParams):
-    """F(rho, w) on an array of radii by trapezoid in log z.
+    """F(rho, w) on an array of radii by trapezoid in log z, the package's
+    one rule for F (the tables run it on their own radii, `build_tables`).
 
     The integrand is analytic and decays double-exponentially in s = log z,
-    so the uniform-grid trapezoid converges geometrically; accuracy is
-    ~1e-9 relative, verified against `scaled_profile`.  The nodes are the
-    lattice prefix out to the largest radius, with theta_beta from the
-    per-beta cache (`_z_nodes`).  Kernel tables use the same rule on their
-    own radii (`build_tables`); this evaluator serves the radii beyond a
-    table's last node.
+    so the uniform-grid trapezoid converges geometrically (Trefethen &
+    Weideman, SIAM Rev. 56, 2014): the error of the sum T_h is about the
+    squared relative difference to T_2h, the same sum on every second node.
+    That plus the end terms (truncation) past `_PROFILE_TOL` raises
+    `QuadratureError`; a profile that underflows is returned unchecked.
+    The nodes are the lattice prefix out to the largest radius (`_z_nodes`).
     """
     rhos = np.asarray(rhos, dtype=float)
     s, z, weights, theta_z = _z_nodes(float(rhos.max()) if rhos.size else 1.0, params.beta)
     base = _mass_weights(s, z, theta_z, weights, w, params)
-    return (4.0 * math.pi) ** (-params.d / 2.0) * (_gaussian_factor(rhos, z) @ base)
+    kernel = _gaussian_factor(rhos, z)
+    total = kernel @ base
+    coarse = 2.0 * (kernel[:, ::2] @ base[::2])
+    ends = kernel[:, 0] * base[0] + kernel[:, -1] * base[-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        residual = ((total - coarse) / total) ** 2 + ends / total
+    residual[total < np.finfo(float).tiny] = 0.0  # underflowed: 0 to any purpose
+    norm = (4.0 * math.pi) ** (-params.d / 2.0)
+    bad = np.flatnonzero(~(residual <= _PROFILE_TOL))  # a nan fails too
+    if bad.size:
+        i = bad[0]
+        raise QuadratureError(
+            f"profile quadrature failed at (rho={rhos[i]}, w={w}), residual {residual[i]:.2e}",
+            value=norm * total[i], residual=residual[i],
+        )
+    return norm * total
 
 
 # ---------------------------------------------------------------------------
@@ -288,19 +275,19 @@ def levy_half_density(z):
     return out if out.shape else float(out)
 
 
-def _theta_nodes(beta: float):
-    """The 900 spline nodes of `fast_theta`, geometric over its window.
-
-    The left edge is where the exponent reaches ~200 (density below ~1e-87,
-    beyond any integral's resolution), the right edge where the series takes
-    over.
-    """
+def _theta_z_lo(beta: float) -> float:
+    """Left edge of `fast_theta`'s spline, where theta_beta(1, z) < ~1e-87."""
     expo = (1.0 - beta) * beta ** (beta / (1.0 - beta))
-    z_lo = (expo / 200.0) ** ((1.0 - beta) / beta)
+    return (expo / 200.0) ** ((1.0 - beta) / beta)
+
+
+def _theta_nodes(beta: float):
+    """The 900 spline nodes of `fast_theta`, geometric from `_theta_z_lo` to
+    where the series takes over."""
     z_hi = 10.0
     while stable_density_tail_series(z_hi, beta)[1] > 1e-11:
         z_hi *= 1.6
-    return np.geomspace(z_lo, z_hi * 1.05, 900)
+    return np.geomspace(_theta_z_lo(beta), z_hi * 1.05, 900)
 
 
 def _build_theta_evaluator(beta: float):
@@ -342,8 +329,8 @@ class RadialKernelTable:
     p(t, x) = e^{mt} t^{-d/alpha} F(|x| t^{-1/alpha}, mt).  Interpolation is
     linear in (log rho, log F) after removing the spatial tempering factor
     e^{-(mt)^{1/alpha} rho}, which leaves nearly power-law structure on both
-    flanks.  Radii beyond the grid go to `_profile_batch`, the same
-    trapezoid rule on a longer prefix of the tables' log-z lattice.  Tables
+    flanks.  The values are the one profile rule's (`_profile_batch`), and
+    radii beyond the grid go to that rule on a longer lattice prefix.  Tables
     are made by `build_tables` (`build_table` is its one-table call): a run
     builds each march's tables in one batched quadrature before any path
     moves, and pool workers inherit them.  A table's values do not depend

@@ -8,6 +8,7 @@ from relheat import cli
 from relheat.config import ExperimentConfig, dump_config, load_config
 from relheat.errors import ParameterError
 from relheat.sampler import RngStream, sample_brownian_leg, sample_tempered_subordinator
+from relheat.specfun import ProcessParams, stable_levy_density
 
 
 @pytest.fixture
@@ -266,8 +267,9 @@ class TestMain:
             (["trace"], "chunk_points = 0\n"),
             (["trace", "--n-x", "0"], None),
             (["trace", "--budget-scale", "-1"], None),
-            # the free-density quadrature cannot resolve p(t, r) at r/t = 2500
-            (["density", "--m", "0", "--t-grid", "0.002"], None),
+            # near alpha = 2 theta's spline is too coarse for the profile
+            # quadrature's 1e-8 error bound at m t = 20
+            (["density", "--alpha", "1.9", "--m", "20", "--t-grid", "1"], None),
             (["constants", "--m", "nan"], None),
             (["trace", "--t-grid", "0"], None),
             (["trace", "--t-grid", "inf"], None),
@@ -301,6 +303,23 @@ class TestMain:
         ])
         assert code == 0
         assert (tmp_path / "constants.csv").exists()
+
+    def test_density_far_field_is_the_jump_density(self, tmp_path):
+        # p(t, x) -> t nu(x) as t -> 0: at t = 3e-7, r = 5 the scaled radius
+        # is 1.1e5
+        code = cli.main(["density", "--out", str(tmp_path), "--alpha", "1.5", "--m", "0",
+                         "--t-grid", "3e-7"])
+        assert code == 0
+        rows = (tmp_path / "density.csv").read_text().splitlines()[3:]
+        p = {float(r): float(v) for _, r, v in (row.split(",") for row in rows)}
+        nu = stable_levy_density(5.0, ProcessParams(1.5, 0.0, 2))
+        assert p[5.0] == pytest.approx(3e-7 * nu, rel=3e-3)
+
+    def test_density_small_time(self, tmp_path):
+        code = cli.main(["density", "--out", str(tmp_path), "--alpha", "1.5", "--m", "0",
+                         "--t-grid", "1e-6"])
+        assert code == 0
+        assert len((tmp_path / "density.csv").read_text().splitlines()) == 3 + 6
 
     def test_overrides_reach_artifacts(self, tmp_path):
         code = cli.main([

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from relheat import kernels, specfun
-from relheat.errors import ParameterError, StaleTableError
+from relheat.errors import ParameterError, QuadratureError, StaleTableError
 from relheat.kernels import (
     build_table,
     build_tables,
@@ -22,6 +22,48 @@ from relheat.specfun import ProcessParams, stable_subordinator_density
 
 def cauchy_kernel(r, d, t=1.0):
     return math.gamma((d + 1) / 2) / math.pi ** ((d + 1) / 2) * t / (t * t + r * r) ** ((d + 1) / 2)
+
+
+def adaptive_profile(rho, w, params):
+    """Reference F(rho, w): adaptive quadrature in z on the two sides of the
+    integrand's peak, a rule independent of the package's log-z trapezoid."""
+    theta = fast_theta(params.beta)
+    d = params.d
+    wb = w ** (1.0 / params.beta) if w > 0.0 else 0.0
+
+    def integrand(z):
+        expo = -rho * rho / (4.0 * z) - wb * z
+        return 0.0 if z <= 0.0 or expo < -745.0 else z ** (-d / 2.0) * math.exp(expo) * theta(z)
+
+    # a coarse scan locates the peak; the two quad calls then converge fast
+    zs = np.geomspace(1e-8, 1e8, 161)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        vals = np.nan_to_num(zs ** (-d / 2.0) * np.exp(-rho * rho / (4.0 * zs) - wb * zs) * theta(zs))
+    z_star = float(zs[int(np.argmax(vals))])
+    left, e1 = quad(integrand, 0.0, z_star, limit=300, epsabs=0.0, epsrel=1e-10)
+    right, e2 = quad(integrand, z_star, np.inf, limit=300, epsabs=0.0, epsrel=1e-10)
+    assert e1 + e2 <= 1e-8 * (left + right), (rho, w)
+    return (4.0 * math.pi) ** (-d / 2.0) * (left + right)
+
+
+def fourier_density_at_origin(params, t=1.0):
+    """Reference p(t, 0) at d = 2 by Fourier inversion, free of theta_beta:
+    (2 pi)^{-1} int_0^infty r e^{-t Phi(r)} dr, in x = log r."""
+    assert params.d == 2
+
+    def integrand(x):
+        return math.exp(2.0 * x - t * specfun.characteristic_exponent(math.exp(x), params))
+
+    peak = 0.0
+    while t * specfun.characteristic_exponent(math.exp(peak), params) < 1.0:
+        peak += 1.0
+    top = peak
+    while t * specfun.characteristic_exponent(math.exp(top), params) < 800.0 + 2.0 * top:
+        top += 2.0
+    left, e1 = quad(integrand, peak - 60.0, peak, limit=500, epsabs=0.0, epsrel=1e-13)
+    right, e2 = quad(integrand, peak, top, limit=500, epsabs=0.0, epsrel=1e-13)
+    assert e1 + e2 <= 1e-12 * (left + right)
+    return (left + right) / (2.0 * math.pi)
 
 
 class TestTraceCoefficient:
@@ -84,24 +126,54 @@ class TestFreeDensity:
         with pytest.raises(ParameterError):
             free_density(1.0, -1.0, params)
 
+    @pytest.mark.parametrize("alpha", [0.2, 0.3, 0.8, 1.2, 1.5])
+    @pytest.mark.parametrize("m", [0.0, 1.0, 20.0])
+    def test_fourier_oracle_at_origin(self, alpha, m):
+        params = ProcessParams(alpha, m, 2)
+        assert free_density(1.0, 0.0, params) == pytest.approx(
+            fourier_density_at_origin(params), rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.2])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_small_alpha_left_tail(self, alpha, d):
+        # theta_beta's left tail reaches e^{-51} (alpha = 0.2) and e^{-105}
+        # (alpha = 0.1), past the lattice's k = 0 node at e^{-35}
+        params = ProcessParams(alpha, 0.0, d)
+        assert free_density(0.7, 0.0, params) == pytest.approx(
+            density_upper_bound(0.7, params), rel=1e-9)
+        assert build_tables([0.0], params)[0].f0 == pytest.approx(c1_const(params), rel=1e-9)
+
+    def test_coarse_theta_spline_raises(self):
+        # near beta = 1 theta's spline is coarse: at m t = 20 the sum on every
+        # second node differs by 5e-4 and the error estimate exceeds 1e-8
+        with pytest.raises(QuadratureError) as info:
+            free_density(1.0, 0.0, ProcessParams(1.9, 20.0, 2))
+        assert info.value.value > 0.0
+        assert info.value.residual > 1e-8
+
+    def test_underflowed_far_radius(self):
+        # F ~ e^{-(mt)^{1/alpha} rho}: subnormal at rho = 725, 0 at rho = 1e3,
+        # unchecked either way (alpha = 1/2, mt = 1)
+        params = ProcessParams(0.5, 1.0, 2)
+        assert 0.0 < kernels._profile_batch(np.array([725.0]), 1.0, params)[0] < 1e-300
+        assert free_density(1.0, 1e3, params) == 0.0
+
 
 class TestCauchyDensity:
     """The closed-form kernel at alpha = 1 against the subordination quadrature."""
 
     TS = (0.005, 0.02, 0.1, 0.5, 1.0)
-    RS = (0.0, 0.001, 0.1, 0.5, 1.0, 3.0, 10.0)
+    RS = (0.0, 0.001, 0.1, 0.5, 1.0, 3.0, 10.0, 50.0)
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("m", [0.0, 1.0, 20.0])
     def test_matches_quadrature(self, d, m):
-        # scaled radii r/t reach 200, beyond the tables' last node at 50;
-        # free_density's own quadrature fails from r/t ~ 500 (d = 2, m = 0)
+        # scaled radii r/t reach 1e4, far beyond the tables' last node at 50
         params = ProcessParams(1.0, m, d)
         for t in self.TS:
             for r in self.RS:
-                if r / t <= 400.0:
-                    assert cauchy_density(t, r, params) == pytest.approx(
-                        free_density(t, r, params), rel=1e-9), (t, r)
+                assert cauchy_density(t, r, params) == pytest.approx(
+                    free_density(t, r, params), rel=1e-12), (t, r)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_large_bessel_argument(self, d):
@@ -194,7 +266,7 @@ class TestRadialTable:
         for i in idx:
             rho = table.radii[i]
             assert table.values[i] == pytest.approx(
-                free_density(1.0, rho, cauchy2d), rel=1e-8
+                cauchy_density(1.0, rho, cauchy2d), rel=1e-8
             )
 
     def test_midpoints_within_contract(self):
@@ -204,7 +276,7 @@ class TestRadialTable:
         table = build_table(params.m * t, params)
         rs = np.exp(rng.uniform(np.log(1e-3), np.log(40.0), 100)) * t ** (1 / params.alpha)
         got = table_eval(table, t, rs, params)
-        want = np.array([free_density(t, r, params) for r in rs])
+        want = cauchy_density(t, rs, params)
         assert np.max(np.abs(got / want - 1)) < 1e-4
 
     def test_monotone_values(self, cauchy2d):
@@ -215,10 +287,7 @@ class TestRadialTable:
         params = ProcessParams(1.2, 0.8, 3)
         t = 0.6
         table = build_table(params.m * t, params)
-        assert (
-            math.exp(params.m * t) * t ** (-params.d / params.alpha) * table.f0
-            == pytest.approx(free_density(t, 0.0, params), rel=1e-7)
-        )
+        assert table.f0 == pytest.approx(adaptive_profile(0.0, params.m * t, params), rel=1e-7)
 
     def test_stale_table(self, cauchy2d):
         params_m = ProcessParams(1.0, 1.0, 2)
@@ -230,13 +299,13 @@ class TestRadialTable:
         table = build_table(0.0, cauchy2d)
         r = 80.0  # beyond the 50-radius grid at t=1
         assert table_eval(table, 1.0, r, cauchy2d) == pytest.approx(
-            free_density(1.0, r, cauchy2d), rel=1e-6
+            cauchy_density(1.0, r, cauchy2d), rel=1e-6
         )
 
     def test_below_grid_uses_origin_value(self, cauchy2d):
         table = build_table(0.0, cauchy2d)
         assert table_eval(table, 1.0, 1e-5, cauchy2d) == pytest.approx(
-            free_density(1.0, 0.0, cauchy2d), rel=1e-5
+            cauchy_density(1.0, 0.0, cauchy2d), rel=1e-5
         )
 
     def test_csv_dump(self, tmp_path, cauchy2d):
@@ -355,7 +424,7 @@ class TestLogZLattice:
         params = ProcessParams(alpha, 1.0, 2)
         rhos = np.array([60.0, 120.0, 234.0])
         got = kernels._profile_batch(rhos, w, params)
-        want = np.array([kernels.scaled_profile(r, w, params) for r in rhos])
+        want = np.array([adaptive_profile(r, w, params) for r in rhos])
         assert np.max(np.abs(got / want - 1.0)) < 1e-9
 
     @pytest.mark.parametrize("alpha", [0.8, 1.2, 1.5])

@@ -519,12 +519,17 @@ class TestTrace:
 
     @pytest.mark.parametrize("alpha,builds", [(1.0, False), (1.5, True)])
     def test_kernel_tables_only_off_alpha_one(self, monkeypatch, rng, unit_ball, alpha, builds):
-        # alpha = 1 scores exits in closed form: no table, no far-field quadrature
+        # alpha = 1 scores exits in closed form: no table, no far-field
+        # quadrature; the one profile quadrature left is the first term's
+        # C1(t), at rho = 0
         calls = []
 
         def recording(name, fn):
             def wrapper(*args, **kwargs):
-                calls.append(name)
+                if name == "_profile_batch":
+                    calls.append((name, np.asarray(args[0]).tolist()))
+                else:
+                    calls.append(name)
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -537,7 +542,7 @@ class TestTrace:
         assert est.value > 0
         assert ("build_tables" in calls) == builds
         if not builds:
-            assert calls == []
+            assert calls == [("_profile_batch", [0.0])]
 
     def test_default_strata_cover_domain(self, cauchy2d, unit_ball):
         strata = default_strata(unit_ball, 0.02, cauchy2d)
