@@ -24,10 +24,11 @@ afterwards inherit the tables instead of building them.
 That rule runs on one lattice, s_k = -35 + k h (k < 0 only for alpha <
 0.3, where theta_beta's left tail passes e^{-35}), cut where the Gaussian
 factor has let go of the integrand's tail (about 2 ln rho + 30).
-theta_beta(1, e^{s_k}) is computed once per process for each beta and
-cached (`_lattice_theta`): a table build fills the lattice out to its cut
-before the pool forks, and a larger radius appends only the nodes past
-the cached ones.  A far-field call then costs one mass weight vector and
+theta_beta(1, e^{s_k}) is computed once per process for each beta, by the
+array route of `stable_subordinator_density` (`fast_theta`), and cached
+(`_lattice_theta`): a table build fills the lattice out to its cut before
+the pool forks, and a larger radius appends only the nodes past the
+cached ones.  A far-field call then costs one mass weight vector and
 one small matrix product.  The sum on every second node checks the rule:
 past 1e-8 relative error it raises `QuadratureError`.
 """
@@ -37,15 +38,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import kve
 
 from .errors import ParameterError, QuadratureError, StaleTableError
 from .specfun import (
     ProcessParams,
     gamma_strict,
-    stable_density_small_u,
-    stable_density_tail_series,
     stable_subordinator_density,
     surface_area,
 )
@@ -158,9 +156,9 @@ def _z_nodes(r_top: float, beta: float):
     Every profile quadrature uses the one lattice s_k = -35 + k h, cut at
     max(30, 2 ln r_top + 30); h puts the table build's cut (r_top =
     `TABLE_RHO_MAX`) at k = `Z_NODES` - 1.  It starts at k = 0, or for
-    alpha < 0.3 at the left edge of theta_beta's spline (`_theta_z_lo`,
-    floored at `_Z_FLOOR`).  theta_beta on the lattice is cached per beta
-    and only extended (`_lattice_theta`).
+    alpha < 0.3 where theta_beta's left tail falls below ~1e-87
+    (`_theta_z_lo`, floored at `_Z_FLOOR`).  theta_beta on the lattice is
+    cached per beta and only extended (`_lattice_theta`).
     """
     s_hi = max(30.0, 2.0 * math.log(max(1.0, r_top)) + 30.0)
     s_lo = math.log(max(_theta_z_lo(beta), _Z_FLOOR))
@@ -177,9 +175,10 @@ def _z_nodes(r_top: float, beta: float):
 def _lattice_theta(beta: float, z):
     """theta_beta(1, z) on a lattice prefix z, from the per-beta cache.
 
-    Only the nodes past the cached prefix are evaluated, and appended.
-    `fast_theta` is elementwise, so the cached values do not depend on the
-    order in which the prefix grew, nor on the process that grew it.
+    Only the nodes past the cached prefix are evaluated, by one array call
+    of `fast_theta`, and appended.  That route computes every entry on its
+    own, so the cached values do not depend on the order in which the
+    prefix grew, nor on the process that grew it.
     """
     key = round(beta, 12)
     have = _LATTICE_THETA.get(key, np.empty(0))
@@ -237,28 +236,34 @@ def _profile_batch(rhos, w, params: ProcessParams):
 
 
 # ---------------------------------------------------------------------------
-# Fast evaluator for theta_beta(1, .)
+# theta_beta(1, .) on the lattice
 # ---------------------------------------------------------------------------
 
-_THETA_CACHE: dict[float, object] = {}
 _LATTICE_THETA: dict[float, np.ndarray] = {}  # theta_beta on the lattice prefix, per beta
 
 
 def fast_theta(beta: float):
-    """Vectorized dense evaluator for theta_beta(1, .).
+    """theta_beta(1, .) as one elementwise array function.
 
-    beta = 1/2 uses the closed form.  Other beta combine a log-log cubic
-    spline over 900 nodes of the numerically relevant window, all computed
-    by one array call of `stable_subordinator_density`, the large-u series
-    where its truncation bound is below 1e-11, and the Laplace-point form in
-    the far left tail (values below ~1e-25).
+    beta = 1/2 is the closed form `levy_half_density`; other beta are the
+    array route of `stable_subordinator_density` (the large-u series where
+    its bound is below 1e-10, one Gauss-Legendre panel rule elsewhere).  A
+    scalar goes through as a 1-element array, so a node's value does not
+    depend on how it was requested.
     """
-    key = round(beta, 12)
-    ev = _THETA_CACHE.get(key)
-    if ev is None:
-        ev = _build_theta_evaluator(beta)
-        _THETA_CACHE[key] = ev
-    return ev
+    if abs(beta - 0.5) < 1e-14:
+        return levy_half_density
+
+    def theta(z):
+        z = np.asarray(z, dtype=float)
+        out = stable_subordinator_density(z.reshape(-1), beta)
+        return out.reshape(z.shape) if z.ndim else float(out[0])
+
+    return theta
+
+
+# perfbench's tracer times the theta evaluator under this name
+_build_theta_evaluator = fast_theta
 
 
 def levy_half_density(z):
@@ -276,46 +281,10 @@ def levy_half_density(z):
 
 
 def _theta_z_lo(beta: float) -> float:
-    """Left edge of `fast_theta`'s spline, where theta_beta(1, z) < ~1e-87."""
+    """Where theta_beta(1, z)'s left tail falls below ~1e-87 (from its
+    Laplace-point asymptotic): the lattice starts there for alpha < 0.3."""
     expo = (1.0 - beta) * beta ** (beta / (1.0 - beta))
     return (expo / 200.0) ** ((1.0 - beta) / beta)
-
-
-def _theta_nodes(beta: float):
-    """The 900 spline nodes of `fast_theta`, geometric from `_theta_z_lo` to
-    where the series takes over."""
-    z_hi = 10.0
-    while stable_density_tail_series(z_hi, beta)[1] > 1e-11:
-        z_hi *= 1.6
-    return np.geomspace(_theta_z_lo(beta), z_hi * 1.05, 900)
-
-
-def _build_theta_evaluator(beta: float):
-    if abs(beta - 0.5) < 1e-14:
-        return levy_half_density
-
-    zs = _theta_nodes(beta)
-    vals = stable_subordinator_density(zs, beta)
-    spline = CubicSpline(np.log(zs), np.log(np.maximum(vals, 1e-300)))
-    lo, hi = math.log(zs[0]), math.log(zs[-1])
-
-    def evaluate(z):
-        z = np.asarray(z, dtype=float)
-        scalar = z.ndim == 0
-        z = np.atleast_1d(z)
-        out = np.zeros_like(z)
-        mid = (z >= math.exp(lo)) & (z <= math.exp(hi))
-        if mid.any():
-            out[mid] = np.exp(spline(np.log(z[mid])))
-        left = (z > 0.0) & (z < math.exp(lo))
-        if left.any():
-            out[left] = stable_density_small_u(z[left], beta)
-        big = z > math.exp(hi)
-        if big.any():
-            out[big] = stable_density_tail_series(z[big], beta)[0]
-        return out[0] if scalar else out
-
-    return evaluate
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ __all__ = [
     "tempered_density",
     "kanter_factor",
     "stable_density_tail_series",
-    "stable_density_small_u",
 ]
 
 
@@ -242,7 +241,9 @@ def stable_subordinator_density(u, beta: float, rel_tol: float = 1e-9):
     three panels for all its entries, to 1e-10 relative (see
     `_theta_panels`).  Where a quadrature cannot reach its tolerance, either
     route returns the large-u series if its truncation bound is below
-    max(rel_tol, 1e-9), and raises `QuadratureError` otherwise.
+    max(rel_tol, 1e-9), and raises `QuadratureError` otherwise.  The array
+    route is the package's theta_beta for every profile quadrature: it fills
+    the kernels' log-z lattice (`kernels.fast_theta`).
     """
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"beta must be in (0, 1), got {beta}")
@@ -479,9 +480,12 @@ def tempered_density(t: float, u: float, params: ProcessParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Asymptotic expansions (used by the fast kernel evaluator and by tail
-# corrections in integrals against theta)
+# Large-u series (the right tail of theta_beta's array and float routes,
+# and tail corrections in integrals against theta)
 # ---------------------------------------------------------------------------
+
+_LOG_FLOAT_MAX = 709.0  # e^709 is near the largest float
+
 
 def _truncate_rows(terms):
     """Sum each row of an asymptotic alternating series up to its smallest term.
@@ -524,17 +528,29 @@ def stable_density_tail_series(u, beta: float, kmax: int = 90):
     sin(pi k beta) u^{-k beta - 1}, truncated at the smallest term.
 
     `u` is a scalar or an array.  Returns (value, relative truncation bound),
-    floats for a scalar `u` and arrays of its shape otherwise.
+    floats for a scalar `u` and arrays of its shape otherwise.  Far left of
+    the series' range (u below about 3e-5 at beta = 3/4) the high powers
+    would overflow: they are not evaluated, and the bound is inf there.
     """
     k, coef = _series_coefficients(beta, kmax)
     u = np.asarray(u, dtype=float)
-    terms = coef * u.reshape(-1, 1) ** (-k * beta - 1.0)
-    total, omitted = _truncate_rows(terms)
+    powers, whole = _series_powers(u, -k * beta - 1.0)
+    total, omitted = _truncate_rows(coef * powers)
     value = total / math.pi
     bound = omitted / math.pi / np.maximum(np.abs(value), 1e-300)
+    bound[~whole] = np.inf
     if u.ndim == 0:
         return float(value[0]), float(bound[0])
     return value.reshape(u.shape), bound.reshape(u.shape)
+
+
+def _series_powers(u, expo):
+    """u^expo for every entry of u (rows) and of expo (columns), and which
+    rows kept all their powers.  A power that would overflow (u < 1, high
+    k) is not evaluated and stays 0, trailing like an underflowed term."""
+    col = u.reshape(-1, 1)
+    fits = np.log(col) * expo < _LOG_FLOAT_MAX
+    return np.power(col, expo, out=np.zeros(fits.shape), where=fits), fits.all(axis=1)
 
 
 def _sine_factor(k, beta):
@@ -549,23 +565,8 @@ def stable_density_tail_mass(u: float, beta: float, kmax: int = 90):
     """Tail probability int_u^infty theta_beta(1,v) dv by termwise integration
     of the large-u series.  Returns (value, relative truncation bound)."""
     k, coef = _series_coefficients(beta, kmax)
-    terms = coef * u ** (-k * beta) / (k * beta)
-    total, omitted = _truncate_rows(terms[None, :])
+    powers, whole = _series_powers(np.asarray(u, dtype=float), -k * beta)
+    total, omitted = _truncate_rows(coef * powers / (k * beta))
     value = float(total[0]) / math.pi
-    bound = float(omitted[0]) / math.pi / max(abs(value), 1e-300)
+    bound = float(omitted[0]) / math.pi / max(abs(value), 1e-300) if whole[0] else math.inf
     return value, bound
-
-
-def stable_density_small_u(u, beta: float):
-    """Laplace-point asymptotic of theta_beta(1,u) as u -> 0+.
-
-    Relative error is O(u^{beta/(1-beta)}); only used far in the left tail
-    where the density is below ~1e-25.
-    """
-    b = beta
-    expo = (1.0 - b) * b ** (b / (1.0 - b))
-    c = b ** (1.0 / (2.0 * (1.0 - b))) / math.sqrt(2.0 * math.pi * (1.0 - b))
-    u = np.asarray(u, dtype=float)
-    with np.errstate(over="ignore", under="ignore"):
-        out = c * u ** (-(2.0 - b) / (2.0 * (1.0 - b))) * np.exp(-expo * u ** (-b / (1.0 - b)))
-    return out if out.shape else float(out)

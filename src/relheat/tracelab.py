@@ -277,8 +277,9 @@ def _from_moments(moments, dt, t, meta) -> TraceEstimate:
 def _warm(grids, params):
     """Build every kernel table a march on the (t, n_steps, dt) grids can use.
 
-    Called before `_execute`, so the tables, and the theta_beta evaluator
-    they need, are in the process a pool forks and its workers build none.
+    Called before `_execute`, so the tables, and the theta_beta values on
+    the log-z lattice they need, are in the process a pool forks and its
+    workers build none.
     The products m * (t - (k - 1/2) dt) are those `_kernel_at_exits` asks
     for; at m = 0 they are all one product, and this is a single lookup.
     """

@@ -267,9 +267,11 @@ class TestMain:
             (["trace"], "chunk_points = 0\n"),
             (["trace", "--n-x", "0"], None),
             (["trace", "--budget-scale", "-1"], None),
-            # near alpha = 2 theta's spline is too coarse for the profile
+            # near alpha = 2 the lattice step is too coarse for the profile
             # quadrature's 1e-8 error bound at m t = 20
             (["density", "--alpha", "1.9", "--m", "20", "--t-grid", "1"], None),
+            # at alpha = 0.01 theta's mass reaches past both lattice ends
+            (["density", "--alpha", "0.01", "--m", "0", "--t-grid", "1"], None),
             (["constants", "--m", "nan"], None),
             (["trace", "--t-grid", "0"], None),
             (["trace", "--t-grid", "inf"], None),
@@ -279,7 +281,8 @@ class TestMain:
             (["subordinator", "--seed", "-1"], None),
             (["constants"], "fmt = jsonl\n"),
         ],
-        ids=["steps", "chunk_points", "n_x", "budget_scale", "density_quadrature", "m_nan",
+        ids=["steps", "chunk_points", "n_x", "budget_scale", "density_quadrature",
+             "density_tiny_alpha", "m_nan",
              "t_zero", "t_inf", "t_nan", "constants_t_zero", "seed", "subordinator_seed",
              "fmt_jsonl"],
     )

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,12 +127,17 @@ class TestFreeDensity:
         with pytest.raises(ParameterError):
             free_density(1.0, -1.0, params)
 
-    @pytest.mark.parametrize("alpha", [0.2, 0.3, 0.8, 1.2, 1.5])
-    @pytest.mark.parametrize("m", [0.0, 1.0, 20.0])
+    @pytest.mark.parametrize(
+        "m,alpha",
+        [(m, a) for m in (0.0, 1.0, 20.0) for a in (0.2, 0.3, 0.8, 1.2, 1.5)]
+        + [(m, 1.9) for m in (0.0, 1.0, 4.0, 8.0)],
+    )
     def test_fourier_oracle_at_origin(self, alpha, m):
+        # near alpha = 2 the profile keeps to its promised 1e-8 (3.8e-9 off
+        # at m = 8), not to 1e-9
         params = ProcessParams(alpha, m, 2)
         assert free_density(1.0, 0.0, params) == pytest.approx(
-            fourier_density_at_origin(params), rel=1e-9)
+            fourier_density_at_origin(params), rel=1e-8 if alpha == 1.9 else 1e-9)
 
     @pytest.mark.parametrize("alpha", [0.1, 0.2])
     @pytest.mark.parametrize("d", [2, 3])
@@ -143,13 +149,20 @@ class TestFreeDensity:
             density_upper_bound(0.7, params), rel=1e-9)
         assert build_tables([0.0], params)[0].f0 == pytest.approx(c1_const(params), rel=1e-9)
 
-    def test_coarse_theta_spline_raises(self):
-        # near beta = 1 theta's spline is coarse: at m t = 20 the sum on every
-        # second node differs by 5e-4 and the error estimate exceeds 1e-8
+    def test_coarse_lattice_step_raises(self):
+        # near alpha = 2 at m t = 20 the lattice step is too coarse for the
+        # integrand: the sum on every second node differs by 5e-4, and the
+        # error estimate, 2.9e-7, exceeds 1e-8
         with pytest.raises(QuadratureError) as info:
             free_density(1.0, 0.0, ProcessParams(1.9, 20.0, 2))
         assert info.value.value > 0.0
         assert info.value.residual > 1e-8
+
+    def test_tiny_alpha_raises(self):
+        # at alpha = 0.01 theta_beta's mass reaches past both ends of the
+        # lattice (its left end floored at _Z_FLOOR): typed, not a ValueError
+        with pytest.raises(QuadratureError):
+            free_density(1.0, 0.0, ProcessParams(0.01, 0.0, 2))
 
     def test_underflowed_far_radius(self):
         # F ~ e^{-(mt)^{1/alpha} rho}: subnormal at rho = 725, 0 at rho = 1e3,
@@ -240,23 +253,48 @@ class TestFastTheta:
         want = zs**-1.5 * np.exp(-1 / (4 * zs)) / (2 * math.sqrt(math.pi))
         assert np.allclose(ev(zs), want, rtol=1e-12)
 
-    def test_spline_matches_quadrature(self):
+    def test_is_the_array_route(self):
         ev = fast_theta(0.7)
         zs = np.geomspace(0.05, 200.0, 60)
-        exact = np.array([stable_subordinator_density(z, 0.7) for z in zs])
-        assert np.max(np.abs(ev(zs) / exact - 1)) < 1e-7
+        assert np.array_equal(ev(zs), stable_subordinator_density(zs, 0.7))
+        # a scalar is a 1-element array: the same bits as the node in a batch
+        assert all(ev(float(z)) == v for z, v in zip(zs, ev(zs)))
+        exact = np.array([stable_subordinator_density(float(z), 0.7) for z in zs])
+        assert np.max(np.abs(ev(zs) / exact - 1)) < 1e-9
 
-    def test_spline_nodes_take_no_one_point_quadrature(self, monkeypatch):
-        # the 900 nodes are one array call of the panel rule; one adaptive
-        # quad per node would cost about 20x as much
+    def test_lattice_takes_no_one_point_quadrature(self, monkeypatch):
+        # the table build's 3000 nodes are one array call of the panel rule;
+        # one adaptive quad per node would cost about 20x as much
         calls = []
         one_point = specfun._theta_adaptive
         monkeypatch.setattr(specfun, "_theta_adaptive", lambda *a: calls.append(a) or one_point(*a))
-        monkeypatch.setattr(kernels, "_THETA_CACHE", {})
-        fast_theta(0.7)
+        monkeypatch.setattr(kernels, "_LATTICE_THETA", {})
+        kernels._z_nodes(kernels.TABLE_RHO_MAX, 0.7)
         assert calls == []
         stable_subordinator_density(1.0, 0.7)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("beta", [0.75, 0.9, 0.95])
+    def test_lattice_theta_is_a_law(self, beta, monkeypatch):
+        # int theta dz = 1 and int e^{-z} theta dz = e^{-1} (phi(1) = 1 at
+        # m = 0), both by the lattice's own trapezoid sum in log z
+        monkeypatch.setattr(kernels, "_LATTICE_THETA", {})
+        s, z, weights, theta_z = kernels._z_nodes(kernels.TABLE_RHO_MAX, beta)
+        mass = weights * z * theta_z
+        assert abs(mass.sum() - 1.0) < 1e-10
+        assert abs((mass * np.exp(-z)).sum() - math.exp(-1.0)) < 1e-10
+
+    def test_lattice_build_raises_no_warning(self, monkeypatch):
+        # the large-u series is asked for every node, down to z = e^{-35},
+        # where its high powers would overflow
+        monkeypatch.setattr(kernels, "_LATTICE_THETA", {})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernels._z_nodes(kernels.TABLE_RHO_MAX, 0.75)
+            value, bound = specfun.stable_density_tail_series(1e-15, 0.75)
+            mass, mass_bound = specfun.stable_density_tail_mass(1e-15, 0.75)
+        assert math.isfinite(value) and math.isfinite(mass)
+        assert bound == mass_bound == math.inf
 
 
 class TestRadialTable:
@@ -406,9 +444,9 @@ class TestLogZLattice:
         monkeypatch.setattr(kernels, "_LATTICE_THETA", {})
         kernels._profile_batch(np.array([80.0, 234.0]), 0.3, params)
         calls = []
-        series = kernels.stable_density_tail_series
+        theta = kernels.stable_subordinator_density
         monkeypatch.setattr(
-            kernels, "stable_density_tail_series", lambda u, b: calls.append(u) or series(u, b)
+            kernels, "stable_subordinator_density", lambda u, b: calls.append(u) or theta(u, b)
         )
         kernels._profile_batch(np.array([234.0]), 0.3, params)
         kernels._profile_batch(np.array([60.0, 100.0]), 0.7, params)

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln
 
+from relheat import kernels
 from relheat.errors import ParameterError, SingularityError
-from relheat.kernels import _theta_nodes, levy_half_density
+from relheat.kernels import levy_half_density
 from relheat.specfun import (
     ProcessParams,
     _log_kanter,
@@ -202,12 +203,19 @@ class TestStableSubordinatorDensity:
         assert changes == 1
 
 
+def lattice_window(beta):
+    """The table build's log-z lattice nodes where theta_beta(1, .) is
+    positive, from the left: the nodes the package evaluates."""
+    s, z, weights, theta_z = kernels._z_nodes(kernels.TABLE_RHO_MAX, beta)
+    return z[theta_z > 0.0]
+
+
 class TestSubordinatorDensityArrays:
     @pytest.mark.parametrize("beta", [0.3, 0.6, 0.75, 0.9])
     def test_array_route_matches_float_route(self, beta):
-        # over the theta spline's own nodes; at beta = 0.9 the rows near the
-        # right edge pass only after refining past 64 nodes per panel
-        zs = _theta_nodes(beta)
+        # over the table lattice's nodes; at beta = 0.9 one row passes only
+        # after refining past 64 nodes per panel
+        zs = lattice_window(beta)
         got = stable_subordinator_density(zs, beta)
         want = np.array([stable_subordinator_density(float(z), beta) for z in zs])
         assert np.max(np.abs(got / want - 1.0)) < 1e-10
@@ -248,7 +256,8 @@ class TestSubordinatorDensityArrays:
 
     @pytest.mark.parametrize("beta", [0.3, 0.75, 0.9])
     def test_entries_do_not_depend_on_the_batch(self, beta):
-        us = _theta_nodes(beta)[::9]
+        # the panel rule's rows, and at beta = 0.9 the first series rows
+        us = lattice_window(beta)[:100]
         got = stable_subordinator_density(us, beta)
         for u, v in zip(us, got):
             assert stable_subordinator_density(np.array([u]), beta)[0] == v
@@ -292,8 +301,9 @@ def tail_series_one_point(u, beta, kmax=90):
 class TestTailSeries:
     @pytest.mark.parametrize("beta", [0.6, 0.7, 0.75])
     def test_array_equals_one_point_series(self, beta):
-        # the fast theta evaluator sends its whole right tail through one
-        # array call; each entry must be the one-point series bit for bit
+        # theta's array route sends every lattice node through one array
+        # call of the series; each entry must be the one-point series bit
+        # for bit
         us = np.geomspace(50.0, 1e16, 400)
         values, bounds = stable_density_tail_series(us, beta)
         assert values.shape == bounds.shape == us.shape

@@ -37,13 +37,11 @@ C4_REFERENCE = {"value": 0.0502798, "stderr": 0.0000627}  # frozen high-budget r
 
 
 def cached_in_worker(keys, beta):
-    """Pool probe: which kernel tables, theta evaluator and theta values on
-    the tables' log-z lattice a worker starts with."""
-    key = round(beta, 12)
+    """Pool probe: which kernel tables and theta values on the tables'
+    log-z lattice a worker starts with."""
     return (
         all(k in kernels._TABLE_CACHE for k in keys),
-        key in kernels._THETA_CACHE,
-        len(kernels._LATTICE_THETA.get(key, ())) >= kernels.Z_NODES,
+        len(kernels._LATTICE_THETA.get(round(beta, 12), ())) >= kernels.Z_NODES,
     )
 
 
@@ -296,8 +294,8 @@ class TestREstimate:
         assert a.stderr == b.stderr
 
     def test_pool_workers_inherit_warm_tables(self):
-        # after _warm the parent holds every table the march can ask for,
-        # theta_3/4 and its values on the lattice; forked workers must find
+        # after _warm the parent holds every table the march can ask for
+        # and theta_3/4's values on the lattice; forked workers must find
         # them instead of building them
         from relheat.tracelab import _execute, _warm
 
@@ -310,7 +308,7 @@ class TestREstimate:
         ]
         _warm([(t, n_steps, dt)], params)
         seen = _execute(cached_in_worker, [(keys, params.beta)] * 2, workers=2)
-        assert seen == [(True, True, True)] * 2
+        assert seen == [(True, True)] * 2
 
     @pytest.mark.parametrize(
         "workers,n_tasks,size", [(2, 5, 2), (8, 3, 3), (10**9, 4, 4), (1, 4, None), (3, 1, None)]
