@@ -249,14 +249,18 @@ def fast_theta(beta: float):
     array route of `stable_subordinator_density` (the large-u series where
     its bound is below 1e-10, one Gauss-Legendre panel rule elsewhere).  A
     scalar goes through as a 1-element array, so a node's value does not
-    depend on how it was requested.
+    depend on how it was requested.  z <= 0 gives 0 at every beta; NaN
+    raises `ParameterError`.
     """
     if abs(beta - 0.5) < 1e-14:
         return levy_half_density
 
     def theta(z):
         z = np.asarray(z, dtype=float)
-        out = stable_subordinator_density(z.reshape(-1), beta)
+        flat = z.reshape(-1)
+        out = np.zeros_like(flat)
+        keep = ~(flat <= 0.0)
+        out[keep] = stable_subordinator_density(flat[keep], beta)
         return out.reshape(z.shape) if z.ndim else float(out[0])
 
     return theta
@@ -270,7 +274,7 @@ def levy_half_density(z):
     """Closed form theta_{1/2}(1, z) = z^{-3/2} e^{-1/(4z)} / (2 sqrt(pi)),
     the Levy density; 0 for z <= 0."""
     z = np.asarray(z, dtype=float)
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         out = np.where(
             z > 0.0,
             z ** -1.5 * np.exp(-1.0 / (4.0 * np.maximum(z, 1e-320)))

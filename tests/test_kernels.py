@@ -262,6 +262,13 @@ class TestFastTheta:
         exact = np.array([stable_subordinator_density(float(z), 0.7) for z in zs])
         assert np.max(np.abs(ev(zs) / exact - 1)) < 1e-9
 
+    @pytest.mark.parametrize("beta", [0.5, 0.7])
+    def test_zero_off_the_positive_axis(self, beta):
+        ev = fast_theta(beta)
+        got = ev(np.array([-1.0, 0.0, 1.0]))
+        assert got[0] == got[1] == ev(0.0) == 0.0
+        assert got[2] == ev(1.0) > 0.0
+
     def test_lattice_takes_no_one_point_quadrature(self, monkeypatch):
         # the table build's 3000 nodes are one array call of the panel rule;
         # one adaptive quad per node would cost about 20x as much

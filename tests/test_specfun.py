@@ -256,8 +256,14 @@ class TestSubordinatorDensityArrays:
 
     @pytest.mark.parametrize("beta", [0.3, 0.75, 0.9])
     def test_entries_do_not_depend_on_the_batch(self, beta):
-        # the panel rule's rows, and at beta = 0.9 the first series rows
-        us = lattice_window(beta)[:100]
+        # 100 lattice rows spread from the left edge of theta's window to 32
+        # rows past where the series takes over: the panel rule's rows with
+        # the peak, at beta = 0.9 every row, the refined ones among them
+        zs = lattice_window(beta)
+        series_rows = stable_density_tail_series(zs, beta)[1] < 1e-10
+        rows = np.unique(np.linspace(0, np.argmax(series_rows) + 31, 100).round().astype(int))
+        assert len(rows) == 100 and series_rows[rows].any() and not series_rows[rows].all()
+        us = zs[rows]
         got = stable_subordinator_density(us, beta)
         for u, v in zip(us, got):
             assert stable_subordinator_density(np.array([u]), beta)[0] == v
