@@ -8,6 +8,13 @@ exponential-tilting rejection with acceptance probability e^{-m dt} per
 proposal.  Process increments are Gaussian with per-coordinate variance
 2u conditional on the subordinator value u, matching the Brownian
 convention E e^{i xi . B_t} = e^{-t |xi|^2}.
+
+The exit engine draws for many chunks of paths at once, one generator
+per chunk: `sample_tempered_blocks` and `sample_leg_blocks` have each
+generator make its raw draws (normals, angles, exponentials, uniforms)
+for its block of rows, exactly the calls it makes alone, and run each
+transform once on all blocks.  The one-generator samplers are their
+one-block case.
 """
 
 import math
@@ -23,7 +30,9 @@ __all__ = [
     "PathGrid",
     "kanter_transform",
     "sample_stable_subordinator",
+    "sample_tempered_blocks",
     "sample_tempered_subordinator",
+    "sample_leg_blocks",
     "sample_brownian_leg",
     "sample_increment",
     "empirical_transform",
@@ -94,6 +103,42 @@ def kanter_transform(phi, w, dt: float, beta: float):
     return dt ** (1.0 / beta) * (a / w) ** ((1.0 - beta) / beta)
 
 
+def _proposal_draws(beta: float, gen: np.random.Generator, out):
+    """One generator's draws for len(out[0]) stable proposals, into `out`
+    in the order it makes them: the normals Z at beta = 1/2 (one row),
+    else the angles phi ~ Uniform(0, pi) and then W ~ Exp(1) (two rows)."""
+    if beta == 0.5:
+        gen.standard_normal(out=out[0])
+    else:
+        out[0] = gen.uniform(0.0, math.pi, out.shape[1])
+        gen.standard_exponential(out=out[1])
+
+
+def _stable_from_draws(draws, dt: float, beta: float):
+    """T_beta(dt) from the rows of `_proposal_draws`: the Levy draw
+    dt^2 / (2 Z^2) at beta = 1/2, `kanter_transform` at every other beta."""
+    if beta == 0.5:
+        z = draws[0]
+        return dt * dt / (2.0 * z * z)
+    return kanter_transform(draws[0], draws[1], dt, beta)
+
+
+def _stable_blocks(dt: float, beta: float, gens, counts, uniforms=None):
+    """Stable proposals for consecutive blocks of rows, block c drawn by
+    gens[c] (no draw at all for an empty block); with `uniforms`, each
+    generator then draws its block's uniforms into it.  The transform runs
+    once, on all blocks."""
+    draws = np.empty((1 if beta == 0.5 else 2, int(sum(counts))))
+    lo = 0
+    for gen, k in zip(gens, counts):
+        if k:
+            _proposal_draws(beta, gen, draws[:, lo:lo + k])
+            if uniforms is not None:
+                gen.random(out=uniforms[lo:lo + k])
+            lo += k
+    return _stable_from_draws(draws, dt, beta)
+
+
 def sample_stable_subordinator(dt: float, beta: float, rng: RngStream | np.random.Generator, size=None):
     """Draws of T_beta(dt), the subordinator with E e^{-lam T} = e^{-dt lam^beta}.
 
@@ -107,14 +152,54 @@ def sample_stable_subordinator(dt: float, beta: float, rng: RngStream | np.rando
         raise ParameterError(f"beta must be in (0, 1), got {beta}")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     n = 1 if size is None else int(size)
-    if beta == 0.5:
-        z = gen.standard_normal(n)
-        out = dt * dt / (2.0 * z * z)
-    else:
-        phi = gen.uniform(0.0, math.pi, n)
-        w = gen.standard_exponential(n)
-        out = kanter_transform(phi, w, dt, beta)
+    out = _stable_blocks(dt, beta, [gen], [n])
     return float(out[0]) if size is None else out
+
+
+def sample_tempered_blocks(
+    dt: float,
+    params: ProcessParams,
+    gens,
+    counts,
+    acceptance_floor: float = ACCEPTANCE_FLOOR,
+):
+    """Relativistic subordinator steps T_beta(dt, m) for consecutive blocks
+    of rows, by tilting rejection; returns (draws, number of proposals).
+
+    Proposals are stable draws accepted with probability e^{-m^{1/beta} u};
+    the overall acceptance rate is e^{-m dt}.  When that rate falls below
+    `acceptance_floor` the step is refused outright.  Generator gens[c]
+    makes block c's counts[c] draws: its proposals, then (m > 0) their
+    acceptance uniforms, then the same for its rejected rows, until none is
+    left, the calls of a march of that block alone.  The transforms and the
+    acceptance test run once per round on every block together.
+    """
+    if dt <= 0.0:
+        raise ParameterError(f"dt must be > 0, got {dt}")
+    expected_rate = math.exp(-params.m * dt)
+    if expected_rate < acceptance_floor:
+        raise StepTooLargeError(
+            f"tempering acceptance e^(-m dt) = {expected_rate:.3e} below floor "
+            f"{acceptance_floor:.1e}; reduce dt below {-math.log(acceptance_floor) / params.m:.3e}"
+        )
+    beta = params.beta
+    n = int(sum(counts))
+    if params.m == 0.0:
+        return _stable_blocks(dt, beta, gens, counts), n
+    tilt = params.m ** (1.0 / beta)
+    ends = np.cumsum(counts)
+    uniforms = np.empty(n)
+    out = np.empty(n)
+    pending = np.arange(n)
+    n_proposals = 0
+    while len(pending):
+        left = np.diff(np.searchsorted(pending, ends), prepend=0)
+        u = _stable_blocks(dt, beta, gens, left, uniforms)
+        n_proposals += len(pending)
+        accept = uniforms[:len(pending)] < np.exp(-tilt * u)
+        out[pending[accept]] = u[accept]
+        pending = pending[~accept]
+    return out, n_proposals
 
 
 def sample_tempered_subordinator(
@@ -125,50 +210,35 @@ def sample_tempered_subordinator(
     return_stats: bool = False,
     acceptance_floor: float = ACCEPTANCE_FLOOR,
 ):
-    """Draws of the relativistic subordinator T_beta(dt, m) by tilting rejection.
-
-    Proposals are stable draws accepted with probability e^{-m^{1/beta} u};
-    the overall acceptance rate is e^{-m dt}.  When that rate falls below
-    `acceptance_floor` the step is refused outright.
-    """
-    if dt <= 0.0:
-        raise ParameterError(f"dt must be > 0, got {dt}")
-    expected_rate = math.exp(-params.m * dt)
-    if expected_rate < acceptance_floor:
-        raise StepTooLargeError(
-            f"tempering acceptance e^(-m dt) = {expected_rate:.3e} below floor "
-            f"{acceptance_floor:.1e}; reduce dt below {-math.log(acceptance_floor) / params.m:.3e}"
-        )
+    """Draws of the relativistic subordinator T_beta(dt, m) by tilting
+    rejection: `sample_tempered_blocks` with one block."""
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     n = 1 if size is None else int(size)
-    beta = params.beta
-    if params.m == 0.0:
-        out = sample_stable_subordinator(dt, beta, gen, size=n)
-        out = np.atleast_1d(out)
-        n_proposals = n
-    else:
-        tilt = params.m ** (1.0 / beta)
-        out = np.empty(n)
-        pending = np.arange(n)
-        n_proposals = 0
-        while len(pending):
-            u = sample_stable_subordinator(dt, beta, gen, size=len(pending))
-            n_proposals += len(pending)
-            accept = gen.random(len(pending)) < np.exp(-tilt * u)
-            out[pending[accept]] = u[accept]
-            pending = pending[~accept]
+    out, n_proposals = sample_tempered_blocks(dt, params, [gen], [n], acceptance_floor)
     result = float(out[0]) if size is None else out
     if return_stats:
         return result, n_proposals
     return result
 
 
+def sample_leg_blocks(u, d: int, gens, counts):
+    """Gaussian displacements over operational times u, per-coordinate
+    variance 2u, for consecutive blocks of rows: gens[c] draws block c's
+    (counts[c], d) normals in one call, and the scaling runs once."""
+    g = np.empty((len(u), d))
+    lo = 0
+    for gen, k in zip(gens, counts):
+        if k:
+            gen.standard_normal(out=g[lo:lo + k])
+            lo += k
+    g *= np.sqrt(2.0 * u)[:, None]
+    return g
+
+
 def sample_brownian_leg(u, d: int, gen: np.random.Generator):
     """Gaussian displacement over operational time u: per-coordinate variance 2u."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    g = gen.standard_normal((len(u), d))
-    g *= np.sqrt(2.0 * u)[:, None]
-    return g
+    return sample_leg_blocks(u, d, [gen], [len(u)])
 
 
 def sample_increment(dt: float, params: ProcessParams, rng: RngStream | np.random.Generator, size=None):

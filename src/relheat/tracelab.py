@@ -9,12 +9,17 @@ Richardson extrapolation; the extrapolated value is the reported one and
 the ladder difference is the reported bias budget.
 
 r_D at a point, the half-space profile f_H(t, q) and the strata of int_D
-r_D are one expectation at different start points.  One chunk task,
-`_march_chunk`, marches and scores paths from given start points; each
-estimator call hands `_march` one group of chunks per point request or
-per (ladder level, stratum), and `_march` runs them all through one
-`_execute`, after one `_warm` of the kernel tables when alpha != 1
-(alpha = 1 scores exits in closed form).
+r_D are one expectation at different start points.  Each estimator call
+hands `_march` one group of chunks per point request or per (ladder
+level, stratum); a chunk is the unit of a random stream, paths from given
+start points on one generator.  `_march` packs the chunks of one
+(t, n_steps, dt) grid into batches of at most one full chunk's rows, and
+the one march task, `_march_batch`, marches a batch in lockstep as one
+array (`_run_exits`) and scores it chunk by chunk.  Each chunk's
+generator makes the draws of a march of that chunk alone, so every output
+is bit for bit that of marching the chunks one by one.  All batches run
+through one `_execute`, after one `_warm` of the kernel tables when
+alpha != 1 (alpha = 1 scores exits in closed form).
 
 Spatial integrals over a bounded domain use stratified sampling on
 boundary layers of width ~t^{1/alpha} (refined near the boundary), each
@@ -24,6 +29,7 @@ to volume times the interior-decay envelope min(t/delta^{d+alpha}, t^{-d/alpha})
 
 import functools
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -39,7 +45,9 @@ from .kernels import (
     free_density,
     table_eval,
 )
-from .sampler import PathGrid, RngStream, sample_brownian_leg, sample_tempered_subordinator
+from .sampler import PathGrid, RngStream, sample_leg_blocks, sample_tempered_blocks
+# perfbench's tracer test patches the name here
+from .sampler import sample_tempered_subordinator  # noqa: F401
 from .specfun import ProcessParams
 
 __all__ = [
@@ -144,7 +152,14 @@ class RyznarReport:
 
 @dataclass(frozen=True)
 class Budgets:
-    """Sample budgets for the composite estimators."""
+    """Sample budgets for the composite estimators.
+
+    `chunk_points` is the most start points of a `z_trace` chunk.  A chunk
+    is the unit of a random stream (its points and paths come from one
+    substream, whatever the worker count), and chunk_points x n_paths is
+    the most rows marched at once: smaller chunks of one grid march
+    together up to that many rows.
+    """
 
     n_paths: int = 2000
     n_x: int = 4000
@@ -166,16 +181,24 @@ def _snap_steps(t: float, dt: float):
     return n_steps, t / n_steps
 
 
-def _run_exits(starts, domain, t, n_steps, dt, params, gen):
-    """March paths from `starts` until exit or horizon.
+def _run_exits(chunks, domain, t, n_steps, dt, params):
+    """March the paths of `chunks`, (starts, gen) pairs, until exit or
+    horizon, all in one array.
 
-    Returns (exited, exit_step, exit_dist): boolean mask, first grid index
-    outside the domain, and |X_exit - start|.  `pos` holds the alive rows
-    only, in path order (`idx`, their paths), so every draw and every sum
-    falls bit for bit as in a march updating all n rows in place.
+    Returns each chunk's (exited, exit_step, exit_dist): boolean mask,
+    first grid index outside the domain, and |X_exit - start|.  `pos` holds
+    the alive rows only, in path order (`idx`, their paths).  Each chunk's
+    generator makes the draws of a march of that chunk alone, and the
+    arithmetic is row by row, so every draw and every sum falls bit for bit
+    as in a march of each chunk alone, updating all its rows in place.
     """
+    gens = [gen for _, gen in chunks]
+    sizes = [len(s) for s, _ in chunks]
+    starts = np.concatenate([s for s, _ in chunks], dtype=float)
+    ends = np.cumsum(sizes)
+    counts = sizes  # alive rows of each chunk
     n = len(starts)
-    pos = np.array(starts, dtype=float)
+    pos = starts.copy()
     idx = np.arange(n)
     exited = np.zeros(n, dtype=bool)
     exit_step = np.zeros(n, dtype=np.int64)
@@ -183,8 +206,8 @@ def _run_exits(starts, domain, t, n_steps, dt, params, gen):
     for k in range(1, n_steps + 1):
         if len(idx) == 0:
             break
-        u = sample_tempered_subordinator(dt, params, gen, size=len(idx))
-        pos += sample_brownian_leg(u, params.d, gen)
+        u, _ = sample_tempered_blocks(dt, params, gens, counts)
+        pos += sample_leg_blocks(u, params.d, gens, counts)
         inside = domain.contains(pos)
         if not inside.all():
             out = idx[~inside]
@@ -192,7 +215,9 @@ def _run_exits(starts, domain, t, n_steps, dt, params, gen):
             exit_step[out] = k
             exit_dist[out] = row_norms(pos[~inside] - starts[out])
             pos, idx = pos[inside], idx[inside]
-    return exited, exit_step, exit_dist
+            counts = np.diff(np.searchsorted(idx, ends), prepend=0)
+    return [(exited[b - size:b], exit_step[b - size:b], exit_dist[b - size:b])
+            for size, b in zip(sizes, ends)]
 
 
 def _kernel_at_exits(exited, exit_step, exit_dist, t, dt, params):
@@ -219,30 +244,63 @@ def _kernel_at_exits(exited, exit_step, exit_dist, t, dt, params):
     return vals
 
 
-def _march_chunk(params, domain, t, n_steps, dt, points, n_paths, gen):
-    """The one chunk task: `n_paths` paths from each of `points`, marched on
-    the (n_steps, dt) grid with `gen` and scored at their exits.
+def _march_batch(params, domain, t, n_steps, dt, chunks):
+    """The one march task: chunks (points, n_paths, gen), `n_paths` paths
+    from each of `points` on `gen`, marched together on the (n_steps, dt)
+    grid and scored chunk by chunk at their exits.
 
-    Returns the per-point mean and M2 (sum of squared deviations from the
-    mean) of the scores, and the exit count; the (points x paths) score
-    matrix itself stays in the task, so a run holds no more than a chunk's.
+    Returns each chunk's per-point mean and M2 (sum of squared deviations
+    from the mean) of the scores, and its exit count; a chunk's (points x
+    paths) score matrix stays in the task.  Scoring stays per chunk: the
+    far field and numpy's pairwise sums may round differently at another
+    array length.
     """
-    starts = np.repeat(points, n_paths, axis=0)
-    exited, exit_step, exit_dist = _run_exits(starts, domain, t, n_steps, dt, params, gen)
-    scores = _kernel_at_exits(exited, exit_step, exit_dist, t, dt, params).reshape(-1, n_paths)
-    means = scores.mean(axis=1)
-    return means, ((scores - means[:, None]) ** 2).sum(axis=1), int(exited.sum())
+    starts = [(np.repeat(points, n_paths, axis=0), gen) for points, n_paths, gen in chunks]
+    marched = _run_exits(starts, domain, t, n_steps, dt, params)
+    results = []
+    for (_, n_paths, _), (exited, exit_step, exit_dist) in zip(chunks, marched):
+        scores = _kernel_at_exits(exited, exit_step, exit_dist, t, dt, params).reshape(-1, n_paths)
+        means = scores.mean(axis=1)
+        results.append((means, ((scores - means[:, None]) ** 2).sum(axis=1), int(exited.sum())))
+    return results
 
 
-def _march(groups, domain, params, workers):
-    """Run groups of chunk requests (t, n_steps, dt, points, n_paths, gen),
-    all chunks in order through one `_warm` (none at alpha = 1, scored in
-    closed form) and one `_execute`; results come back grouped the same
-    way.  The caller makes each generator; pickled, it goes on exactly."""
+def _batches(chunks, max_rows):
+    """Indices of `chunks` (t, n_steps, dt, points, n_paths, gen) in march
+    batches: each grid's chunks in order, as many consecutive ones as hold
+    at most `max_rows` rows together, and a larger chunk alone."""
+    by_grid = {}
+    for i, (t, n_steps, dt, points, n_paths, _) in enumerate(chunks):
+        by_grid.setdefault((t, n_steps, dt), []).append((i, len(points) * n_paths))
+    batches = []
+    for members in by_grid.values():
+        rows = max_rows
+        for i, n in members:
+            if rows + n > max_rows:
+                batches.append([])
+                rows = 0
+            batches[-1].append(i)
+            rows += n
+    return batches
+
+
+def _march(groups, domain, params, workers, max_rows):
+    """Run groups of chunk requests (t, n_steps, dt, points, n_paths, gen);
+    results come back grouped the same way.
+
+    The chunks of one grid march in batches of at most `max_rows` rows
+    (`_batches`), each batch one task of one `_execute`, after one `_warm`
+    of the kernel tables (none at alpha = 1, scored in closed form).  The
+    caller makes each generator; pickled, it goes on exactly.
+    """
     chunks = [c for group in groups for c in group]
     if params.alpha != 1.0:
         _warm(dict.fromkeys(c[:3] for c in chunks), params)
-    results = iter(_execute(_march_chunk, [(params, domain, *c) for c in chunks], workers))
+    batches = _batches(chunks, max_rows)
+    tasks = [(params, domain, *chunks[b[0]][:3], [chunks[i][3:] for i in b]) for b in batches]
+    done = _execute(_march_batch, tasks, workers)
+    by_index = dict(zip([i for b in batches for i in b], [r for out in done for r in out]))
+    results = (by_index[i] for i in range(len(chunks)))
     return [[next(results) for _ in group] for group in groups]
 
 
@@ -300,6 +358,12 @@ def _execute(fn, arglists, workers):
         return list(pool.map(fn, *zip(*arglists)))
 
 
+def _check_count(name, value):
+    """A sample count or chunk size must be an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _chunk_sizes(total, chunk):
     sizes = [chunk] * (total // chunk)
     if total % chunk:
@@ -331,10 +395,13 @@ def _r_estimates(requests, domain, params, *, workers=1, chunk_paths=100_000):
     """r_D(t, x, x) for each request (t, x, n_paths, dt, rng), in one march.
 
     A request's paths run in chunks of at most `chunk_paths` on the streams
-    rng.substream(c), and their (n, mean, M2) are merged chunk by chunk.
+    rng.substream(c), and their (n, mean, M2) are merged chunk by chunk;
+    at most `chunk_paths` paths march at once.
     """
+    _check_count("chunk_paths", chunk_paths)
     groups = []
     for t, x, n_paths, dt, rng in requests:
+        _check_count("n_paths", n_paths)
         if n_paths < 100:
             raise BudgetError(f"n_paths={n_paths} below 100; stderr would be meaningless")
         x = np.asarray(x, dtype=float)
@@ -346,7 +413,7 @@ def _r_estimates(requests, domain, params, *, workers=1, chunk_paths=100_000):
             for c, m in enumerate(_chunk_sizes(n_paths, chunk_paths))
         ])
     estimates = []
-    for group, results in zip(groups, _march(groups, domain, params, workers)):
+    for group, results in zip(groups, _march(groups, domain, params, workers, chunk_paths)):
         t, _, dt_eff, points = group[0][:4]
         moments = functools.reduce(
             _merge_moments,
@@ -732,12 +799,15 @@ def z_trace(
     """Heat trace Z_D(t) = first_term - int_D r_D(t,x,x) dx.
 
     The integral is a stratified sum: each stratum's mean of r_D at uniform
-    points, times its exact volume.  Chunk c of stratum j draws its points
-    and its paths from its level's stream at substream(j, c); the chunks of
-    every stratum and ladder level march in one pool.
+    points, times its exact volume.  Chunk c of stratum j, at most
+    `chunk_points` points, draws its points and its paths from its level's
+    stream at substream(j, c); the chunks of every stratum and ladder level
+    march in one pool, at most chunk_points x n_paths rows at once.
     """
     if not getattr(domain, "bounded", False):
         raise ParameterError("z_trace requires a bounded domain")
+    _check_count("n_paths", n_paths)
+    _check_count("chunk_points", chunk_points)
     strata = strata or default_strata(domain, t, params)
     ft = first_term(t, domain, params)
     levels = [(*_snap_steps(t, dt_l), sub) for dt_l, sub in _ladder(dt, rng)[: 1 + extrapolate]]
@@ -755,7 +825,7 @@ def z_trace(
             gens = [sub.substream(j, c).generator() for c in range(len(sizes))]
             groups.append([(t, n_steps, dt_eff, domain.sample_layer(q_lo, q_hi, g, m), n_paths, g)
                            for g, m in zip(gens, sizes)])
-    per_stratum = iter(_march(groups, domain, params, workers))
+    per_stratum = iter(_march(groups, domain, params, workers, chunk_points * n_paths))
     n_points = sum(sum(layer[-1]) for layer in layers)
     per_level = []
     for _, dt_eff, _ in levels:

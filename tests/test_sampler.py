@@ -11,7 +11,9 @@ from relheat.sampler import (
     kanter_transform,
     sample_brownian_leg,
     sample_increment,
+    sample_leg_blocks,
     sample_stable_subordinator,
+    sample_tempered_blocks,
     sample_tempered_subordinator,
     simulate_path,
 )
@@ -128,6 +130,61 @@ class TestLevyDraws:
         gen = rng.substream(42).generator()
         oracle = kanter_transform(gen.uniform(0.0, math.pi, n), gen.standard_exponential(n), dt, 0.5)
         assert ks_2samp(draws, oracle).pvalue > 1e-3
+
+
+def tempered_reference(dt, params, gen, n):
+    """Tilting rejection written out for one generator: n stable proposals,
+    then their acceptance uniforms, then the same for the rejected rows."""
+    beta = params.beta
+
+    def stable(k):
+        if beta == 0.5:
+            z = gen.standard_normal(k)
+            return dt * dt / (2.0 * z * z)
+        return kanter_transform(gen.uniform(0.0, math.pi, k), gen.standard_exponential(k), dt, beta)
+
+    if params.m == 0.0:
+        return stable(n)
+    out, pending = np.empty(n), np.arange(n)
+    while len(pending):
+        u = stable(len(pending))
+        accept = gen.random(len(pending)) < np.exp(-params.m ** (1.0 / beta) * u)
+        out[pending[accept]] = u[accept]
+        pending = pending[~accept]
+    return out
+
+
+class TestBlocks:
+    """Draws for blocks of rows, one generator per block, against each
+    generator drawing alone."""
+
+    @pytest.mark.parametrize("m", [0.0, 1.0, 20.0])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_blocks_equal_separate_draws(self, alpha, m):
+        # m = 20 at dt = 0.1 accepts 14% of proposals: many rounds, in
+        # which the blocks' pending counts differ and reach 0 at different
+        # rounds; an empty block draws nothing
+        params = ProcessParams(alpha=alpha, m=m, d=3)
+        counts = [500, 0, 1, 37]
+        gens = [np.random.default_rng(seed) for seed in range(len(counts))]
+        u, n_proposals = sample_tempered_blocks(0.1, params, gens, counts)
+        legs = sample_leg_blocks(u, 3, gens, counts)
+        lo = 0
+        for seed, (gen, k) in enumerate(zip(gens, counts)):
+            alone = np.random.default_rng(seed)
+            want = tempered_reference(0.1, params, alone, k)
+            assert np.array_equal(u[lo:lo + k], want)
+            leg = alone.standard_normal((k, 3)) * np.sqrt(2.0 * want)[:, None]
+            assert np.array_equal(legs[lo:lo + k], leg)
+            assert gen.bit_generator.state == alone.bit_generator.state
+            lo += k
+        assert (n_proposals == sum(counts)) == (m == 0.0)
+
+    def test_step_too_large(self, rng):
+        # the march draws through the blocks, so they refuse such a step too
+        p = ProcessParams(alpha=1.0, m=1.0, d=2)
+        with pytest.raises(StepTooLargeError):
+            sample_tempered_blocks(8.0, p, [rng.generator()], [10])
 
 
 class TestIncrements:

@@ -114,12 +114,17 @@ class TestFirstExit:
             n_steps, dt = _snap_steps(t, t / steps)
             gen = rng.substream(20, j).generator()
             starts = np.zeros((n, 2))
-            exited, exit_step, _ = _run_exits(starts, ball, t, n_steps, dt, p, gen)
+            exited, exit_step, _ = _run_exits([(starts, gen)], ball, t, n_steps, dt, p)[0]
             tau = np.where(exited, (exit_step - 0.5) * dt, t)
             means.append(tau.mean())
             ses.append(tau.std(ddof=1) / math.sqrt(n))
         for a, b, sa, sb in zip(means[:-1], means[1:], ses[:-1], ses[1:]):
             assert b <= a + 3 * math.hypot(sa, sb)
+
+
+def one_chunk_exits(starts, domain, t, n_steps, dt, params, gen):
+    """`_run_exits` on the one chunk (starts, gen)."""
+    return tracelab._run_exits([(starts, gen)], domain, t, n_steps, dt, params)[0]
 
 
 def gather_scatter_exits(starts, domain, t, n_steps, dt, params, gen):
@@ -157,7 +162,7 @@ class TestRunExits:
         """(compacting, reference) results; each march also returns its
         generator's final state, so equal states mean equal draw counts."""
         runs = []
-        for march in (tracelab._run_exits, gather_scatter_exits):
+        for march in (one_chunk_exits, gather_scatter_exits):
             gen = np.random.default_rng(seed)
             runs.append((*march(starts, domain, n_steps * dt, n_steps, dt, params, gen),
                          gen.bit_generator.state))
@@ -210,6 +215,47 @@ class TestRunExits:
         exited, _, exit_dist = self.assert_same(starts, huge, 8, 0.01, relativistic2d)
         assert not exited.any() and not exit_dist.any()
 
+    @staticmethod
+    def batch_case(shape, d):
+        """A domain and the starts of four chunks of unequal sizes: paths
+        near the boundary that exit on many steps, one path from another
+        point, a deep start no path leaves and a start outside, whose every
+        path is out at step 1."""
+        c = np.array([0.3, -0.2, 0.1][:d])
+        e = np.eye(d)[0]
+        if shape == "ball":
+            domain, near, other, deep = Ball(center=tuple(c), radius=1e3, d=d), 999.9, -999.5, 0.0
+        elif shape == "annulus":
+            domain = Annulus(center=tuple(c), r_in=0.5, r_out=1e3, d=d)
+            near, other, deep = 999.9, 0.6, 500.0
+        else:
+            domain, c, near, other, deep = HalfSpace(d=d), np.zeros(d), 0.1, 0.5, 1e3
+        points = [(near, 170), (other, 1), (deep, 40), (-1e4, 25)]
+        return domain, [np.repeat([c + q * e], n, axis=0) for q, n in points]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    @pytest.mark.parametrize("shape", ["ball", "annulus", "halfspace"])
+    def test_batch_equals_separate_marches(self, shape, alpha, m, d):
+        # chunks marched together return the arrays of separate marches of
+        # each chunk, and leave each generator where its own march does
+        domain, starts = self.batch_case(shape, d)
+        params = ProcessParams(alpha=alpha, m=m, d=d)
+        n_steps, dt = 16, 0.2 / 16
+        gens = [np.random.default_rng(seed) for seed in range(len(starts))]
+        batch = tracelab._run_exits(list(zip(starts, gens)), domain, 0.2, n_steps, dt, params)
+        for seed, (s, gen, got) in enumerate(zip(starts, gens, batch)):
+            alone = np.random.default_rng(seed)
+            want = gather_scatter_exits(s, domain, 0.2, n_steps, dt, params, alone)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert gen.bit_generator.state == alone.bit_generator.state
+        (exited, exit_step, _), _, (deep, _, _), (out, out_step, _) = batch
+        assert 0 < exited.sum() < len(exited) and len(np.unique(exit_step[exited])) > 3
+        assert not deep.any()
+        assert out.all() and (out_step == 1).all()
+
 
 class TestREstimate:
     def test_whole_space_never_exits(self, rng, cauchy2d):
@@ -221,6 +267,17 @@ class TestREstimate:
     def test_budget_floor(self, rng, cauchy2d, unit_ball):
         with pytest.raises(BudgetError):
             r_estimate(0.5, np.zeros(2), unit_ball, 50, 0.05, rng, cauchy2d)
+
+    @pytest.mark.parametrize(
+        "kw", [dict(chunk_paths=0), dict(chunk_paths=-100), dict(chunk_paths=250.0),
+               dict(n_paths=0), dict(n_paths=500.5)],
+        ids=["chunk_zero", "chunk_negative", "chunk_float", "paths_zero", "paths_float"],
+    )
+    def test_bad_budget_raises_parameter_error(self, rng, cauchy2d, unit_ball, kw):
+        args = {"n_paths": 500, **kw}
+        with pytest.raises(ParameterError):
+            r_estimate(0.5, np.zeros(2), unit_ball, args.pop("n_paths"), 0.05, rng, cauchy2d,
+                       **args)
 
     def test_start_must_be_inside(self, rng, cauchy2d, unit_ball):
         with pytest.raises(ParameterError):
@@ -357,8 +414,9 @@ class TestHalfspaceProfile:
     @pytest.mark.parametrize("extrapolate", [False, True])
     def test_equals_separate_point_estimates(self, monkeypatch, rng, relativistic2d, extrapolate):
         # one march over all nodes gives each node the numbers of its own
-        # r_estimate call on the same substream, at any worker count, in
-        # one pool
+        # r_estimate call on the same substream, at any worker count; the
+        # nodes of a ladder level march as one batch, so two workers start
+        # one pool for the two levels, and none for one level
         half = HalfSpace(d=2)
         t, qs, n = 0.1, [0.02, 0.1, 0.3], 1500
         point = r_estimate_extrapolated if extrapolate else r_estimate
@@ -373,7 +431,7 @@ class TestHalfspaceProfile:
             for a, b in zip(prof.f_values, direct):
                 assert (a.value, a.stderr, a.n_samples, a.dt, a.meta) == (
                     b.value, b.stderr, b.n_samples, b.dt, b.meta)
-        assert starts == [2]
+        assert starts == ([2] if extrapolate else [])
 
     def test_rejects_nonpositive_q(self, rng, cauchy2d):
         with pytest.raises(ParameterError):
@@ -418,14 +476,15 @@ class TestBoundaryCoefficient:
     @pytest.mark.parametrize("extrapolate", [False, True])
     def test_worker_count_does_not_change_results(self, monkeypatch, rng, cauchy2d, extrapolate):
         # all nodes and levels run their pilots in one pool, their top-ups in
-        # a second
+        # a second; the nodes of a ladder level march as one batch, so one
+        # level starts no pool
         starts = record_pools(monkeypatch, tracelab.ProcessPoolExecutor)
         a, b = (
             c2_of_t(0.25, 24_000, 0.25 / 16, rng.substream(33), cauchy2d,
                     extrapolate=extrapolate, workers=workers)
             for workers in (1, 2)
         )
-        assert starts == [2, 2]
+        assert starts == ([2, 2] if extrapolate else [])
         assert (a.value, a.stderr, a.n_samples, a.meta) == (b.value, b.stderr, b.n_samples, b.meta)
 
     def test_tail_fit_failure_on_flat_grid(self, rng, relativistic2d):
@@ -514,6 +573,40 @@ class TestTrace:
         assert starts == [2]
         assert a.value == b.value
         assert a.stderr == b.stderr
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_batches_capped_at_one_chunk(self, monkeypatch, rng, unit_ball, workers):
+        # at 300 points the strata hold 32, 32, 61, 116, 50, 8, 8 and 8:
+        # small strata march together, never more than one full chunk's
+        # 64 x 20 rows at once, and the pool has one worker per batch at most
+        params = ProcessParams(alpha=1.5, m=1.0, d=2)
+        rows = []
+
+        def recording(chunks, *args):
+            rows.append([len(s) for s, _ in chunks])
+            return run_exits(chunks, *args)
+
+        run_exits = tracelab._run_exits
+        monkeypatch.setattr(tracelab, "_run_exits", recording)
+        sizes = record_pools(monkeypatch, SerialPool)
+        est = z_trace(0.05, unit_ball, 300, 20, 0.05 / 8, rng.substream(36), params,
+                      workers=workers, chunk_points=64)
+        assert max(sum(r) for r in rows) <= 64 * 20
+        assert sum(map(sum, rows)) == est.n_samples == 315 * 20
+        assert 1 < len(rows) < sum(map(len, rows))
+        assert sizes == [min(workers, len(rows))]
+
+    @pytest.mark.parametrize(
+        "kw", [dict(chunk_points=0), dict(chunk_points=-5), dict(chunk_points=2.5),
+               dict(chunk_points=True), dict(n_paths=0), dict(n_paths=20.0)],
+        ids=["chunk_zero", "chunk_negative", "chunk_float", "chunk_bool", "paths_zero",
+             "paths_float"],
+    )
+    def test_bad_budget_raises_parameter_error(self, rng, unit_ball, kw):
+        args = {"n_paths": 20, "chunk_points": 64, **kw}
+        with pytest.raises(ParameterError):
+            z_trace(0.05, unit_ball, 300, args.pop("n_paths"), 0.05 / 8, rng.substream(37),
+                    ProcessParams(alpha=1.0, m=1.0, d=2), **args)
 
     @pytest.mark.parametrize("alpha,builds", [(1.0, False), (1.5, True)])
     def test_kernel_tables_only_off_alpha_one(self, monkeypatch, rng, unit_ball, alpha, builds):
