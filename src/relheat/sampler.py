@@ -139,6 +139,15 @@ def _stable_blocks(dt: float, beta: float, gens, counts, uniforms=None):
     return _stable_from_draws(draws, dt, beta)
 
 
+def _tilted_blocks(dt: float, beta: float, tilt: float, gens, counts):
+    """`_stable_blocks` proposals, each generator drawing its block's
+    acceptance uniforms after them, and which proposals u are accepted,
+    with probability e^{-tilt u}; the uniforms go before this returns."""
+    uniforms = np.empty(int(sum(counts)))
+    u = _stable_blocks(dt, beta, gens, counts, uniforms)
+    return u, uniforms < np.exp(-tilt * u)
+
+
 def sample_stable_subordinator(dt: float, beta: float, rng: RngStream | np.random.Generator, size=None):
     """Draws of T_beta(dt), the subordinator with E e^{-lam T} = e^{-dt lam^beta}.
 
@@ -188,15 +197,13 @@ def sample_tempered_blocks(
         return _stable_blocks(dt, beta, gens, counts), n
     tilt = params.m ** (1.0 / beta)
     ends = np.cumsum(counts)
-    uniforms = np.empty(n)
     out = np.empty(n)
     pending = np.arange(n)
     n_proposals = 0
     while len(pending):
         left = np.diff(np.searchsorted(pending, ends), prepend=0)
-        u = _stable_blocks(dt, beta, gens, left, uniforms)
+        u, accept = _tilted_blocks(dt, beta, tilt, gens, left)
         n_proposals += len(pending)
-        accept = uniforms[:len(pending)] < np.exp(-tilt * u)
         out[pending[accept]] = u[accept]
         pending = pending[~accept]
     return out, n_proposals

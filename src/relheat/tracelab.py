@@ -181,9 +181,9 @@ def _snap_steps(t: float, dt: float):
     return n_steps, t / n_steps
 
 
-def _run_exits(chunks, domain, t, n_steps, dt, params):
-    """March the paths of `chunks`, (starts, gen) pairs, until exit or
-    horizon, all in one array.
+def _run_exits(starts, gens, sizes, domain, t, n_steps, dt, params):
+    """March paths from the rows of `starts` until exit or horizon, in
+    chunks: chunk c is the next sizes[c] rows, drawn by gens[c].
 
     Returns each chunk's (exited, exit_step, exit_dist): boolean mask,
     first grid index outside the domain, and |X_exit - start|.  `pos` holds
@@ -192,13 +192,10 @@ def _run_exits(chunks, domain, t, n_steps, dt, params):
     arithmetic is row by row, so every draw and every sum falls bit for bit
     as in a march of each chunk alone, updating all its rows in place.
     """
-    gens = [gen for _, gen in chunks]
-    sizes = [len(s) for s, _ in chunks]
-    starts = np.concatenate([s for s, _ in chunks], dtype=float)
     ends = np.cumsum(sizes)
     counts = sizes  # alive rows of each chunk
     n = len(starts)
-    pos = starts.copy()
+    pos = np.array(starts, dtype=float)
     idx = np.arange(n)
     exited = np.zeros(n, dtype=bool)
     exit_step = np.zeros(n, dtype=np.int64)
@@ -210,11 +207,14 @@ def _run_exits(chunks, domain, t, n_steps, dt, params):
         pos += sample_leg_blocks(u, params.d, gens, counts)
         inside = domain.contains(pos)
         if not inside.all():
-            out = idx[~inside]
+            # compress copies the rows of a 2-d array several times
+            # faster than boolean indexing does
+            gone = ~inside
+            out = idx[gone]
             exited[out] = True
             exit_step[out] = k
-            exit_dist[out] = row_norms(pos[~inside] - starts[out])
-            pos, idx = pos[inside], idx[inside]
+            exit_dist[out] = row_norms(pos.compress(gone, axis=0) - starts[out])
+            pos, idx = pos.compress(inside, axis=0), idx[inside]
             counts = np.diff(np.searchsorted(idx, ends), prepend=0)
     return [(exited[b - size:b], exit_step[b - size:b], exit_dist[b - size:b])
             for size, b in zip(sizes, ends)]
@@ -255,8 +255,10 @@ def _march_batch(params, domain, t, n_steps, dt, chunks):
     far field and numpy's pairwise sums may round differently at another
     array length.
     """
-    starts = [(np.repeat(points, n_paths, axis=0), gen) for points, n_paths, gen in chunks]
-    marched = _run_exits(starts, domain, t, n_steps, dt, params)
+    starts = np.concatenate([np.repeat(points, n_paths, axis=0) for points, n_paths, _ in chunks])
+    marched = _run_exits(starts, [gen for _, _, gen in chunks],
+                         [len(points) * n_paths for points, n_paths, _ in chunks],
+                         domain, t, n_steps, dt, params)
     results = []
     for (_, n_paths, _), (exited, exit_step, exit_dist) in zip(chunks, marched):
         scores = _kernel_at_exits(exited, exit_step, exit_dist, t, dt, params).reshape(-1, n_paths)

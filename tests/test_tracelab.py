@@ -114,7 +114,7 @@ class TestFirstExit:
             n_steps, dt = _snap_steps(t, t / steps)
             gen = rng.substream(20, j).generator()
             starts = np.zeros((n, 2))
-            exited, exit_step, _ = _run_exits([(starts, gen)], ball, t, n_steps, dt, p)[0]
+            exited, exit_step, _ = _run_exits(starts, [gen], [n], ball, t, n_steps, dt, p)[0]
             tau = np.where(exited, (exit_step - 0.5) * dt, t)
             means.append(tau.mean())
             ses.append(tau.std(ddof=1) / math.sqrt(n))
@@ -123,8 +123,8 @@ class TestFirstExit:
 
 
 def one_chunk_exits(starts, domain, t, n_steps, dt, params, gen):
-    """`_run_exits` on the one chunk (starts, gen)."""
-    return tracelab._run_exits([(starts, gen)], domain, t, n_steps, dt, params)[0]
+    """`_run_exits` on `starts` as one chunk."""
+    return tracelab._run_exits(starts, [gen], [len(starts)], domain, t, n_steps, dt, params)[0]
 
 
 def gather_scatter_exits(starts, domain, t, n_steps, dt, params, gen):
@@ -244,7 +244,8 @@ class TestRunExits:
         params = ProcessParams(alpha=alpha, m=m, d=d)
         n_steps, dt = 16, 0.2 / 16
         gens = [np.random.default_rng(seed) for seed in range(len(starts))]
-        batch = tracelab._run_exits(list(zip(starts, gens)), domain, 0.2, n_steps, dt, params)
+        batch = tracelab._run_exits(np.concatenate(starts), gens, [len(s) for s in starts],
+                                    domain, 0.2, n_steps, dt, params)
         for seed, (s, gen, got) in enumerate(zip(starts, gens, batch)):
             alone = np.random.default_rng(seed)
             want = gather_scatter_exits(s, domain, 0.2, n_steps, dt, params, alone)
@@ -582,9 +583,9 @@ class TestTrace:
         params = ProcessParams(alpha=1.5, m=1.0, d=2)
         rows = []
 
-        def recording(chunks, *args):
-            rows.append([len(s) for s, _ in chunks])
-            return run_exits(chunks, *args)
+        def recording(starts, gens, sizes, *args):
+            rows.append(sizes)
+            return run_exits(starts, gens, sizes, *args)
 
         run_exits = tracelab._run_exits
         monkeypatch.setattr(tracelab, "_run_exits", recording)
