@@ -103,19 +103,27 @@ def kanter_transform(phi, w, dt: float, beta: float):
     return dt ** (1.0 / beta) * (a / w) ** ((1.0 - beta) / beta)
 
 
+def rows_per_block(rows, ends):
+    """How many of the sorted row indices `rows` lie in each block of
+    consecutive rows, block c ending before row ends[c]."""
+    cum = np.searchsorted(rows, ends).tolist()
+    return [b - a for a, b in zip([0] + cum, cum)]
+
+
 def _proposal_draws(beta: float, gen: np.random.Generator, out):
-    """One generator's draws for len(out[0]) stable proposals, into `out`
-    in the order it makes them: the normals Z at beta = 1/2 (one row),
-    else the angles phi ~ Uniform(0, pi) and then W ~ Exp(1) (two rows)."""
+    """One generator's draws for len(out[0]) stable proposals, into the
+    arrays `out` in the order it makes them: the normals Z at beta = 1/2
+    (one array), else the angles phi ~ Uniform(0, pi) and then W ~ Exp(1)
+    (two arrays)."""
     if beta == 0.5:
         gen.standard_normal(out=out[0])
     else:
-        out[0] = gen.uniform(0.0, math.pi, out.shape[1])
+        out[0][:] = gen.uniform(0.0, math.pi, len(out[0]))
         gen.standard_exponential(out=out[1])
 
 
 def _stable_from_draws(draws, dt: float, beta: float):
-    """T_beta(dt) from the rows of `_proposal_draws`: the Levy draw
+    """T_beta(dt) from the arrays of `_proposal_draws`: the Levy draw
     dt^2 / (2 Z^2) at beta = 1/2, `kanter_transform` at every other beta."""
     if beta == 0.5:
         z = draws[0]
@@ -127,12 +135,14 @@ def _stable_blocks(dt: float, beta: float, gens, counts, uniforms=None):
     """Stable proposals for consecutive blocks of rows, block c drawn by
     gens[c] (no draw at all for an empty block); with `uniforms`, each
     generator then draws its block's uniforms into it.  The transform runs
-    once, on all blocks."""
-    draws = np.empty((1 if beta == 0.5 else 2, int(sum(counts))))
+    once, on all blocks.  The kinds of draw go in separate arrays: the
+    transform runs about 10% slower on the rows of one 2-d array."""
+    n = int(sum(counts))
+    draws = [np.empty(n) for _ in range(1 if beta == 0.5 else 2)]
     lo = 0
     for gen, k in zip(gens, counts):
         if k:
-            _proposal_draws(beta, gen, draws[:, lo:lo + k])
+            _proposal_draws(beta, gen, [a[lo:lo + k] for a in draws])
             if uniforms is not None:
                 gen.random(out=uniforms[lo:lo + k])
             lo += k
@@ -201,8 +211,7 @@ def sample_tempered_blocks(
     pending = np.arange(n)
     n_proposals = 0
     while len(pending):
-        left = np.diff(np.searchsorted(pending, ends), prepend=0)
-        u, accept = _tilted_blocks(dt, beta, tilt, gens, left)
+        u, accept = _tilted_blocks(dt, beta, tilt, gens, rows_per_block(pending, ends))
         n_proposals += len(pending)
         out[pending[accept]] = u[accept]
         pending = pending[~accept]

@@ -45,7 +45,7 @@ from .kernels import (
     free_density,
     table_eval,
 )
-from .sampler import PathGrid, RngStream, sample_leg_blocks, sample_tempered_blocks
+from .sampler import PathGrid, RngStream, rows_per_block, sample_leg_blocks, sample_tempered_blocks
 # perfbench's tracer test patches the name here
 from .sampler import sample_tempered_subordinator  # noqa: F401
 from .specfun import ProcessParams
@@ -215,7 +215,7 @@ def _run_exits(starts, gens, sizes, domain, t, n_steps, dt, params):
             exit_step[out] = k
             exit_dist[out] = row_norms(pos.compress(gone, axis=0) - starts[out])
             pos, idx = pos.compress(inside, axis=0), idx[inside]
-            counts = np.diff(np.searchsorted(idx, ends), prepend=0)
+            counts = rows_per_block(idx, ends)
     return [(exited[b - size:b], exit_step[b - size:b], exit_dist[b - size:b])
             for size, b in zip(sizes, ends)]
 
