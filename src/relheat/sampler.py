@@ -30,6 +30,7 @@ __all__ = [
     "PathGrid",
     "kanter_transform",
     "sample_stable_subordinator",
+    "rows_per_block",
     "sample_tempered_blocks",
     "sample_tempered_subordinator",
     "sample_leg_blocks",
@@ -152,7 +153,8 @@ def _stable_blocks(dt: float, beta: float, gens, counts, uniforms=None):
 def _tilted_blocks(dt: float, beta: float, tilt: float, gens, counts):
     """`_stable_blocks` proposals, each generator drawing its block's
     acceptance uniforms after them, and which proposals u are accepted,
-    with probability e^{-tilt u}; the uniforms go before this returns."""
+    with probability e^{-tilt u}.  The uniforms are freed on return, before
+    the caller scatters the accepted draws."""
     uniforms = np.empty(int(sum(counts)))
     u = _stable_blocks(dt, beta, gens, counts, uniforms)
     return u, uniforms < np.exp(-tilt * u)
