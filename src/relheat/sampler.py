@@ -30,7 +30,6 @@ __all__ = [
     "PathGrid",
     "kanter_transform",
     "sample_stable_subordinator",
-    "rows_per_block",
     "sample_tempered_blocks",
     "sample_tempered_subordinator",
     "sample_leg_blocks",
@@ -104,60 +103,41 @@ def kanter_transform(phi, w, dt: float, beta: float):
     return dt ** (1.0 / beta) * (a / w) ** ((1.0 - beta) / beta)
 
 
-def rows_per_block(rows, ends):
+def _rows_per_block(rows, ends):
     """How many of the sorted row indices `rows` lie in each block of
     consecutive rows, block c ending before row ends[c]."""
     cum = np.searchsorted(rows, ends).tolist()
     return [b - a for a, b in zip([0] + cum, cum)]
 
 
-def _proposal_draws(beta: float, gen: np.random.Generator, out):
-    """One generator's draws for len(out[0]) stable proposals, into the
-    arrays `out` in the order it makes them: the normals Z at beta = 1/2
-    (one array), else the angles phi ~ Uniform(0, pi) and then W ~ Exp(1)
-    (two arrays)."""
-    if beta == 0.5:
-        gen.standard_normal(out=out[0])
-    else:
-        out[0][:] = gen.uniform(0.0, math.pi, len(out[0]))
-        gen.standard_exponential(out=out[1])
-
-
-def _stable_from_draws(draws, dt: float, beta: float):
-    """T_beta(dt) from the arrays of `_proposal_draws`: the Levy draw
-    dt^2 / (2 Z^2) at beta = 1/2, `kanter_transform` at every other beta."""
-    if beta == 0.5:
-        z = draws[0]
-        return dt * dt / (2.0 * z * z)
-    return kanter_transform(draws[0], draws[1], dt, beta)
-
-
-def _stable_blocks(dt: float, beta: float, gens, counts, uniforms=None):
-    """Stable proposals for consecutive blocks of rows, block c drawn by
-    gens[c] (no draw at all for an empty block); with `uniforms`, each
-    generator then draws its block's uniforms into it.  The transform runs
-    once, on all blocks.  The kinds of draw go in separate arrays: the
-    transform runs about 10% slower on the rows of one 2-d array."""
-    n = int(sum(counts))
-    draws = [np.empty(n) for _ in range(1 if beta == 0.5 else 2)]
+def _blocks(gens, counts):
+    """(gens[c], slice of block c's rows) for each non-empty block c of
+    consecutive rows, block c holding counts[c] rows."""
     lo = 0
     for gen, k in zip(gens, counts):
         if k:
-            _proposal_draws(beta, gen, [a[lo:lo + k] for a in draws])
-            if uniforms is not None:
-                gen.random(out=uniforms[lo:lo + k])
+            yield gen, slice(lo, lo + k)
             lo += k
-    return _stable_from_draws(draws, dt, beta)
 
 
-def _tilted_blocks(dt: float, beta: float, tilt: float, gens, counts):
-    """`_stable_blocks` proposals, each generator drawing its block's
-    acceptance uniforms after them, and which proposals u are accepted,
-    with probability e^{-tilt u}.  The uniforms are freed on return, before
-    the caller scatters the accepted draws."""
-    uniforms = np.empty(int(sum(counts)))
-    u = _stable_blocks(dt, beta, gens, counts, uniforms)
-    return u, uniforms < np.exp(-tilt * u)
+def _stable_blocks(dt: float, beta: float, gens, counts):
+    """Stable proposals T_beta(dt) for consecutive blocks of rows, block c
+    drawn by gens[c] as it would draw them alone: the normals Z of the Levy
+    draw dt^2 / (2 Z^2) at beta = 1/2, else the angles phi ~ Uniform(0, pi)
+    and then W ~ Exp(1) of `kanter_transform`.  The transform runs once,
+    on all blocks; phi and W go in separate arrays, as the transform runs
+    about 10% slower on the rows of one 2-d array."""
+    n = int(sum(counts))
+    if beta == 0.5:
+        z = np.empty(n)
+        for gen, rows in _blocks(gens, counts):
+            gen.standard_normal(out=z[rows])
+        return dt * dt / (2.0 * z * z)
+    phi, w = np.empty(n), np.empty(n)
+    for gen, rows in _blocks(gens, counts):
+        phi[rows] = gen.uniform(0.0, math.pi, rows.stop - rows.start)
+        gen.standard_exponential(out=w[rows])
+    return kanter_transform(phi, w, dt, beta)
 
 
 def sample_stable_subordinator(dt: float, beta: float, rng: RngStream | np.random.Generator, size=None):
@@ -213,7 +193,13 @@ def sample_tempered_blocks(
     pending = np.arange(n)
     n_proposals = 0
     while len(pending):
-        u, accept = _tilted_blocks(dt, beta, tilt, gens, rows_per_block(pending, ends))
+        per_block = _rows_per_block(pending, ends)
+        u = _stable_blocks(dt, beta, gens, per_block)
+        uniforms = np.empty(len(pending))
+        for gen, rows in _blocks(gens, per_block):
+            gen.random(out=uniforms[rows])
+        accept = uniforms < np.exp(-tilt * u)
+        del uniforms  # freed before the accepted draws are scattered
         n_proposals += len(pending)
         out[pending[accept]] = u[accept]
         pending = pending[~accept]
@@ -244,11 +230,8 @@ def sample_leg_blocks(u, d: int, gens, counts):
     variance 2u, for consecutive blocks of rows: gens[c] draws block c's
     (counts[c], d) normals in one call, and the scaling runs once."""
     g = np.empty((len(u), d))
-    lo = 0
-    for gen, k in zip(gens, counts):
-        if k:
-            gen.standard_normal(out=g[lo:lo + k])
-            lo += k
+    for gen, rows in _blocks(gens, counts):
+        gen.standard_normal(out=g[rows])
     g *= np.sqrt(2.0 * u)[:, None]
     return g
 

@@ -13,7 +13,8 @@ r_D are one expectation at different start points.  Each estimator call
 hands `_march` one group of chunks per point request or per (ladder
 level, stratum); a chunk is the unit of a random stream, paths from given
 start points on one generator.  `_march` packs the chunks of one
-(t, n_steps, dt) grid into batches of at most one full chunk's rows, and
+(t, n_steps, dt) grid into batches of at most one full chunk's rows (and
+with several workers, of at most the grid's rows over the workers), and
 the one march task, `_march_batch`, marches a batch in lockstep as one
 array (`_run_exits`) and scores it chunk by chunk.  Each chunk's
 generator makes the draws of a march of that chunk alone, so every output
@@ -45,9 +46,7 @@ from .kernels import (
     free_density,
     table_eval,
 )
-from .sampler import PathGrid, RngStream, rows_per_block, sample_leg_blocks, sample_tempered_blocks
-# perfbench's tracer test patches the name here
-from .sampler import sample_tempered_subordinator  # noqa: F401
+from .sampler import PathGrid, RngStream, _rows_per_block, sample_leg_blocks, sample_tempered_blocks
 from .specfun import ProcessParams
 
 __all__ = [
@@ -215,7 +214,7 @@ def _run_exits(starts, gens, sizes, domain, t, n_steps, dt, params):
             exit_step[out] = k
             exit_dist[out] = row_norms(pos.compress(gone, axis=0) - starts[out])
             pos, idx = pos.compress(inside, axis=0), idx[inside]
-            counts = rows_per_block(idx, ends)
+            counts = _rows_per_block(idx, ends)
     return [(exited[b - size:b], exit_step[b - size:b], exit_dist[b - size:b])
             for size, b in zip(sizes, ends)]
 
@@ -267,18 +266,21 @@ def _march_batch(params, domain, t, n_steps, dt, chunks):
     return results
 
 
-def _batches(chunks, max_rows):
+def _batches(chunks, max_rows, workers):
     """Indices of `chunks` (t, n_steps, dt, points, n_paths, gen) in march
     batches: each grid's chunks in order, as many consecutive ones as hold
-    at most `max_rows` rows together, and a larger chunk alone."""
+    at most a cap of rows together, and a larger chunk alone.  The cap is
+    `max_rows`, or a grid's rows over `workers` if that is less, so that a
+    grid of enough chunks keeps every worker busy."""
     by_grid = {}
     for i, (t, n_steps, dt, points, n_paths, _) in enumerate(chunks):
         by_grid.setdefault((t, n_steps, dt), []).append((i, len(points) * n_paths))
     batches = []
     for members in by_grid.values():
-        rows = max_rows
+        cap = min(max_rows, -(-sum(n for _, n in members) // workers))
+        rows = cap
         for i, n in members:
-            if rows + n > max_rows:
+            if rows + n > cap:
                 batches.append([])
                 rows = 0
             batches[-1].append(i)
@@ -290,15 +292,17 @@ def _march(groups, domain, params, workers, max_rows):
     """Run groups of chunk requests (t, n_steps, dt, points, n_paths, gen);
     results come back grouped the same way.
 
-    The chunks of one grid march in batches of at most `max_rows` rows
-    (`_batches`), each batch one task of one `_execute`, after one `_warm`
-    of the kernel tables (none at alpha = 1, scored in closed form).  The
-    caller makes each generator; pickled, it goes on exactly.
+    The chunks of one grid march in batches of at most `max_rows` rows, or
+    fewer so that there are enough batches for the workers (`_batches`),
+    each batch one task of one `_execute`, after one `_warm` of the kernel
+    tables (none at alpha = 1, scored in closed form).  The caller makes
+    each generator; pickled, it goes on exactly.
     """
+    _check_count("workers", workers)
     chunks = [c for group in groups for c in group]
     if params.alpha != 1.0:
         _warm(dict.fromkeys(c[:3] for c in chunks), params)
-    batches = _batches(chunks, max_rows)
+    batches = _batches(chunks, max_rows, workers)
     tasks = [(params, domain, *chunks[b[0]][:3], [chunks[i][3:] for i in b]) for b in batches]
     done = _execute(_march_batch, tasks, workers)
     by_index = dict(zip([i for b in batches for i in b], [r for out in done for r in out]))

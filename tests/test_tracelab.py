@@ -415,9 +415,8 @@ class TestHalfspaceProfile:
     @pytest.mark.parametrize("extrapolate", [False, True])
     def test_equals_separate_point_estimates(self, monkeypatch, rng, relativistic2d, extrapolate):
         # one march over all nodes gives each node the numbers of its own
-        # r_estimate call on the same substream, at any worker count; the
-        # nodes of a ladder level march as one batch, so two workers start
-        # one pool for the two levels, and none for one level
+        # r_estimate call on the same substream, at any worker count, in
+        # one pool
         half = HalfSpace(d=2)
         t, qs, n = 0.1, [0.02, 0.1, 0.3], 1500
         point = r_estimate_extrapolated if extrapolate else r_estimate
@@ -432,7 +431,7 @@ class TestHalfspaceProfile:
             for a, b in zip(prof.f_values, direct):
                 assert (a.value, a.stderr, a.n_samples, a.dt, a.meta) == (
                     b.value, b.stderr, b.n_samples, b.dt, b.meta)
-        assert starts == ([2] if extrapolate else [])
+        assert starts == [2]
 
     def test_rejects_nonpositive_q(self, rng, cauchy2d):
         with pytest.raises(ParameterError):
@@ -477,15 +476,14 @@ class TestBoundaryCoefficient:
     @pytest.mark.parametrize("extrapolate", [False, True])
     def test_worker_count_does_not_change_results(self, monkeypatch, rng, cauchy2d, extrapolate):
         # all nodes and levels run their pilots in one pool, their top-ups in
-        # a second; the nodes of a ladder level march as one batch, so one
-        # level starts no pool
+        # a second
         starts = record_pools(monkeypatch, tracelab.ProcessPoolExecutor)
         a, b = (
             c2_of_t(0.25, 24_000, 0.25 / 16, rng.substream(33), cauchy2d,
                     extrapolate=extrapolate, workers=workers)
             for workers in (1, 2)
         )
-        assert starts == ([2, 2] if extrapolate else [])
+        assert starts == [2, 2]
         assert (a.value, a.stderr, a.n_samples, a.meta) == (b.value, b.stderr, b.n_samples, b.meta)
 
     def test_tail_fit_failure_on_flat_grid(self, rng, relativistic2d):
@@ -579,7 +577,8 @@ class TestTrace:
     def test_batches_capped_at_one_chunk(self, monkeypatch, rng, unit_ball, workers):
         # at 300 points the strata hold 32, 32, 61, 116, 50, 8, 8 and 8:
         # small strata march together, never more than one full chunk's
-        # 64 x 20 rows at once, and the pool has one worker per batch at most
+        # 64 x 20 rows at once nor, packed, more than the grid's rows over
+        # the workers, and the pool has one worker per batch at most
         params = ProcessParams(alpha=1.5, m=1.0, d=2)
         rows = []
 
@@ -593,9 +592,23 @@ class TestTrace:
         est = z_trace(0.05, unit_ball, 300, 20, 0.05 / 8, rng.substream(36), params,
                       workers=workers, chunk_points=64)
         assert max(sum(r) for r in rows) <= 64 * 20
+        assert all(sum(r) <= 315 * 20 / workers for r in rows if len(r) > 1)
         assert sum(map(sum, rows)) == est.n_samples == 315 * 20
         assert 1 < len(rows) < sum(map(len, rows))
         assert sizes == [min(workers, len(rows))]
+
+    @pytest.mark.parametrize(
+        "workers,batches",
+        [(1, [[0, 1, 2, 3, 4, 5, 6, 7], [8]]), (2, [[0, 1, 2, 3], [4, 5, 6, 7], [8]]),
+         (3, [[0, 1], [2, 3], [4, 5], [6, 7], [8]]), (100, [[i] for i in range(9)])],
+    )
+    def test_batches_split_for_workers(self, workers, batches):
+        # eight 100-row chunks of one grid under a 10 000-row cap are one
+        # batch for one worker, and at least one batch per worker for more;
+        # a chunk of another grid is batched apart
+        chunks = [(0.1, 8, 0.0125, np.zeros((10, 2)), 10, None)] * 8
+        chunks.append((0.1, 16, 0.00625, np.zeros((1, 2)), 10, None))
+        assert tracelab._batches(chunks, 10_000, workers) == batches
 
     @pytest.mark.parametrize(
         "kw", [dict(chunk_points=0), dict(chunk_points=-5), dict(chunk_points=2.5),

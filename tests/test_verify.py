@@ -18,10 +18,9 @@ from test_tracelab import SerialPool, record_pools
         # 6 (t, q) pairs x 2 routes x 2 ladder levels march in one batch
         (verify.check_halfspace_scaling, 1),
         (verify.check_halfspace_tail, 1),
-        # the r_D point and the pilots of C2 and of C4 (this budget leaves
-        # nothing for a top-up); z_trace's 64 points march as one batch,
-        # with no pool
-        (verify.check_inequalities, 3),
+        # z_trace, the r_D point, and the pilots of C2 and of C4 (this
+        # budget leaves nothing for a top-up)
+        (verify.check_inequalities, 4),
     ],
 )
 def test_workers_reach_the_estimators(monkeypatch, tmp_path, check, n_pools):
