@@ -3,7 +3,7 @@
 
 Writes the frozen reference (value, stderr, settings) used as a regression
 fixture and shown by the `constants` subcommand.  Rerun only to regenerate
-the fixture; takes tens of minutes at full budget.
+the fixture; at its defaults (8M paths) it takes about 2 min on a 2-core Xeon.
 """
 
 import argparse

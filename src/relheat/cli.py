@@ -59,11 +59,12 @@ def _out_dir(cfg):
 
 
 def _artifact_config(cfg) -> dict:
-    # the output directory is an execution detail; artifacts embed only the
-    # keys that determine their contents, so runs into different directories
-    # stay byte-identical
+    # the output directory and the worker count are execution details;
+    # artifacts embed only the keys that determine their contents, so runs
+    # into different directories or on other worker counts stay byte-identical
     d = cfg.as_dict()
     d.pop("out")
+    d.pop("workers")
     return d
 
 

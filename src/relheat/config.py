@@ -1,7 +1,7 @@
 """Flat experiment configuration: a key=value file plus CLI overrides.
 
-A config plus a seed reproduces every output byte for byte at a fixed
-worker count (worker count only sets the process pool size; the stream
+A config plus a seed reproduces every output byte for byte at any worker
+count (worker count only sets the process pool size; the stream
 assignment is fixed by the chunking, not by the pool).  A chunk
 (`chunk_points` start points of a trace stratum) is the unit of a random
 stream and, times `n_paths`, the most rows marched at once.

@@ -353,11 +353,11 @@ _MT_TOL = 1e-9
 _BLOCK = 16
 
 
-def _table_key(mt: float, params: ProcessParams, n_nodes: int) -> tuple:
-    return (params.alpha, params.d, round(mt, 12), n_nodes)
+def _table_key(mt: float, params: ProcessParams) -> tuple:
+    return (params.alpha, params.d, round(mt, 12))
 
 
-def build_tables(mts, params: ProcessParams, n_nodes: int = TABLE_NODES) -> list[RadialKernelTable]:
+def build_tables(mts, params: ProcessParams) -> list[RadialKernelTable]:
     """Build (or fetch from cache) the radial profile tables for several m*t.
 
     One batched quadrature serves every missing table: exp(-rho^2/(4z)) is
@@ -368,13 +368,13 @@ def build_tables(mts, params: ProcessParams, n_nodes: int = TABLE_NODES) -> list
     mts = [float(mt) for mt in mts]
     if any(mt < 0.0 for mt in mts):
         raise ParameterError(f"mt must be >= 0, got {min(mts)}")
-    keys = [_table_key(mt, params, n_nodes) for mt in mts]
+    keys = [_table_key(mt, params) for mt in mts]
     missing = {}
     for key, mt in zip(keys, mts):
         if key not in _TABLE_CACHE:
             missing.setdefault(key, mt)
     if missing:
-        radii = np.geomspace(TABLE_RHO_MIN, TABLE_RHO_MAX, n_nodes)
+        radii = np.geomspace(TABLE_RHO_MIN, TABLE_RHO_MAX, TABLE_NODES)
         s, z, weights, theta_z = _z_nodes(TABLE_RHO_MAX, params.beta)
         kernel = _gaussian_factor(np.concatenate([[0.0], radii]), z)
         norm = (4.0 * math.pi) ** (-params.d / 2.0)
@@ -393,10 +393,10 @@ def build_tables(mts, params: ProcessParams, n_nodes: int = TABLE_NODES) -> list
     return [_TABLE_CACHE[key] for key in keys]
 
 
-def build_table(mt: float, params: ProcessParams, n_nodes: int = TABLE_NODES) -> RadialKernelTable:
+def build_table(mt: float, params: ProcessParams) -> RadialKernelTable:
     """Build (or fetch from cache) the radial profile table for one m*t."""
-    table = _TABLE_CACHE.get(_table_key(mt, params, n_nodes))
-    return table if table is not None else build_tables([mt], params, n_nodes)[0]
+    table = _TABLE_CACHE.get(_table_key(mt, params))
+    return table if table is not None else build_tables([mt], params)[0]
 
 
 def table_eval(table: RadialKernelTable, t: float, r, params: ProcessParams | None = None):

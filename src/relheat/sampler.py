@@ -18,7 +18,7 @@ one-block case.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,24 +49,27 @@ class RngStream:
     Identical (seed, stream_id) always reproduce the same draws; distinct
     stream ids give statistically independent streams.  Backed by the
     counter-based Philox generator, but nothing downstream depends on the
-    specific bit stream.
+    specific bit stream.  `_path` is the generator's spawn key, (stream_id,)
+    followed by the substream indices, so streams that draw differently
+    compare, hash and print differently.
     """
 
     seed: int
     stream_id: int = 0
-    _path: tuple = field(default=None, repr=False, compare=False)
+    _path: tuple = None
 
-    def _key(self) -> tuple:
-        return self._path if self._path is not None else (self.stream_id,)
+    def __post_init__(self):
+        if self._path is None:
+            object.__setattr__(self, "_path", (self.stream_id,))
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.seed, spawn_key=self._key())
+        seq = np.random.SeedSequence(self.seed, spawn_key=self._path)
         return np.random.Generator(np.random.Philox(seq))
 
     def substream(self, *indices: int) -> "RngStream":
         """Child stream at a fixed coordinate path; used for deterministic
         work splitting across workers and strata."""
-        key = self._key() + tuple(int(i) for i in indices)
+        key = self._path + tuple(int(i) for i in indices)
         return RngStream(seed=self.seed, stream_id=self.stream_id, _path=key)
 
 
@@ -162,14 +165,13 @@ def sample_tempered_blocks(
     params: ProcessParams,
     gens,
     counts,
-    acceptance_floor: float = ACCEPTANCE_FLOOR,
 ):
     """Relativistic subordinator steps T_beta(dt, m) for consecutive blocks
     of rows, by tilting rejection; returns (draws, number of proposals).
 
     Proposals are stable draws accepted with probability e^{-m^{1/beta} u};
     the overall acceptance rate is e^{-m dt}.  When that rate falls below
-    `acceptance_floor` the step is refused outright.  Generator gens[c]
+    `ACCEPTANCE_FLOOR` the step is refused outright.  Generator gens[c]
     makes block c's counts[c] draws: its proposals, then (m > 0) their
     acceptance uniforms, then the same for its rejected rows, until none is
     left, the calls of a march of that block alone.  The transforms and the
@@ -178,10 +180,10 @@ def sample_tempered_blocks(
     if dt <= 0.0:
         raise ParameterError(f"dt must be > 0, got {dt}")
     expected_rate = math.exp(-params.m * dt)
-    if expected_rate < acceptance_floor:
+    if expected_rate < ACCEPTANCE_FLOOR:
         raise StepTooLargeError(
             f"tempering acceptance e^(-m dt) = {expected_rate:.3e} below floor "
-            f"{acceptance_floor:.1e}; reduce dt below {-math.log(acceptance_floor) / params.m:.3e}"
+            f"{ACCEPTANCE_FLOOR:.1e}; reduce dt below {-math.log(ACCEPTANCE_FLOOR) / params.m:.3e}"
         )
     beta = params.beta
     n = int(sum(counts))
@@ -212,13 +214,12 @@ def sample_tempered_subordinator(
     rng: RngStream | np.random.Generator,
     size=None,
     return_stats: bool = False,
-    acceptance_floor: float = ACCEPTANCE_FLOOR,
 ):
     """Draws of the relativistic subordinator T_beta(dt, m) by tilting
     rejection: `sample_tempered_blocks` with one block."""
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     n = 1 if size is None else int(size)
-    out, n_proposals = sample_tempered_blocks(dt, params, [gen], [n], acceptance_floor)
+    out, n_proposals = sample_tempered_blocks(dt, params, [gen], [n])
     result = float(out[0]) if size is None else out
     if return_stats:
         return result, n_proposals

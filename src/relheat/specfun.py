@@ -63,9 +63,6 @@ class ProcessParams:
     def with_mass(self, m: float) -> "ProcessParams":
         return ProcessParams(alpha=self.alpha, m=m, d=self.d)
 
-    def key(self) -> tuple:
-        return (self.alpha, self.m, self.d)
-
 
 def characteristic_exponent(xi, params: ProcessParams):
     """Phi(xi) = (m^{2/alpha} + xi^2)^{alpha/2} - m, so that E cos(xi X_t^1) = e^{-t Phi(xi)}."""
@@ -220,7 +217,7 @@ def _log_kanter(phi, beta):
     return out if out.shape else float(out)
 
 
-def stable_subordinator_density(u, beta: float, rel_tol: float = 1e-9):
+def stable_subordinator_density(u, beta: float):
     """Density theta_beta(1, u) of the stable subordinator at time 1.
 
     Uses the single-integral representation over the angle phi in (0, pi):
@@ -236,26 +233,26 @@ def stable_subordinator_density(u, beta: float, rel_tol: float = 1e-9):
 
     `u` is a scalar or an array.  Both routes take the large-u series
     wherever its truncation bound is below 1e-10.  Elsewhere a scalar takes
-    adaptive `quad`, to `rel_tol` relative, and returns a float; an array
+    adaptive `quad`, to 1e-9 relative, and returns a float; an array
     returns an array of u's shape, by one Gauss-Legendre rule on the same
     three panels for all its entries, to 1e-10 relative (see
     `_theta_panels`).  Where a quadrature cannot reach its tolerance, either
     route returns the large-u series if its truncation bound is below
-    max(rel_tol, 1e-9), and raises `QuadratureError` otherwise.  The array
+    1e-9 (`_THETA_RTOL`), and raises `QuadratureError` otherwise.  The array
     route is the package's theta_beta for every profile quadrature: it fills
     the kernels' log-z lattice (`kernels.fast_theta`).
     """
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"beta must be in (0, 1), got {beta}")
     if np.ndim(u) == 0:
-        return _theta_adaptive(float(u), beta, rel_tol)
+        return _theta_adaptive(float(u), beta)
     u = np.asarray(u, dtype=float)
     if not np.all(u > 0.0):
         raise ParameterError("u must be > 0 everywhere")
-    return _theta_panels(u.ravel(), beta, rel_tol).reshape(u.shape)
+    return _theta_panels(u.ravel(), beta).reshape(u.shape)
 
 
-def _theta_adaptive(u: float, beta: float, rel_tol: float) -> float:
+def _theta_adaptive(u: float, beta: float) -> float:
     """theta_beta(1, u) at one point: the large-u series where its bound is
     below `_SERIES_BOUND`, adaptive `quad` elsewhere.
 
@@ -318,9 +315,9 @@ def _theta_adaptive(u: float, beta: float, rel_tol: float) -> float:
             integrand, 0.0, math.pi, points=sorted(set(points)) or None,
             limit=200, epsabs=1e-13, epsrel=1e-11,
         )
-    ok = math.isfinite(value) and value >= 0.0 and err <= rel_tol * max(value, 1e-290)
+    ok = math.isfinite(value) and value >= 0.0 and err <= _THETA_RTOL * max(value, 1e-290)
     if not ok:
-        if series > 0.0 and bound < max(rel_tol, 1e-9):
+        if series > 0.0 and bound < _THETA_RTOL:
             return series
         raise QuadratureError(
             f"theta quadrature failed at (u={u}, beta={beta}), residual {err:.2e}",
@@ -337,10 +334,11 @@ _PANEL_NODES = 64  # Gauss-Legendre nodes per panel on the first pass
 _PANEL_MAX_NODES = 1024
 _PANEL_RTOL = 1e-10  # agreement of the n- and n/2-node sums that accepts a row
 _SERIES_BOUND = 1e-10  # truncation bound below which both routes take the series
+_THETA_RTOL = 1e-9  # quad's tolerance, and the series bound that stands in when it fails
 _PANEL_BLOCK = 1 << 14  # integrand values per block: 128 kB per temporary
 
 
-def _theta_panels(u, beta: float, rel_tol: float):
+def _theta_panels(u, beta: float):
     """theta_beta(1, u) for a 1-d array u, every entry by one fixed rule.
 
     Entries where the large-u series' truncation bound is below 1e-10 take
@@ -408,7 +406,7 @@ def _theta_panels(u, beta: float, rel_tol: float):
     out[rows] = np.where(log_out < -700.0, 0.0, np.exp(log_out))
     if todo.size:
         fix = rows[todo]
-        ok = (series[fix] > 0.0) & (bound[fix] < max(rel_tol, 1e-9))
+        ok = (series[fix] > 0.0) & (bound[fix] < _THETA_RTOL)
         if not ok.all():
             i = todo[np.argmin(ok)]
             err = abs(value[i] - coarse[i])
@@ -485,6 +483,7 @@ def tempered_density(t: float, u: float, params: ProcessParams) -> float:
 # ---------------------------------------------------------------------------
 
 _LOG_FLOAT_MAX = 709.0  # e^709 is near the largest float
+_SERIES_TERMS = 90  # terms k = 1..90 before truncation at the smallest
 
 
 def _truncate_rows(terms):
@@ -510,10 +509,10 @@ def _truncate_rows(terms):
     return sums, mag[np.arange(len(terms)), last]
 
 
-def _series_coefficients(beta: float, kmax: int):
+def _series_coefficients(beta: float):
     """k and (-1)^{k+1} Gamma(k beta + 1)/k! sin(pi k beta) over the k with a
     nonzero sine factor; that zero pattern depends on beta alone."""
-    k = np.arange(1, kmax + 1)
+    k = np.arange(1, _SERIES_TERMS + 1)
     coef = (
         (-1.0) ** (k + 1)
         * np.exp(gammaln(k * beta + 1.0) - gammaln(k + 1.0))
@@ -523,7 +522,7 @@ def _series_coefficients(beta: float, kmax: int):
     return k[keep], coef[keep]
 
 
-def stable_density_tail_series(u, beta: float, kmax: int = 90):
+def stable_density_tail_series(u, beta: float):
     """Large-u series theta_beta(1,u) = (1/pi) sum_k (-1)^{k+1} Gamma(k beta + 1)/k!
     sin(pi k beta) u^{-k beta - 1}, truncated at the smallest term.
 
@@ -532,7 +531,7 @@ def stable_density_tail_series(u, beta: float, kmax: int = 90):
     the series' range (u below about 3e-5 at beta = 3/4) the high powers
     would overflow: they are not evaluated, and the bound is inf there.
     """
-    k, coef = _series_coefficients(beta, kmax)
+    k, coef = _series_coefficients(beta)
     u = np.asarray(u, dtype=float)
     powers, whole = _series_powers(u, -k * beta - 1.0)
     total, omitted = _truncate_rows(coef * powers)
@@ -561,10 +560,10 @@ def _sine_factor(k, beta):
     return s
 
 
-def stable_density_tail_mass(u: float, beta: float, kmax: int = 90):
+def stable_density_tail_mass(u: float, beta: float):
     """Tail probability int_u^infty theta_beta(1,v) dv by termwise integration
     of the large-u series.  Returns (value, relative truncation bound)."""
-    k, coef = _series_coefficients(beta, kmax)
+    k, coef = _series_coefficients(beta)
     powers, whole = _series_powers(np.asarray(u, dtype=float), -k * beta)
     total, omitted = _truncate_rows(coef * powers / (k * beta))
     value = float(total[0]) / math.pi

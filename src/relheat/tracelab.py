@@ -69,6 +69,8 @@ __all__ = [
 ]
 
 RICHARDSON_ORDER = 1.0
+CHUNK_PATHS = 100_000  # most paths of one r_D chunk, and of one march batch
+MAX_LAYERS = 24  # most stratum edges of `default_strata`'s boundary layers
 
 
 @dataclass(frozen=True)
@@ -397,14 +399,13 @@ def first_exit(path: PathGrid, domain: Domain):
     return k, path.positions[k]
 
 
-def _r_estimates(requests, domain, params, *, workers=1, chunk_paths=100_000):
+def _r_estimates(requests, domain, params, *, workers=1):
     """r_D(t, x, x) for each request (t, x, n_paths, dt, rng), in one march.
 
-    A request's paths run in chunks of at most `chunk_paths` on the streams
+    A request's paths run in chunks of at most `CHUNK_PATHS` on the streams
     rng.substream(c), and their (n, mean, M2) are merged chunk by chunk;
-    at most `chunk_paths` paths march at once.
+    at most `CHUNK_PATHS` paths march at once.
     """
-    _check_count("chunk_paths", chunk_paths)
     groups = []
     for t, x, n_paths, dt, rng in requests:
         _check_count("n_paths", n_paths)
@@ -416,10 +417,10 @@ def _r_estimates(requests, domain, params, *, workers=1, chunk_paths=100_000):
         n_steps, dt_eff = _snap_steps(t, dt)
         groups.append([
             (t, n_steps, dt_eff, x[None], m, rng.substream(c).generator())
-            for c, m in enumerate(_chunk_sizes(n_paths, chunk_paths))
+            for c, m in enumerate(_chunk_sizes(n_paths, CHUNK_PATHS))
         ])
     estimates = []
-    for group, results in zip(groups, _march(groups, domain, params, workers, chunk_paths)):
+    for group, results in zip(groups, _march(groups, domain, params, workers, CHUNK_PATHS)):
         t, _, dt_eff, points = group[0][:4]
         moments = functools.reduce(
             _merge_moments,
@@ -441,18 +442,15 @@ def r_estimate(
     params: ProcessParams,
     *,
     workers: int = 1,
-    chunk_paths: int = 100_000,
 ) -> TraceEstimate:
     """Monte Carlo estimate of r_D(t, x, x)."""
-    return _r_estimates(
-        [(t, x, n_paths, dt, rng)], domain, params, workers=workers, chunk_paths=chunk_paths
-    )[0]
+    return _r_estimates([(t, x, n_paths, dt, rng)], domain, params, workers=workers)[0]
 
 
-def _ladder(dt, rng):
-    """The dt-halving pair of monitoring levels (dt, stream): coarse at dt on
-    rng.substream(0), fine at dt/2 on rng.substream(1)."""
-    return [(dt, rng.substream(0)), (dt / 2.0, rng.substream(1))]
+def _ladder(dt, rng, extrapolate):
+    """The monitoring levels (dt, stream): dt on rng.substream(0) and, when
+    extrapolating, the fine level dt/2 on rng.substream(1)."""
+    return [(dt, rng.substream(0)), (dt / 2.0, rng.substream(1))][: 1 + extrapolate]
 
 
 def _extrapolate(coarse, fine):
@@ -487,19 +485,22 @@ def _richardson(coarse: TraceEstimate, fine: TraceEstimate = None) -> TraceEstim
     )
 
 
-def _r_extrapolated(points, domain, n_paths, params, **kw):
-    """Richardson estimates of r_D(t, x, x) at each point (t, x, dt, rng),
-    through the ladder of its dt and rng; every point and level marches in
-    one batch."""
+def _r_extrapolated(points, domain, n_paths, params, *, extrapolate=True, workers=1):
+    """Estimates of r_D(t, x, x) at each point (t, x, dt, rng) through the
+    ladder of its dt and rng, Richardson-extrapolated when `extrapolate`;
+    every point and level marches in one batch."""
     requests = [
-        (t, x, n_paths, dt_l, sub) for t, x, dt, rng in points for dt_l, sub in _ladder(dt, rng)
+        (t, x, n_paths, dt_l, sub)
+        for t, x, dt, rng in points
+        for dt_l, sub in _ladder(dt, rng, extrapolate)
     ]
-    ests = _r_estimates(requests, domain, params, **kw)
-    return [_richardson(coarse, fine) for coarse, fine in zip(ests[::2], ests[1::2])]
+    ests = _r_estimates(requests, domain, params, workers=workers)
+    n_levels = 1 + extrapolate
+    return [_richardson(*ests[i:i + n_levels]) for i in range(0, len(ests), n_levels)]
 
 
-def r_estimate_extrapolated(t, x, domain, n_paths, dt, rng, params, **kw) -> TraceEstimate:
-    return _r_extrapolated([(t, x, dt, rng)], domain, n_paths, params, **kw)[0]
+def r_estimate_extrapolated(t, x, domain, n_paths, dt, rng, params, *, workers=1) -> TraceEstimate:
+    return _r_extrapolated([(t, x, dt, rng)], domain, n_paths, params, workers=workers)[0]
 
 
 def _axis_point(q, d):
@@ -516,27 +517,22 @@ def halfspace_profile(
     dt: float,
     rng: RngStream,
     params: ProcessParams,
-    domain: Domain | None = None,
     *,
     extrapolate: bool = False,
     workers: int = 1,
 ) -> HalfspaceProfile:
     """Profile f_H(t, q) over a grid of boundary distances q.
 
-    Node i is the point (q_i, 0, ..., 0) on rng.substream(i): one
-    `_r_extrapolated` batch when extrapolating, one `_r_estimates` batch
-    otherwise, so every node and level marches in one pool.
+    Node i is the point (q_i, 0, ..., 0) on the dt-ladder of rng.substream(i)
+    (one level unless extrapolating), so level k draws from
+    rng.substream(i).substream(k); every node and level marches in one pool.
     """
-    domain = domain or HalfSpace(d=params.d)
     q_grid = np.asarray(q_grid, dtype=float)
     if (q_grid <= 0).any():
         raise ParameterError("q grid must be positive")
     points = [(t, _axis_point(q, params.d), dt, rng.substream(i)) for i, q in enumerate(q_grid)]
-    if extrapolate:
-        f_values = _r_extrapolated(points, domain, n_paths, params, workers=workers)
-    else:
-        requests = [(t, x, n_paths, dt, sub) for t, x, dt, sub in points]
-        f_values = _r_estimates(requests, domain, params, workers=workers)
+    f_values = _r_extrapolated(points, HalfSpace(d=params.d), n_paths, params,
+                               extrapolate=extrapolate, workers=workers)
     return HalfspaceProfile(t=t, q_grid=q_grid, f_values=tuple(f_values))
 
 
@@ -587,7 +583,7 @@ def c2_of_t(
     n_pilot = max(500, int(0.15 * n_paths / n_nodes))
     remaining = max(n_paths - n_pilot * n_nodes, 0)
     xs = [_axis_point(q, params.d) for q in q_grid]
-    levels = _ladder(dt, rng)[: 1 + extrapolate]
+    levels = _ladder(dt, rng, extrapolate)
 
     def run(budget, pass_index):
         # node i of level k draws from the level's stream at substream(i, pass_index)
@@ -741,7 +737,7 @@ def _loglog_fit(q, f, se):
 # Spatial trace integral
 # ---------------------------------------------------------------------------
 
-def default_strata(domain: Domain, t: float, params: ProcessParams, max_layers: int = 24):
+def default_strata(domain: Domain, t: float, params: ProcessParams):
     """Stratum boundaries in delta_D: refined inside the first boundary layer
     of width t^{1/alpha}, unit layers out to R/2, then the core."""
     h = t ** (1.0 / params.alpha)
@@ -751,7 +747,7 @@ def default_strata(domain: Domain, t: float, params: ProcessParams, max_layers: 
     if h < d_max / 4.0:
         edges += [h / 8.0, h / 4.0, h / 2.0, h]
         j = 2
-        while h * j < min(r_half, d_max) and len(edges) < max_layers:
+        while h * j < min(r_half, d_max) and len(edges) < MAX_LAYERS:
             edges.append(h * j)
             j += 1 if j < 8 else j  # geometric past 8 layers keeps the count low
     else:
@@ -796,7 +792,6 @@ def z_trace(
     dt: float,
     rng: RngStream,
     params: ProcessParams,
-    strata=None,
     *,
     extrapolate: bool = False,
     workers: int = 1,
@@ -814,9 +809,9 @@ def z_trace(
         raise ParameterError("z_trace requires a bounded domain")
     _check_count("n_paths", n_paths)
     _check_count("chunk_points", chunk_points)
-    strata = strata or default_strata(domain, t, params)
+    strata = default_strata(domain, t, params)
     ft = first_term(t, domain, params)
-    levels = [(*_snap_steps(t, dt_l), sub) for dt_l, sub in _ladder(dt, rng)[: 1 + extrapolate]]
+    levels = [(*_snap_steps(t, dt_l), sub) for dt_l, sub in _ladder(dt, rng, extrapolate)]
     layers = []
     for j, ((q_lo, q_hi), n_j) in enumerate(zip(strata, _allocate(domain, strata, t, params, n_x))):
         vol = domain.layer_volume(q_lo, q_hi)

@@ -23,7 +23,7 @@ from .sampler import RngStream, empirical_transform, sample_brownian_leg, sample
 from .specfun import ProcessParams, characteristic_exponent, stable_subordinator_density
 from .tracelab import (
     _r_extrapolated,
-    _weighted_line_fit,
+    _loglog_fit,
     c2_of_t,
     c4_const,
     first_term,
@@ -281,16 +281,14 @@ def check_halfspace_tail(cfg: ExperimentConfig) -> CheckResult:
     honestly.
     """
     params = ProcessParams(alpha=1.0, m=0.0, d=2)
-    half = HalfSpace(d=2)
     n = cfg.scaled(100_000, 4000)
     rng = RngStream(cfg.seed, 8)
     qs = np.geomspace(2.0, 8.0, 5)
-    prof = halfspace_profile(1.0, qs, n, 1.0 / cfg.steps, rng, params, half, extrapolate=True,
+    prof = halfspace_profile(1.0, qs, n, 1.0 / cfg.steps, rng, params, extrapolate=True,
                              workers=cfg.workers)
     fs = np.array([est.value for est in prof.f_values])
     ses = np.array([est.stderr for est in prof.f_values])
-    w = (fs / np.maximum(ses, 1e-300)) ** 2
-    slope, slope_se, _ = _weighted_line_fit(np.log(qs), np.log(fs), w)
+    slope, slope_se, _ = _loglog_fit(qs, fs, ses)
     target = -(params.d + params.alpha)
     passed = abs(slope - target) <= 0.5
     return _result(

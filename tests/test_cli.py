@@ -149,8 +149,9 @@ class TestSubcommands:
         assert rec["value"] == pytest.approx(1 / (2 * math.pi))
 
     def test_deterministic_artifacts(self, tiny_cfg, tmp_path):
+        # neither the output directory nor the worker count reaches the bytes
         cfg_a = tiny_cfg.override(out=str(tmp_path / "a"))
-        cfg_b = tiny_cfg.override(out=str(tmp_path / "b"))
+        cfg_b = tiny_cfg.override(out=str(tmp_path / "b"), workers=2)
         pa = cli.cmd_subordinator(cfg_a)
         pb = cli.cmd_subordinator(cfg_b)
         assert open(pa).read() == open(pb).read()

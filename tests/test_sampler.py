@@ -39,6 +39,17 @@ class TestRngStream:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_equality_follows_the_draws(self):
+        # streams that draw differently never compare, hash or print alike;
+        # streams that draw alike compare equal however they were made
+        one, two = RngStream(1, 0).substream(1), RngStream(1, 0).substream(2)
+        assert not np.array_equal(one.generator().random(4), two.generator().random(4))
+        assert one != two and len({one, two}) == 2 and repr(one) != repr(two)
+        assert RngStream(1, 0) != one
+        assert RngStream(1, 0).substream() == RngStream(1, 0)
+        assert RngStream(1, 0).substream(1, 2) == one.substream(2)
+        assert hash(RngStream(1, 0).substream(1, 2)) == hash(one.substream(2))
+
 
 class TestKanterTransform:
     def test_forced_randomness(self):

@@ -269,16 +269,10 @@ class TestREstimate:
         with pytest.raises(BudgetError):
             r_estimate(0.5, np.zeros(2), unit_ball, 50, 0.05, rng, cauchy2d)
 
-    @pytest.mark.parametrize(
-        "kw", [dict(chunk_paths=0), dict(chunk_paths=-100), dict(chunk_paths=250.0),
-               dict(n_paths=0), dict(n_paths=500.5)],
-        ids=["chunk_zero", "chunk_negative", "chunk_float", "paths_zero", "paths_float"],
-    )
-    def test_bad_budget_raises_parameter_error(self, rng, cauchy2d, unit_ball, kw):
-        args = {"n_paths": 500, **kw}
+    @pytest.mark.parametrize("n_paths", [0, 500.5], ids=["paths_zero", "paths_float"])
+    def test_bad_budget_raises_parameter_error(self, rng, cauchy2d, unit_ball, n_paths):
         with pytest.raises(ParameterError):
-            r_estimate(0.5, np.zeros(2), unit_ball, args.pop("n_paths"), 0.05, rng, cauchy2d,
-                       **args)
+            r_estimate(0.5, np.zeros(2), unit_ball, n_paths, 0.05, rng, cauchy2d)
 
     def test_start_must_be_inside(self, rng, cauchy2d, unit_ball):
         with pytest.raises(ParameterError):
@@ -340,14 +334,15 @@ class TestREstimate:
         )
         assert edge.value - center.value > 3 * math.hypot(edge.stderr, center.stderr)
 
-    def test_worker_count_does_not_change_results(self, rng, relativistic2d, unit_ball):
+    def test_worker_count_does_not_change_results(self, monkeypatch, rng, relativistic2d,
+                                                  unit_ball):
         # chunk-to-stream assignment is fixed by the budgets; the pool size
         # only parallelizes execution
-        kw = dict(chunk_paths=1000)
+        monkeypatch.setattr(tracelab, "CHUNK_PATHS", 1000)
         a = r_estimate(0.1, np.array([0.8, 0.0]), unit_ball, 3000, 0.1 / 16,
-                       rng.substream(30), relativistic2d, workers=1, **kw)
+                       rng.substream(30), relativistic2d, workers=1)
         b = r_estimate(0.1, np.array([0.8, 0.0]), unit_ball, 3000, 0.1 / 16,
-                       rng.substream(30), relativistic2d, workers=2, **kw)
+                       rng.substream(30), relativistic2d, workers=2)
         assert a.value == b.value
         assert a.stderr == b.stderr
 
@@ -361,7 +356,7 @@ class TestREstimate:
         t, n_steps = 0.037, 12
         dt = t / n_steps
         keys = [
-            kernels._table_key(params.m * (t - (k - 0.5) * dt), params, kernels.TABLE_NODES)
+            kernels._table_key(params.m * (t - (k - 0.5) * dt), params)
             for k in range(1, n_steps + 1)
         ]
         _warm([(t, n_steps, dt)], params)
@@ -415,15 +410,18 @@ class TestHalfspaceProfile:
     @pytest.mark.parametrize("extrapolate", [False, True])
     def test_equals_separate_point_estimates(self, monkeypatch, rng, relativistic2d, extrapolate):
         # one march over all nodes gives each node the numbers of its own
-        # r_estimate call on the same substream, at any worker count, in
-        # one pool
+        # point estimate on the same ladder (level k of node i on
+        # substream(40, i, k)), at any worker count, in one pool
         half = HalfSpace(d=2)
         t, qs, n = 0.1, [0.02, 0.1, 0.3], 1500
-        point = r_estimate_extrapolated if extrapolate else r_estimate
-        direct = [
-            point(t, np.array([q, 0.0]), half, n, t / 16, rng.substream(40, i), relativistic2d)
-            for i, q in enumerate(qs)
-        ]
+        if extrapolate:
+            direct = [r_estimate_extrapolated(t, np.array([q, 0.0]), half, n, t / 16,
+                                              rng.substream(40, i), relativistic2d)
+                      for i, q in enumerate(qs)]
+        else:
+            direct = [r_estimate(t, np.array([q, 0.0]), half, n, t / 16,
+                                 rng.substream(40, i, 0), relativistic2d)
+                      for i, q in enumerate(qs)]
         starts = record_pools(monkeypatch, tracelab.ProcessPoolExecutor)
         for workers in (1, 2):
             prof = halfspace_profile(t, qs, n, t / 16, rng.substream(40), relativistic2d,
