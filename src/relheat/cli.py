@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -27,19 +28,6 @@ from .tracelab import (
     residual_scan,
     z_trace,
 )
-
-SUBCOMMANDS = (
-    "constants",
-    "density",
-    "subordinator",
-    "charfn",
-    "halfspace",
-    "trace",
-    "residual",
-    "lambda1",
-    "verify",
-)
-
 
 def _reference_c4(cfg: ExperimentConfig):
     path = os.path.join(os.path.dirname(__file__), "data", "c4_reference.json")
@@ -244,74 +232,76 @@ def _plain(obj):
     return obj
 
 
+COMMANDS = {
+    "constants": cmd_constants,
+    "density": cmd_density,
+    "subordinator": cmd_subordinator,
+    "charfn": cmd_charfn,
+    "halfspace": cmd_halfspace,
+    "trace": cmd_trace,
+    "residual": cmd_residual,
+    "lambda1": cmd_lambda1,
+    "verify": cmd_verify,
+}
+
+# flag -> the ExperimentConfig field it overrides, parsed as that field's
+# type; --t-grid stays a string for the config to parse, so that a bad grid
+# is a configuration error (exit 2)
+FLAGS = {
+    "--seed": "seed",
+    "--workers": "workers",
+    "--out": "out",
+    "--format": "fmt",
+    "--alpha": "alpha",
+    "--m": "m",
+    "--d": "d",
+    "--domain": "domain",
+    "--t-grid": "t_grid",
+    "--n-paths": "n_paths",
+    "--n-x": "n_x",
+    "--steps": "steps",
+    "--profile-n-paths": "profile_n_paths",
+    "--budget-scale": "budget_scale",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relheat",
         description="Relativistic stable process laboratory: sampling, kernels, heat traces.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", dest="fmt", choices=FORMATS, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--m", type=float, default=None)
-        p.add_argument("--d", type=int, default=None)
-        p.add_argument("--domain", default=None)
-        p.add_argument("--t-grid", dest="t_grid", default=None)
-        p.add_argument("--n-paths", dest="n_paths", type=int, default=None)
-        p.add_argument("--n-x", dest="n_x", type=int, default=None)
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--profile-n-paths", dest="profile_n_paths", type=int, default=None)
-        p.add_argument("--budget-scale", dest="budget_scale", type=float, default=None)
-        p.add_argument("--no-extrapolate", action="store_true")
+        for flag, key in FLAGS.items():
+            kind = str if types[key] is tuple else types[key]
+            choices = FORMATS if key == "fmt" else None
+            p.add_argument(flag, dest=key, type=kind, choices=choices, default=None)
+        p.add_argument("--no-extrapolate", dest="extrapolate", action="store_false", default=None)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    overrides = vars(build_parser().parse_args(argv))
+    command, path = overrides.pop("subcommand"), overrides.pop("config")
     try:
-        cfg = load_config(args.config) if args.config else ExperimentConfig()
-        overrides = {
-            k: getattr(args, k)
-            for k in (
-                "seed", "workers", "out", "fmt", "alpha", "m", "d", "domain",
-                "t_grid", "n_paths", "n_x", "steps", "profile_n_paths", "budget_scale",
-            )
-        }
-        cfg = cfg.override(**overrides)
-        if args.no_extrapolate:
-            cfg = cfg.override(extrapolate=False)
+        cfg = (load_config(path) if path else ExperimentConfig()).override(**overrides)
         cfg.params()
         cfg.domain_obj()
     except (ParameterError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    handlers = {
-        "constants": cmd_constants,
-        "density": cmd_density,
-        "subordinator": cmd_subordinator,
-        "charfn": cmd_charfn,
-        "halfspace": cmd_halfspace,
-        "trace": cmd_trace,
-        "residual": cmd_residual,
-        "lambda1": cmd_lambda1,
-    }
     try:
-        if args.subcommand == "verify":
-            return cmd_verify(cfg)
-        handlers[args.subcommand](cfg)
+        result = COMMANDS[command](cfg)
     except (ParameterError, StepTooLargeError, BudgetError, TailFitError, QuadratureError) as exc:
         # inputs the estimators cannot serve: a configuration error, not a
         # failed verification
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
+    # verify returns its exit code; every other command its artifact's path
+    return result if isinstance(result, int) else 0
 
 
 if __name__ == "__main__":

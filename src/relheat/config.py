@@ -15,7 +15,6 @@ from .geometry import parse_domain
 from .specfun import ProcessParams
 from .tracelab import Budgets
 
-SCHEMA_VERSION = 1
 FORMATS = ("csv", "json")  # artifact formats io.write_rows writes
 
 

@@ -399,9 +399,8 @@ def build_table(mt: float, params: ProcessParams) -> RadialKernelTable:
     return table if table is not None else build_tables([mt], params)[0]
 
 
-def table_eval(table: RadialKernelTable, t: float, r, params: ProcessParams | None = None):
+def table_eval(table: RadialKernelTable, t: float, r, params: ProcessParams):
     """p(t, r) through a prebuilt table; the table's mt must match m*t."""
-    params = params or table.params
     if t <= 0.0:
         raise ParameterError(f"t must be > 0, got {t}")
     if abs(params.m * t - table.mt) > _MT_TOL * max(1.0, abs(table.mt)):

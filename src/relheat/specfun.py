@@ -93,7 +93,7 @@ def surface_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / gamma_strict(d / 2.0)
 
 
-def psi(theta: float, p: float, rel_tol: float = 1e-10) -> float:
+def psi(theta: float, p: float) -> float:
     """psi(theta) = int_0^infty e^{-v} v^{p-1/2} (theta + v/2)^{p-1/2} dv.
 
     Strictly increasing in theta; psi(0) = 2^{1/2-p} Gamma(2p).
@@ -110,7 +110,7 @@ def psi(theta: float, p: float, rel_tol: float = 1e-10) -> float:
         return math.exp(-v) * v**q * (theta + 0.5 * v) ** q
 
     value, err = quad(integrand, 0.0, v_max, limit=200, epsabs=0.0, epsrel=1e-12)
-    if not math.isfinite(value) or err > rel_tol * max(abs(value), 1e-300):
+    if not math.isfinite(value) or err > 1e-10 * max(abs(value), 1e-300):
         raise QuadratureError(
             f"psi({theta}, {p}) quadrature residual {err:.2e} too large",
             value=value,

@@ -556,7 +556,6 @@ def c2_of_t(
     rng: RngStream,
     params: ProcessParams,
     *,
-    q_grid=None,
     extrapolate: bool = True,
     workers: int = 1,
 ) -> TraceEstimate:
@@ -571,7 +570,7 @@ def c2_of_t(
     pass marches all nodes and ladder levels at once.
     """
     half = HalfSpace(d=params.d)
-    q_grid = _default_q_grid(t, params) if q_grid is None else np.asarray(q_grid, float)
+    q_grid = _default_q_grid(t, params)
     n_nodes = len(q_grid)
 
     weights_q = np.zeros(n_nodes + 1)
@@ -656,27 +655,11 @@ def c4_const(
     rng: RngStream,
     params: ProcessParams,
     *,
-    t: float = 1.0,
-    extrapolate: bool = True,
     workers: int = 1,
 ) -> TraceEstimate:
     """Stable boundary constant C4 = C2(t=1) of the mass-zero process."""
-    stable = params.with_mass(0.0)
-    est = c2_of_t(
-        t, n_paths, dt, rng, stable, extrapolate=extrapolate, workers=workers
-    )
-    # m=0 scaling: C2(t) = C4 t^{(1-d)/alpha}, so any t rescales to C4
-    scale = t ** ((stable.d - 1.0) / stable.alpha)
-    meta = dict(est.meta)
-    meta.update({"estimator": "C4", "profile_t": t, "rescale": scale})
-    return TraceEstimate(
-        value=est.value * scale,
-        stderr=est.stderr * scale,
-        n_samples=est.n_samples,
-        dt=est.dt,
-        t=t,
-        meta=meta,
-    )
+    est = c2_of_t(1.0, n_paths, dt, rng, params.with_mass(0.0), workers=workers)
+    return replace(est, meta={**est.meta, "estimator": "C4"})
 
 
 def _power_panel_integral(q, f, p0):

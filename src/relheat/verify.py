@@ -525,8 +525,5 @@ ALL_CHECKS = (
 )
 
 
-def run_all(cfg: ExperimentConfig, checks=ALL_CHECKS):
-    results = []
-    for check in checks:
-        results.append(check(cfg))
-    return results
+def run_all(cfg: ExperimentConfig):
+    return [check(cfg) for check in ALL_CHECKS]

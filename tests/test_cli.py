@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from relheat import cli
+from relheat import cli, verify
 from relheat.config import ExperimentConfig, dump_config, load_config
 from relheat.errors import ParameterError
 from relheat.sampler import RngStream, sample_brownian_leg, sample_tempered_subordinator
@@ -252,6 +252,27 @@ class TestMain:
         assert code == 2
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_verify_report(self, monkeypatch, tmp_path, capsys):
+        def passing(cfg):
+            return verify.CheckResult("stub pass", 1, True, ["ok"], {"z": 0.5})
+
+        def failing(cfg):
+            data = {"z": np.float64(4.5), "n": np.int64(3), "ok": np.bool_(False),
+                    "zs": (np.float64(1.0), np.int32(2))}
+            return verify.CheckResult("stub fail", 2, False, ["off"], data)
+
+        monkeypatch.setattr(verify, "ALL_CHECKS", (passing, failing))
+        code = cli.main(["verify", "--out", str(tmp_path), "--workers", "2"])
+        assert code == 1
+        assert "[FAIL] criterion 2: stub fail" in capsys.readouterr().out
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert (report["n_checks"], report["n_failed"]) == (2, 1)
+        (failure,) = report["failures"]
+        assert failure["criterion"] == 2
+        # numpy scalars are written as JSON numbers and booleans, not strings
+        assert failure["data"] == {"z": 4.5, "n": 3, "ok": False, "zs": [1.0, 2]}
+        assert "out" not in report["config"] and "workers" not in report["config"]
 
     def test_zero_workers_exit_code(self, tmp_path, capsys):
         code = cli.main(["trace", "--workers", "0", "--out", str(tmp_path)])

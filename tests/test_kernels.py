@@ -340,6 +340,17 @@ class TestRadialTable:
         with pytest.raises(StaleTableError):
             table_eval(table, 0.25, 1.0, params_m)
 
+    def test_table_shared_across_masses(self):
+        # the cache keys a table by m*t, so a table built for m = 1 at
+        # s = 1/2 serves m = 1/2 at t = 1; the caller's params evaluate it
+        built = build_table(1.0 * 0.5, ProcessParams(1.5, 1.0, 2))
+        params = ProcessParams(1.5, 0.5, 2)
+        table = build_table(params.m * 1.0, params)
+        assert table is built
+        rs = np.geomspace(1e-3, 80.0, 15)  # the last radii lie beyond the grid
+        want = [free_density(1.0, r, params) for r in rs]
+        assert table_eval(table, 1.0, rs, params) == pytest.approx(want, rel=1e-4)
+
     def test_beyond_grid_falls_back_to_quadrature(self, cauchy2d):
         table = build_table(0.0, cauchy2d)
         r = 80.0  # beyond the 50-radius grid at t=1

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from relheat import kernels, tracelab
+from relheat.cli import _reference_c4
+from relheat.config import ExperimentConfig
 from relheat.errors import BudgetError, ParameterError, TailFitError
 from relheat.geometry import Annulus, Ball, HalfSpace
 from relheat.kernels import build_table, free_density, table_eval
@@ -33,7 +35,8 @@ from relheat.tracelab import (
     z_trace,
 )
 
-C4_REFERENCE = {"value": 0.0502798, "stderr": 0.0000627}  # frozen high-budget run
+# the frozen high-budget run (scripts/freeze_c4.py) that `relheat constants` shows
+C4_REFERENCE = _reference_c4(ExperimentConfig(alpha=1.0, d=2))
 
 
 def cached_in_worker(keys, beta):
@@ -484,21 +487,18 @@ class TestBoundaryCoefficient:
         assert starts == [2, 2]
         assert (a.value, a.stderr, a.n_samples, a.meta) == (b.value, b.stderr, b.n_samples, b.meta)
 
-    def test_tail_fit_failure_on_flat_grid(self, rng, relativistic2d):
+    def test_tail_fit_failure_on_flat_grid(self, monkeypatch, rng, relativistic2d):
         # nodes confined to the flat region near the boundary make the last
         # decade flat: the fitted slope cannot support a tail correction
-        q_grid = np.geomspace(1e-4, 1e-3, 8)
+        monkeypatch.setattr(tracelab, "_default_q_grid", lambda t, params: np.geomspace(1e-4, 1e-3, 8))
         with pytest.raises(TailFitError):
-            c2_of_t(
-                0.5, 8000, 0.5 / 16, rng.substream(14), relativistic2d,
-                q_grid=q_grid, extrapolate=False,
-            )
+            c2_of_t(0.5, 8000, 0.5 / 16, rng.substream(14), relativistic2d, extrapolate=False)
 
     def test_c4_regression_against_frozen_run(self, rng, within_se):
         # same protocol as the frozen run (dt ladder from steps=128) so the
         # residual monitoring bias cancels in the comparison
         params = ProcessParams(alpha=1.0, m=0.0, d=2)
-        est = c4_const(120_000, 1.0 / 128, rng.substream(15), params, extrapolate=True)
+        est = c4_const(120_000, 1.0 / 128, rng.substream(15), params)
         within_se(
             est.value,
             C4_REFERENCE["value"],
@@ -508,13 +508,14 @@ class TestBoundaryCoefficient:
         )
 
     def test_c4_scale_invariance(self, rng, within_se):
-        # estimating at t=1/2 and rescaling by the stable scaling law must
+        # at m=0, C2(t) = C4 t^{(1-d)/alpha}: C2 at t=1/2, rescaled, must
         # agree with the direct t=1 estimate; the monitoring grid scales with
         # t, so the bias cancels exactly between the two routes
         params = ProcessParams(alpha=1.0, m=0.0, d=2)
-        a = c4_const(120_000, 1.0 / 64, rng.substream(16), params, t=1.0, extrapolate=False)
-        b = c4_const(120_000, 0.5 / 64, rng.substream(17), params, t=0.5, extrapolate=False)
-        within_se(a.value, b.value, math.hypot(a.stderr, b.stderr), z=3.0,
+        a = c2_of_t(1.0, 120_000, 1.0 / 64, rng.substream(16), params, extrapolate=False)
+        b = c2_of_t(0.5, 120_000, 0.5 / 64, rng.substream(17), params, extrapolate=False)
+        scale = 0.5 ** ((params.d - 1.0) / params.alpha)
+        within_se(a.value, b.value * scale, math.hypot(a.stderr, b.stderr * scale), z=3.0,
                   msg="C4 from t=1 vs t=1/2")
 
 
