@@ -135,5 +135,5 @@ def dump_config(cfg: ExperimentConfig, path):
     with open(path, "w") as fh:
         for key, value in cfg.as_dict().items():
             if isinstance(value, list):
-                value = ",".join(f"{v:g}" for v in value)
+                value = ",".join(repr(v) for v in value)  # repr round-trips a float exactly
             fh.write(f"{key} = {value}\n")

@@ -7,8 +7,9 @@ variable z = u t^{-1/beta}, so a single two-parameter profile
     F(rho, w) = (4 pi)^{-d/2} int_0^infty z^{-d/2}
                 e^{-rho^2/(4z)} e^{-w^{1/beta} z} theta_beta(1, z) dz,
 
-serves every (t, r).  `free_density`, `c1_of_t` and the kernel tables
-all evaluate F by one trapezoid rule in s = log z (`_profile_batch`).
+serves every (t, r).  `free_density`, `c1_of_t`, the far field and the
+kernel tables all evaluate F by one checked trapezoid rule in s = log z,
+`_profile_batch`, for an array of radii and one or more products w.
 
 At alpha = 1 (beta = 1/2) both factors have closed forms: theta_{1/2} is
 the Levy density (`levy_half_density`), and p itself is the Bessel kernel
@@ -18,8 +19,8 @@ at alpha = 1 scores its exits with `cauchy_density` and needs no table.
 For other alpha, `RadialKernelTable` freezes one radial profile per m*t
 product for fast inner-loop evaluation.  A march scores exits at the
 products m (t - (k - 1/2) dt), so before it starts, `build_tables` builds
-all of them in one batched trapezoid quadrature; pool workers forked
-afterwards inherit the tables instead of building them.
+all of them through `_profile_batch`, 16 products per call; pool workers
+forked afterwards inherit the tables instead of building them.
 
 That rule runs on one lattice, s_k = -35 + k h (k < 0 only for alpha <
 0.3, where theta_beta's left tail passes e^{-35}), cut where the Gaussian
@@ -29,8 +30,9 @@ array route of `stable_subordinator_density` (`fast_theta`), and cached
 (`_lattice_theta`): a table build fills the lattice out to its cut before
 the pool forks, and a larger radius appends only the nodes past the
 cached ones.  A far-field call then costs one mass weight vector and
-one small matrix product.  The sum on every second node checks the rule:
-past 1e-8 relative error it raises `QuadratureError`.
+one small matrix product.  The sum on every second node checks the rule,
+for a table as for a single density: past 1e-8 relative error it raises
+`QuadratureError`.
 """
 
 import csv
@@ -94,7 +96,7 @@ def c1_of_t(t: float, params: ProcessParams) -> float:
         raise ParameterError(f"t must be >= 0, got {t}")
     if t == 0.0 or params.m == 0.0:
         return c1_const(params)
-    return float(_profile_batch(np.zeros(1), params.m * t, params)[0])
+    return float(_profile_batch(np.zeros(1), [params.m * t], params)[0, 0])
 
 
 def density_upper_bound(t: float, params: ProcessParams) -> float:
@@ -111,7 +113,7 @@ def free_density(t: float, r: float, params: ProcessParams) -> float:
     if r < 0.0:
         raise ParameterError(f"radius must be >= 0, got {r}")
     rho = r * t ** (-1.0 / params.alpha)
-    f = float(_profile_batch(np.array([rho]), params.m * t, params)[0])
+    f = float(_profile_batch(np.array([rho]), [params.m * t], params)[0, 0])
     return math.exp(params.m * t) * t ** (-params.d / params.alpha) * f
 
 
@@ -188,23 +190,9 @@ def _lattice_theta(beta: float, z):
     return have[:len(z)]
 
 
-def _mass_weights(s, z, theta_z, weights, w, params: ProcessParams):
-    """Quadrature weights of F(., w): z^{1-d/2} e^{-w^{1/beta} z} theta_beta(1, z) ds."""
-    wb = w ** (1.0 / params.beta) if w > 0.0 else 0.0
-    with np.errstate(over="ignore", under="ignore"):
-        return np.exp(s * (1.0 - params.d / 2.0) - wb * z) * theta_z * weights
-
-
-def _gaussian_factor(rhos, z):
-    """exp(-rho^2/(4z)) on the (radius, node) grid, exponentiated in place."""
-    with np.errstate(over="ignore", under="ignore"):
-        out = (-0.25 / z)[None, :] * (rhos**2)[:, None]
-        return np.exp(out, out=out)
-
-
-def _profile_batch(rhos, w, params: ProcessParams):
-    """F(rho, w) on an array of radii by trapezoid in log z, the package's
-    one rule for F (the tables run it on their own radii, `build_tables`).
+def _profile_batch(rhos, ws, params: ProcessParams):
+    """F(rho, w) at every radius in `rhos` (rows) and mass product in `ws`
+    (columns) by trapezoid in log z: the package's one evaluator of F.
 
     The integrand is analytic and decays double-exponentially in s = log z,
     so the uniform-grid trapezoid converges geometrically (Trefethen &
@@ -215,22 +203,31 @@ def _profile_batch(rhos, w, params: ProcessParams):
     The nodes are the lattice prefix out to the largest radius (`_z_nodes`).
     """
     rhos = np.asarray(rhos, dtype=float)
-    s, z, weights, theta_z = _z_nodes(float(rhos.max()) if rhos.size else 1.0, params.beta)
-    base = _mass_weights(s, z, theta_z, weights, w, params)
-    kernel = _gaussian_factor(rhos, z)
+    s, z, weights, theta_z = _z_nodes(float(rhos.max()), params.beta)
+    # weights z^{1-d/2} e^{-w^{1/beta} z} theta_beta(1, z) ds, one column per w
+    base = np.empty((len(z), len(ws)))
+    with np.errstate(over="ignore", under="ignore"):
+        for j, w in enumerate(ws):
+            wb = w ** (1.0 / params.beta) if w > 0.0 else 0.0
+            base[:, j] = np.exp(s * (1.0 - params.d / 2.0) - wb * z) * theta_z * weights
+        kernel = (-0.25 / z)[None, :] * (rhos**2)[:, None]
+        np.exp(kernel, out=kernel)  # exp(-rho^2/(4z)) on the (radius, node) grid
     total = kernel @ base
-    coarse = 2.0 * (kernel[:, ::2] @ base[::2])
-    ends = kernel[:, 0] * base[0] + kernel[:, -1] * base[-1]
+    even = base.copy()
+    even[1::2] = 0.0
+    coarse = 2.0 * (kernel @ even)
+    ends = np.outer(kernel[:, 0], base[0]) + np.outer(kernel[:, -1], base[-1])
     with np.errstate(divide="ignore", invalid="ignore"):
         residual = ((total - coarse) / total) ** 2 + ends / total
     residual[total < np.finfo(float).tiny] = 0.0  # underflowed: 0 to any purpose
     norm = (4.0 * math.pi) ** (-params.d / 2.0)
-    bad = np.flatnonzero(~(residual <= _PROFILE_TOL))  # a nan fails too
+    bad = np.argwhere(~(residual <= _PROFILE_TOL))  # a nan fails too
     if bad.size:
-        i = bad[0]
+        i, j = bad[0]
         raise QuadratureError(
-            f"profile quadrature failed at (rho={rhos[i]}, w={w}), residual {residual[i]:.2e}",
-            value=norm * total[i], residual=residual[i],
+            f"profile quadrature failed at (rho={rhos[i]}, w={ws[j]}), "
+            f"residual {residual[i, j]:.2e}",
+            value=norm * total[i, j], residual=residual[i, j],
         )
     return norm * total
 
@@ -302,12 +299,12 @@ class RadialKernelTable:
     p(t, x) = e^{mt} t^{-d/alpha} F(|x| t^{-1/alpha}, mt).  Interpolation is
     linear in (log rho, log F) after removing the spatial tempering factor
     e^{-(mt)^{1/alpha} rho}, which leaves nearly power-law structure on both
-    flanks.  The values are the one profile rule's (`_profile_batch`), and
-    radii beyond the grid go to that rule on a longer lattice prefix.  Tables
-    are made by `build_tables` (`build_table` is its one-table call): a run
-    builds each march's tables in one batched quadrature before any path
-    moves, and pool workers inherit them.  A table's values do not depend
-    on the batch it was built in.
+    flanks.  The values come from the same checked profile rule as
+    `free_density` (`_profile_batch`), and radii beyond the grid go to that
+    rule on a longer lattice prefix.  Tables are made by `build_tables`
+    (`build_table` is its one-table call): a run builds each march's tables
+    before any path moves, and pool workers inherit them.  A table's values
+    do not depend on the batch it was built in.
     """
 
     mt: float
@@ -333,7 +330,7 @@ class RadialKernelTable:
             logv = np.interp(np.log(rhos[mid]), np.log(self.radii), tilted)
             out[mid] = np.exp(logv - self._tilt * rhos[mid])
         if big.any():
-            out[big] = _profile_batch(rhos[big], self.mt, self.params)
+            out[big] = _profile_batch(rhos[big], [self.mt], self.params)[:, 0]
         return out
 
     def to_csv(self, path):
@@ -360,10 +357,9 @@ def _table_key(mt: float, params: ProcessParams) -> tuple:
 def build_tables(mts, params: ProcessParams) -> list[RadialKernelTable]:
     """Build (or fetch from cache) the radial profile tables for several m*t.
 
-    One batched quadrature serves every missing table: exp(-rho^2/(4z)) is
-    evaluated once on the (radius, log-z node) grid, theta_beta comes from
-    the lattice cache, and each block of `_BLOCK` tables, their f0 included
-    (the rho = 0 row), is one matrix product against the tables' weights.
+    The missing tables go to the checked profile rule (`_profile_batch`)
+    `_BLOCK` at a time, their f0 as the rho = 0 row, so a table the rule
+    cannot resolve raises `QuadratureError` before any path moves.
     """
     mts = [float(mt) for mt in mts]
     if any(mt < 0.0 for mt in mts):
@@ -373,23 +369,18 @@ def build_tables(mts, params: ProcessParams) -> list[RadialKernelTable]:
     for key, mt in zip(keys, mts):
         if key not in _TABLE_CACHE:
             missing.setdefault(key, mt)
-    if missing:
-        radii = np.geomspace(TABLE_RHO_MIN, TABLE_RHO_MAX, TABLE_NODES)
-        s, z, weights, theta_z = _z_nodes(TABLE_RHO_MAX, params.beta)
-        kernel = _gaussian_factor(np.concatenate([[0.0], radii]), z)
-        norm = (4.0 * math.pi) ** (-params.d / 2.0)
-        items = list(missing.items())
-        for start in range(0, len(items), _BLOCK):
-            block = items[start:start + _BLOCK]
-            base = np.zeros((len(z), _BLOCK))
-            for j, (_, mt) in enumerate(block):
-                base[:, j] = _mass_weights(s, z, theta_z, weights, mt, params)
-            profiles = norm * (kernel @ base)
-            for j, (key, mt) in enumerate(block):
-                _TABLE_CACHE[key] = RadialKernelTable(
-                    mt=mt, radii=radii, values=profiles[1:, j].copy(),
-                    f0=float(profiles[0, j]), params=params,
-                )
+    radii = np.geomspace(TABLE_RHO_MIN, TABLE_RHO_MAX, TABLE_NODES)
+    items = list(missing.items())
+    for start in range(0, len(items), _BLOCK):
+        block = items[start:start + _BLOCK]
+        # the last block is padded with copies of a real mt
+        block_mts = [mt for _, mt in block] + [block[-1][1]] * (_BLOCK - len(block))
+        profiles = _profile_batch(np.concatenate([[0.0], radii]), block_mts, params)
+        for j, (key, mt) in enumerate(block):
+            _TABLE_CACHE[key] = RadialKernelTable(
+                mt=mt, radii=radii, values=profiles[1:, j].copy(),
+                f0=float(profiles[0, j]), params=params,
+            )
     return [_TABLE_CACHE[key] for key in keys]
 
 

@@ -405,9 +405,11 @@ def check_inequalities(cfg: ExperimentConfig) -> CheckResult:
     zed = z_trace(t, ball, b.n_x, b.n_paths, t / b.steps, rng.substream(0), params,
                   workers=b.workers)
     ft = first_term(t, ball, params)
-    if zed.value > ft + 3.0 * zed.stderr:
+    z_ok = zed.value <= ft + 3.0 * zed.stderr
+    if not z_ok:
         failures.append("Z exceeds the free first term")
-    lines.append(f"Z({t}) = {zed.value:.3f} <= first term {ft:.3f}: ok")
+    lines.append(f"Z({t}) = {zed.value:.3f} <= first term {ft:.3f}: "
+                 + ("ok" if z_ok else "violated"))
 
     n_r = cfg.scaled(20_000, 2000)
     r_est = r_estimate_extrapolated(
@@ -415,9 +417,11 @@ def check_inequalities(cfg: ExperimentConfig) -> CheckResult:
         workers=cfg.workers,
     )
     p0 = free_density(t, 0.0, params)
-    if r_est.value > p0 + 3.0 * r_est.stderr:
+    r_ok = r_est.value <= p0 + 3.0 * r_est.stderr
+    if not r_ok:
         failures.append("r_D exceeds p(t, 0)")
-    lines.append(f"r_D({t}, x) = {r_est.value:.3f} <= p(t,0) = {p0:.3f}: ok")
+    lines.append(f"r_D({t}, x) = {r_est.value:.3f} <= p(t,0) = {p0:.3f}: "
+                 + ("ok" if r_ok else "violated"))
 
     # C2(t) <= C4 e^{2mt} t^{(1-d)/alpha} within joint uncertainty
     sub = RngStream(cfg.seed, 12)
@@ -427,11 +431,12 @@ def check_inequalities(cfg: ExperimentConfig) -> CheckResult:
     bound = c4.value * math.exp(2 * params.m * t) * t ** ((1 - params.d) / params.alpha)
     bound_se = c4.stderr * math.exp(2 * params.m * t) * t ** ((1 - params.d) / params.alpha)
     joint = math.sqrt(c2.stderr**2 + bound_se**2)
-    if c2.value > bound + cfg.z_sigma * joint:
+    c2_ok = c2.value <= bound + cfg.z_sigma * joint
+    if not c2_ok:
         failures.append(f"C2({t}) = {c2.value:.4f} exceeds bound {bound:.4f}")
     lines.append(
         f"C2({t}) = {c2.value:.3f}+-{c2.stderr:.3f} <= C4 e^(2mt)/t = {bound:.3f}+-{bound_se:.3f}: "
-        + ("ok" if c2.value <= bound + cfg.z_sigma * joint else "violated")
+        + ("ok" if c2_ok else "violated")
     )
 
     return _result("inequality_suite", 9, not failures, lines, failures=failures)

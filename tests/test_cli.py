@@ -27,14 +27,16 @@ def tiny_cfg(tmp_path):
 
 
 class TestConfig:
-    def test_defaults_round_trip(self, tmp_path):
-        cfg = ExperimentConfig(alpha=1.5, m=0.3, t_grid=(0.1, 0.25), out="x")
+    # every float of the grid loads back exactly, not to six digits
+    @pytest.mark.parametrize("t_grid", [(0.1, 0.25), (0.1234567, 3.3333333e-07)])
+    def test_defaults_round_trip(self, tmp_path, t_grid):
+        cfg = ExperimentConfig(alpha=1.5, m=0.3, t_grid=t_grid, out="x")
         path = tmp_path / "exp.cfg"
         dump_config(cfg, path)
         loaded = load_config(path)
         assert loaded.alpha == 1.5
         assert loaded.m == 0.3
-        assert loaded.t_grid == (0.1, 0.25)
+        assert loaded.t_grid == t_grid
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -292,6 +294,9 @@ class TestMain:
             # near alpha = 2 the lattice step is too coarse for the profile
             # quadrature's 1e-8 error bound at m t = 20
             (["density", "--alpha", "1.9", "--m", "20", "--t-grid", "1"], None),
+            # the kernel tables go through the same check: at alpha = 1.96
+            # the build raises before any path moves
+            (["trace", "--alpha", "1.96", "--m", "0", "--n-x", "200", "--steps", "8"], None),
             # at alpha = 0.01 theta's mass reaches past both lattice ends
             (["density", "--alpha", "0.01", "--m", "0", "--t-grid", "1"], None),
             (["constants", "--m", "nan"], None),
@@ -304,6 +309,7 @@ class TestMain:
             (["constants"], "fmt = jsonl\n"),
         ],
         ids=["steps", "chunk_points", "n_x", "budget_scale", "density_quadrature",
+             "table_quadrature",
              "density_tiny_alpha", "m_nan",
              "t_zero", "t_inf", "t_nan", "constants_t_zero", "seed", "subordinator_seed",
              "fmt_jsonl"],

@@ -150,13 +150,19 @@ class TestFreeDensity:
         assert build_tables([0.0], params)[0].f0 == pytest.approx(c1_const(params), rel=1e-9)
 
     def test_coarse_lattice_step_raises(self):
-        # near alpha = 2 at m t = 20 the lattice step is too coarse for the
-        # integrand: the sum on every second node differs by 5e-4, and the
-        # error estimate, 2.9e-7, exceeds 1e-8
-        with pytest.raises(QuadratureError) as info:
-            free_density(1.0, 0.0, ProcessParams(1.9, 20.0, 2))
-        assert info.value.value > 0.0
-        assert info.value.residual > 1e-8
+        for evaluate in (
+            # near alpha = 2 at m t = 20 the lattice step is too coarse for
+            # the integrand: the sum on every second node differs by 5e-4,
+            # and the error estimate, 2.9e-7, exceeds 1e-8
+            lambda: free_density(1.0, 0.0, ProcessParams(1.9, 20.0, 2)),
+            # a table goes through the same check: at alpha = 1.96 its
+            # rho = 0 row is off by 3e-4
+            lambda: build_tables([0.0], ProcessParams(1.96, 0.0, 2)),
+        ):
+            with pytest.raises(QuadratureError) as info:
+                evaluate()
+            assert info.value.value > 0.0
+            assert info.value.residual > 1e-8
 
     def test_tiny_alpha_raises(self):
         # at alpha = 0.01 theta_beta's mass reaches past both ends of the
@@ -168,7 +174,7 @@ class TestFreeDensity:
         # F ~ e^{-(mt)^{1/alpha} rho}: subnormal at rho = 725, 0 at rho = 1e3,
         # unchecked either way (alpha = 1/2, mt = 1)
         params = ProcessParams(0.5, 1.0, 2)
-        assert 0.0 < kernels._profile_batch(np.array([725.0]), 1.0, params)[0] < 1e-300
+        assert 0.0 < kernels._profile_batch(np.array([725.0]), [1.0], params)[0, 0] < 1e-300
         assert free_density(1.0, 1e3, params) == 0.0
 
 
@@ -388,24 +394,26 @@ class TestBatchedBuild:
     @pytest.mark.parametrize("alpha", [1.0, 1.5])
     def test_table_independent_of_batch(self, alpha, monkeypatch):
         # the worker-count guarantee rests on a table's bits depending on
-        # its m*t alone, not on which tables it was built with
+        # its m*t alone, not on which tables it was built with; 64 tables
+        # fill four blocks, 20 leave a padded last block
         params = ProcessParams(alpha, 1.0, 2)
-        t, n = 0.05, 64
-        mts = [params.m * (t - (k - 0.5) * t / n) for k in range(1, n + 1)]
-        monkeypatch.setattr(kernels, "_TABLE_CACHE", {})
-        batch = build_tables(mts, params)
-        for j in (0, 1, 15, 16, 40, 63):
+        t = 0.05
+        for n, picks in ((64, (0, 1, 15, 16, 40, 63)), (20, (0, 15, 16, 19))):
+            mts = [params.m * (t - (k - 0.5) * t / n) for k in range(1, n + 1)]
             monkeypatch.setattr(kernels, "_TABLE_CACHE", {})
-            alone = build_table(mts[j], params)
-            assert np.array_equal(alone.values, batch[j].values)
-            assert alone.f0 == batch[j].f0
+            batch = build_tables(mts, params)
+            for j in picks:
+                monkeypatch.setattr(kernels, "_TABLE_CACHE", {})
+                alone = build_table(mts[j], params)
+                assert np.array_equal(alone.values, batch[j].values)
+                assert alone.f0 == batch[j].f0
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5])
     @pytest.mark.parametrize("mt", [0.0, 0.02, 0.7, 3.0])
     def test_matches_profile_quadrature(self, alpha, mt):
         params = ProcessParams(alpha, 1.0, 2)
         table = build_tables([mt], params)[0]
-        want = kernels._profile_batch(table.radii, mt, params)
+        want = kernels._profile_batch(table.radii, [mt], params)[:, 0]
         assert np.max(np.abs(table.values / want - 1.0)) < 1e-13
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5])
@@ -460,17 +468,17 @@ class TestLogZLattice:
     def test_far_field_reuses_cached_theta(self, monkeypatch):
         params = ProcessParams(1.5, 1.0, 2)
         monkeypatch.setattr(kernels, "_LATTICE_THETA", {})
-        kernels._profile_batch(np.array([80.0, 234.0]), 0.3, params)
+        kernels._profile_batch(np.array([80.0, 234.0]), [0.3], params)
         calls = []
         theta = kernels.stable_subordinator_density
         monkeypatch.setattr(
             kernels, "stable_subordinator_density", lambda u, b: calls.append(u) or theta(u, b)
         )
-        kernels._profile_batch(np.array([234.0]), 0.3, params)
-        kernels._profile_batch(np.array([60.0, 100.0]), 0.7, params)
+        kernels._profile_batch(np.array([234.0]), [0.3], params)
+        kernels._profile_batch(np.array([60.0, 100.0]), [0.7], params)
         assert calls == []
         # a larger radius evaluates only the nodes past the cached prefix
-        kernels._profile_batch(np.array([1e4]), 0.3, params)
+        kernels._profile_batch(np.array([1e4]), [0.3], params)
         n_far, n_near = (len(kernels._z_nodes(r, params.beta)[0]) for r in (1e4, 234.0))
         assert [len(u) for u in calls] == [n_far - n_near]
 
@@ -479,7 +487,7 @@ class TestLogZLattice:
     def test_far_field_matches_adaptive_profile(self, alpha, w):
         params = ProcessParams(alpha, 1.0, 2)
         rhos = np.array([60.0, 120.0, 234.0])
-        got = kernels._profile_batch(rhos, w, params)
+        got = kernels._profile_batch(rhos, [w], params)[:, 0]
         want = np.array([adaptive_profile(r, w, params) for r in rhos])
         assert np.max(np.abs(got / want - 1.0)) < 1e-9
 
@@ -493,6 +501,6 @@ class TestLogZLattice:
             nu = specfun.stable_levy_density(rho, params)
             assert stable_expansion_term(1, rho, params) == pytest.approx(nu, rel=1e-13)
             want = nu + stable_expansion_term(2, rho, params)
-            assert kernels._profile_batch(np.array([rho]), 0.0, params)[0] == pytest.approx(
+            assert kernels._profile_batch(np.array([rho]), [0.0], params)[0, 0] == pytest.approx(
                 want, rel=2e-5
             )

@@ -5,6 +5,8 @@ workers 2 it must start pools, at workers 1 none, and both must report the
 same result.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from relheat import verify
@@ -34,3 +36,22 @@ def test_workers_reach_the_estimators(monkeypatch, tmp_path, check, n_pools):
             assert sizes == []
     assert len(sizes) == n_pools and set(sizes) == {2}
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("violated", ["Z(", "r_D("])
+def test_inequality_lines_report_the_comparison(monkeypatch, tmp_path, violated):
+    # stubbed estimates: the one past its bound must read "violated" in its
+    # line, the other "ok"
+    def estimate(value, stderr=0.0):
+        return lambda *args, **kwargs: SimpleNamespace(value=value, stderr=stderr)
+
+    monkeypatch.setattr(verify, "z_trace", estimate(1e6 if violated == "Z(" else 0.0))
+    monkeypatch.setattr(verify, "r_estimate_extrapolated",
+                        estimate(1e6 if violated == "r_D(" else 0.0))
+    monkeypatch.setattr(verify, "c2_of_t", estimate(0.0, 0.01))
+    monkeypatch.setattr(verify, "c4_const", estimate(1.0, 0.01))
+    res = verify.check_inequalities(ExperimentConfig(out=str(tmp_path), budget_scale=0.01))
+    assert not res.passed
+    for prefix in ("Z(", "r_D("):
+        (line,) = [line for line in res.lines if line.startswith(prefix)]
+        assert line.endswith(": violated" if prefix == violated else ": ok")
