@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import FORMATS, ExperimentConfig, load_config
 from .errors import BudgetError, ParameterError, QuadratureError, StepTooLargeError, TailFitError
-from .io import write_rows
+from .io import _jsonable, write_rows
 from .kernels import build_table, c1_const, c1_of_t, free_density
 from .sampler import RngStream, empirical_transform, sample_brownian_leg, sample_tempered_subordinator
 from .specfun import characteristic_exponent, laplace_exponent
@@ -203,7 +203,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         for line in res.lines:
             print(f"    {line}")
         if not res.passed:
-            failures.append({"criterion": res.criterion, "name": res.name, "data": _plain(res.data)})
+            failures.append({"criterion": res.criterion, "name": res.name, "data": res.data})
     report = {
         "schema_version": 1,
         "config": _artifact_config(cfg),
@@ -211,25 +211,15 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         "n_failed": len(failures),
         "failures": failures,
         "results": [
-            {"criterion": r.criterion, "name": r.name, "passed": r.passed, "data": _plain(r.data)}
+            {"criterion": r.criterion, "name": r.name, "passed": r.passed, "data": r.data}
             for r in results
         ],
     }
     path = os.path.join(_out_dir(cfg), "verify_report.json")
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=str)
+        json.dump(report, fh, indent=2, sort_keys=True, default=_jsonable)
     print(f"report -> {path}")
     return 1 if failures else 0
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.integer, np.floating, np.bool_)):
-        return obj.item()
-    return obj
 
 
 COMMANDS = {

@@ -7,6 +7,8 @@ timestamps or environment data, so identical runs produce identical bytes.
 import csv
 import json
 
+import numpy as np
+
 SCHEMA_VERSION = 1
 
 
@@ -40,15 +42,10 @@ def write_jsonl(path, records, config: dict):
 
 
 def _jsonable(value):
-    try:
-        import numpy as np
-
-        if isinstance(value, np.ndarray):
-            return value.tolist()
-        if isinstance(value, (np.integer, np.floating, np.bool_)):
-            return value.item()
-    except ImportError:
-        pass
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (np.integer, np.floating, np.bool_)):
+        return value.item()
     return str(value)
 
 

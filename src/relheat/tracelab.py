@@ -326,12 +326,6 @@ def _merge_moments(a, b):
     return n, (n_a * mean_a + n_b * mean_b) / n, m2_a + m2_b + delta * delta * n_a * n_b / n
 
 
-def _moments(est: TraceEstimate):
-    """(n, mean, M2) of a sample-mean estimate, from its stderr."""
-    n = est.n_samples
-    return n, est.value, est.stderr**2 * n * (n - 1)
-
-
 def _from_moments(moments, dt, t, meta) -> TraceEstimate:
     """The sample-mean estimate of a sample's (n, mean, M2)."""
     n, mean, m2 = moments
@@ -399,12 +393,13 @@ def first_exit(path: PathGrid, domain: Domain):
     return k, path.positions[k]
 
 
-def _r_estimates(requests, domain, params, *, workers=1):
-    """r_D(t, x, x) for each request (t, x, n_paths, dt, rng), in one march.
+def _r_moments(requests, domain, params, workers):
+    """The (n, mean, M2) of r_D(t, x, x)'s scores, and the exit count, for
+    each request (t, x, n_paths, dt, rng), in one march.
 
     A request's paths run in chunks of at most `CHUNK_PATHS` on the streams
-    rng.substream(c), and their (n, mean, M2) are merged chunk by chunk;
-    at most `CHUNK_PATHS` paths march at once.
+    rng.substream(c), and their moments are merged chunk by chunk; at most
+    `CHUNK_PATHS` paths march at once.
     """
     groups = []
     for t, x, n_paths, dt, rng in requests:
@@ -419,16 +414,21 @@ def _r_estimates(requests, domain, params, *, workers=1):
             (t, n_steps, dt_eff, x[None], m, rng.substream(c).generator())
             for c, m in enumerate(_chunk_sizes(n_paths, CHUNK_PATHS))
         ])
-    estimates = []
+    out = []
     for group, results in zip(groups, _march(groups, domain, params, workers, CHUNK_PATHS)):
-        t, _, dt_eff, points = group[0][:4]
-        moments = functools.reduce(
-            _merge_moments,
-            ((c[4], float(mean[0]), float(m2[0])) for c, (mean, m2, _) in zip(group, results)),
-        )
-        meta = {"estimator": "r_D", "exit_fraction": sum(e for _, _, e in results) / moments[0],
-                "x_delta": float(domain.delta(points[0]))}
-        estimates.append(_from_moments(moments, dt_eff, t, meta))
+        chunks = ((c[4], float(mean[0]), float(m2[0])) for c, (mean, m2, _) in zip(group, results))
+        out.append((functools.reduce(_merge_moments, chunks), sum(e for _, _, e in results)))
+    return out
+
+
+def _r_estimates(requests, domain, params, *, workers=1):
+    """r_D(t, x, x) for each request (t, x, n_paths, dt, rng): the
+    sample-mean estimates of `_r_moments`."""
+    estimates = []
+    for (t, x, _, dt, _), (moments, exits) in zip(requests, _r_moments(requests, domain, params, workers)):
+        meta = {"estimator": "r_D", "exit_fraction": exits / moments[0],
+                "x_delta": float(domain.delta(np.asarray(x, dtype=float)))}
+        estimates.append(_from_moments(moments, _snap_steps(t, dt)[1], t, meta))
     return estimates
 
 
@@ -567,17 +567,15 @@ def c2_of_t(
     `n_paths` is the total path budget over all grid nodes: a uniform pilot
     pass measures per-node variances, the remainder goes where quadrature
     weight times standard deviation is largest (Neyman allocation).  Each
-    pass marches all nodes and ladder levels at once.
+    pass marches all nodes and ladder levels at once.  Pilot and top-up are
+    merged as sample moments (n, mean, M2), per node and level.
     """
     half = HalfSpace(d=params.d)
     q_grid = _default_q_grid(t, params)
     n_nodes = len(q_grid)
 
-    weights_q = np.zeros(n_nodes + 1)
     dq = np.diff(np.concatenate([[0.0], q_grid]))
-    weights_q[:-1] += 0.5 * dq
-    weights_q[1:] += 0.5 * dq
-    node_w = weights_q[1:]  # trapezoid weight of each MC node
+    node_w = 0.5 * (dq + np.append(dq[1:], 0.0))  # trapezoid weight of each MC node
 
     n_pilot = max(500, int(0.15 * n_paths / n_nodes))
     remaining = max(n_paths - n_pilot * n_nodes, 0)
@@ -590,19 +588,21 @@ def c2_of_t(
             (t, xs[i], n, levels[k][0], levels[k][1].substream(i, pass_index))
             for (i, k), n in budget.items()
         ]
-        return dict(zip(budget, _r_estimates(requests, half, params, workers=workers)))
+        return dict(zip(budget, (m for m, _ in _r_moments(requests, half, params, workers))))
 
-    est = run({(i, k): n_pilot for i in range(n_nodes) for k in range(len(levels))}, 0)
+    moments = run({(i, k): n_pilot for i in range(n_nodes) for k in range(len(levels))}, 0)
     extra = {}
     for k in range(len(levels)):
-        sigmas = np.array([est[i, k].stderr * math.sqrt(n_pilot) for i in range(n_nodes)])
+        sigmas = np.array([math.sqrt(moments[i, k][2] / (n_pilot - 1)) for i in range(n_nodes)])
         alloc = node_w * sigmas
         alloc = alloc / alloc.sum() * remaining if alloc.sum() > 0 else np.zeros(n_nodes)
         extra.update({(i, k): int(a) for i, a in enumerate(alloc) if int(a) >= 100})
     for cell, top in run(extra, 1).items():
-        merged = _merge_moments(_moments(est[cell]), _moments(top))
-        est[cell] = _from_moments(merged, est[cell].dt, t, est[cell].meta)
-    profile_est = [_richardson(*[est[i, k] for k in range(len(levels))]) for i in range(n_nodes)]
+        moments[cell] = _merge_moments(moments[cell], top)
+    profile_est = [
+        _richardson(*[_from_moments(moments[i, k], levels[k][0], t, {}) for k in range(len(levels))])
+        for i in range(n_nodes)
+    ]
     f = np.array([e.value for e in profile_est])
     se = np.array([e.stderr for e in profile_est])
 
@@ -856,6 +856,8 @@ def residual_scan(
     rho(t) <= C3 by the trace theorem; the fitted C3 is the grid maximum and
     the log-log slope of rho against t diagnoses blow-up as t decreases.
     """
+    if not getattr(domain, "bounded", False):
+        raise ParameterError("residual_scan requires a bounded domain")
     t_grid = sorted(float(t) for t in t_grid)
     r_smooth = domain.smoothness_radius
     for t in t_grid:

@@ -307,12 +307,14 @@ class TestMain:
             (["trace", "--seed", "-1"], None),
             (["subordinator", "--seed", "-1"], None),
             (["constants"], "fmt = jsonl\n"),
+            # the residual scan needs a bounded domain's surface and volume
+            (["residual", "--domain", "halfspace"], None),
         ],
         ids=["steps", "chunk_points", "n_x", "budget_scale", "density_quadrature",
              "table_quadrature",
              "density_tiny_alpha", "m_nan",
              "t_zero", "t_inf", "t_nan", "constants_t_zero", "seed", "subordinator_seed",
-             "fmt_jsonl"],
+             "fmt_jsonl", "residual_halfspace"],
     )
     def test_bad_input_exit_code(self, tmp_path, capsys, argv, config):
         if config is not None:

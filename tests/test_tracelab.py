@@ -770,17 +770,18 @@ class TestMomentMerge:
         naive = (s2 / n - mean**2) * n / (n - 1)
         assert naive != pytest.approx(np.var(x, ddof=1), rel=1e3 * rel)
 
-    def test_pilot_and_top_up_merge_like_one_sample(self):
-        # a sample-mean estimate round-trips through (n, mean, M2)
-        x = 1e8 + np.random.default_rng(4).standard_normal(4000)
-        parts = [
-            TraceEstimate(value=c.mean(), stderr=c.std(ddof=1) / math.sqrt(len(c)),
-                          n_samples=len(c), dt=0.1, t=1.0)
-            for c in (x[:500], x[500:])
-        ]
-        n, mean, m2 = tracelab._merge_moments(*map(tracelab._moments, parts))
-        assert n == len(x)
-        assert m2 / (n - 1) == pytest.approx(np.var(x, ddof=1), rel=2e-9)
+    def test_estimates_are_the_merged_chunk_moments(self, monkeypatch, rng, relativistic2d,
+                                                     unit_ball):
+        # 350 paths run in four chunks (100, 100, 100, 50); the estimate is
+        # the sample mean of their merged (n, mean, M2), field for field
+        monkeypatch.setattr(tracelab, "CHUNK_PATHS", 100)
+        requests = [(0.1, np.array([0.8, 0.0]), 350, 0.1 / 8, rng.substream(31))]
+        ((moments, exits),) = tracelab._r_moments(requests, unit_ball, relativistic2d, 1)
+        (est,) = tracelab._r_estimates(requests, unit_ball, relativistic2d)
+        ref = tracelab._from_moments(moments, est.dt, 0.1, est.meta)
+        assert moments[0] == est.n_samples == 350
+        assert (est.value, est.stderr, est.n_samples) == (ref.value, ref.stderr, ref.n_samples)
+        assert est.meta["exit_fraction"] == exits / 350
 
 
 class TestTraceEstimate:
