@@ -29,6 +29,9 @@ from .tracelab import (
     z_trace,
 )
 
+PROFILE_NODES = 20  # q nodes of `relheat halfspace`'s profile
+
+
 def _reference_c4(cfg: ExperimentConfig):
     path = os.path.join(os.path.dirname(__file__), "data", "c4_reference.json")
     if not os.path.exists(path):
@@ -58,16 +61,16 @@ def _artifact_config(cfg) -> dict:
 
 def cmd_constants(cfg: ExperimentConfig) -> str:
     params = cfg.params()
-    rows = [{"name": "C1", "t": 0.0, "value": c1_const(params)}]
+    c1 = c1_const(params)
+    rows = [{"name": "C1", "t": 0.0, "value": c1}]
+    print(f"C1 = {c1:.6g}")
     for t in cfg.t_grid:
-        rows.append({"name": "C1(t)", "t": t, "value": c1_of_t(t, params)})
+        value = c1_of_t(t, params)
+        rows.append({"name": "C1(t)", "t": t, "value": value})
+        print(f"C1({t:g}) = {value:.6g}")
     ref = _reference_c4(cfg)
     if ref is not None:
         rows.append({"name": "C4", "t": 1.0, "value": ref["value"]})
-    print(f"C1 = {c1_const(params):.6g}")
-    for t in cfg.t_grid:
-        print(f"C1({t:g}) = {c1_of_t(t, params):.6g}")
-    if ref is not None:
         print(f"C4 = {ref['value']:.6g} (+- {ref['stderr']:.2g}, frozen reference)")
     return write_rows(os.path.join(_out_dir(cfg), "constants"), rows, cfg.fmt, _artifact_config(cfg))
 
@@ -136,7 +139,7 @@ def cmd_halfspace(cfg: ExperimentConfig) -> str:
     c2_rows = []
     for i, t in enumerate(cfg.t_grid):
         h = t ** (1.0 / params.alpha)
-        q_grid = np.geomspace(h / 8.0, max(5.0 * h, 3.0), cfg.q_nodes)
+        q_grid = np.geomspace(h / 8.0, max(5.0 * h, 3.0), PROFILE_NODES)
         prof = halfspace_profile(
             t, q_grid, n_paths, t / cfg.steps, rng.substream(i, 0), params,
             extrapolate=cfg.extrapolate, workers=cfg.workers,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 from .errors import ParameterError
 from .geometry import parse_domain
 from .specfun import ProcessParams
-from .tracelab import Budgets
+from .tracelab import MIN_PATHS, Budgets
 
 FORMATS = ("csv", "json")  # artifact formats io.write_rows writes
 
@@ -29,14 +29,12 @@ class ExperimentConfig:
     n_x: int = 4000
     steps: int = 64
     profile_n_paths: int = 20000
-    q_nodes: int = 20
     extrapolate: bool = True
     seed: int = 12345
     workers: int = 1
     chunk_points: int = 512
     out: str = "out"
     fmt: str = "csv"
-    z_sigma: float = 3.0
     budget_scale: float = 1.0
 
     def __post_init__(self):
@@ -73,7 +71,7 @@ class ExperimentConfig:
         if overrides:
             return replace(self, **overrides).budgets()
         return Budgets(
-            n_paths=self.scaled(self.n_paths, 100),
+            n_paths=self.scaled(self.n_paths, MIN_PATHS),
             n_x=self.scaled(self.n_x, 64),
             steps=self.steps,
             extrapolate=self.extrapolate,

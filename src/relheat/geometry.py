@@ -233,7 +233,8 @@ class Annulus(Domain):
                 r[mask] = rd ** (1.0 / self.d)
         pts = np.asarray(self.center) + r[:, None] * _unit_vectors(gen, size, self.d)
         # roundoff at shell edges can push delta onto q_hi; nudge inward
-        bad = ~((self.delta(pts) >= q_lo) & (self.delta(pts) < q_hi))
+        delta = self.delta(pts)
+        bad = ~((delta >= q_lo) & (delta < q_hi))
         if bad.any():
             mid = 0.5 * (q_lo + q_hi)
             direction = pts[bad] - np.asarray(self.center)

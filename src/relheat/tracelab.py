@@ -69,6 +69,8 @@ __all__ = [
 ]
 
 RICHARDSON_ORDER = 1.0
+Z_SIGMA = 3.0  # the acceptance band: a statistical check allows Z_SIGMA standard errors
+MIN_PATHS = 100  # fewest paths of an r_D estimate; below this its stderr means little
 CHUNK_PATHS = 100_000  # most paths of one r_D chunk, and of one march batch
 MAX_LAYERS = 24  # most stratum edges of `default_strata`'s boundary layers
 
@@ -84,7 +86,7 @@ class TraceEstimate:
     t: float
     meta: dict = field(default_factory=dict)
 
-    def ci(self, z: float = 3.0):
+    def ci(self, z: float = Z_SIGMA):
         return (self.value - z * self.stderr, self.value + z * self.stderr)
 
     def to_record(self) -> dict:
@@ -404,8 +406,8 @@ def _r_moments(requests, domain, params, workers):
     groups = []
     for t, x, n_paths, dt, rng in requests:
         _check_count("n_paths", n_paths)
-        if n_paths < 100:
-            raise BudgetError(f"n_paths={n_paths} below 100; stderr would be meaningless")
+        if n_paths < MIN_PATHS:
+            raise BudgetError(f"n_paths={n_paths} below {MIN_PATHS}; stderr would be meaningless")
         x = np.asarray(x, dtype=float)
         if not domain.contains(x):
             raise ParameterError("x must lie inside the domain")
@@ -596,7 +598,7 @@ def c2_of_t(
         sigmas = np.array([math.sqrt(moments[i, k][2] / (n_pilot - 1)) for i in range(n_nodes)])
         alloc = node_w * sigmas
         alloc = alloc / alloc.sum() * remaining if alloc.sum() > 0 else np.zeros(n_nodes)
-        extra.update({(i, k): int(a) for i, a in enumerate(alloc) if int(a) >= 100})
+        extra.update({(i, k): int(a) for i, a in enumerate(alloc) if int(a) >= MIN_PATHS})
     for cell, top in run(extra, 1).items():
         moments[cell] = _merge_moments(moments[cell], top)
     profile_est = [
@@ -800,8 +802,6 @@ def z_trace(
         vol = domain.layer_volume(q_lo, q_hi)
         if vol <= 0.0:
             continue
-        if n_j < 2:
-            raise BudgetError(f"stratum {j} received {n_j} sample points")
         layers.append((j, q_lo, q_hi, vol, _chunk_sizes(n_j, chunk_points)))
     groups = []
     for n_steps, dt_eff, sub in levels:
@@ -1010,13 +1010,11 @@ def ryznar_check(
     budgets: Budgets,
     rng: RngStream,
     params: ProcessParams,
-    *,
-    z_sigma: float = 3.0,
 ) -> RyznarReport:
     """Mass-comparison inequalities at interior points.
 
     Checks r_D <= e^{2mt} r0_D and (p - r_D) <= e^{mt} (p0 - r0_D), where
-    the 0 superscript is the mass-zero process, allowing z_sigma joint
+    the 0 superscript is the mass-zero process, allowing `Z_SIGMA` joint
     standard errors of Monte Carlo slack.  Point i runs on rng.substream(i, 0)
     at mass m and on rng.substream(i, 1) at mass 0; all points of one mass
     march in one batch.
@@ -1029,20 +1027,19 @@ def ryznar_check(
                         budgets.n_paths, p, workers=budgets.workers)
         for branch, p in ((0, params), (1, stable))
     ]
+    grow = math.exp(2.0 * params.m * t)
+    e_mt = math.exp(params.m * t)
+    p_m = free_density(t, 0.0, params)
+    p_0 = free_density(t, 0.0, stable)
     rows = []
     n_bad = 0
     for x, est_m, est_0 in zip(xs, *ests):
-        grow = math.exp(2.0 * params.m * t)
         joint = math.sqrt(est_m.stderr**2 + (grow * est_0.stderr) ** 2)
-        r_violation = est_m.value - grow * est_0.value > z_sigma * joint
-        p_m = free_density(t, 0.0, params)
-        p_0 = free_density(t, 0.0, stable)
+        r_violation = est_m.value - grow * est_0.value > Z_SIGMA * joint
         lhs = p_m - est_m.value
-        rhs = math.exp(params.m * t) * (p_0 - est_0.value)
-        joint_p = math.sqrt(
-            est_m.stderr**2 + (math.exp(params.m * t) * est_0.stderr) ** 2
-        )
-        p_violation = lhs - rhs > z_sigma * joint_p
+        rhs = e_mt * (p_0 - est_0.value)
+        joint_p = math.sqrt(est_m.stderr**2 + (e_mt * est_0.stderr) ** 2)
+        p_violation = lhs - rhs > Z_SIGMA * joint_p
         n_bad += int(r_violation) + int(p_violation)
         rows.append(
             {

@@ -3,8 +3,9 @@
 
 Each check re-derives its expected values from closed forms or from an
 independent estimator route, runs at a fixed seed, and reports one
-pass/fail line.  Statistical checks use the configured sigma bands; exact
-checks use fixed tolerances.
+pass/fail line.  Statistical checks compare at the one acceptance band,
+`tracelab.Z_SIGMA` standard errors (the raw sampler law of criterion 4
+keeps its own band of 4); exact checks use fixed tolerances.
 """
 
 import filecmp
@@ -22,6 +23,7 @@ from .kernels import c1_const, c1_of_t, cauchy_density, free_density, levy_half_
 from .sampler import RngStream, empirical_transform, sample_brownian_leg, sample_tempered_subordinator
 from .specfun import ProcessParams, characteristic_exponent, stable_subordinator_density
 from .tracelab import (
+    Z_SIGMA,
     _r_extrapolated,
     _loglog_fit,
     c2_of_t,
@@ -187,7 +189,7 @@ def check_trace_limit(cfg: ExperimentConfig) -> CheckResult:
     value = norm * est.value
     se = norm * est.stderr
     target = c1_const(params) * ball.volume()
-    tol = max(3.0 * se, 0.05 * target)
+    tol = max(Z_SIGMA * se, 0.05 * target)
     passed = abs(value - target) <= tol
     return _result(
         "trace_small_time_limit",
@@ -216,8 +218,7 @@ def check_mass_comparison(cfg: ExperimentConfig) -> CheckResult:
     total_bad = 0
     lines = []
     for j, t in enumerate((0.05, 0.1)):
-        rep = ryznar_check(t, xs, ball, b, RngStream(cfg.seed, 6).substream(j), params,
-                           z_sigma=cfg.z_sigma)
+        rep = ryznar_check(t, xs, ball, b, RngStream(cfg.seed, 6).substream(j), params)
         total_bad += rep.n_violations
         lines.append(f"t={t}: {rep.n_violations} violations over {len(xs)} points")
     return _result(
@@ -259,12 +260,12 @@ def check_halfspace_scaling(cfg: ExperimentConfig) -> CheckResult:
         z = (e_t.value - rescaled) / joint
         worst_z = max(worst_z, abs(z))
         rows.append({"t": t, "q": q, "f": e_t.value, "rescaled": rescaled, "z": float(z)})
-    passed = worst_z <= cfg.z_sigma
+    passed = worst_z <= Z_SIGMA
     return _result(
         "halfspace_scaling",
         7,
         passed,
-        [f"worst |z| over 6 (t, q) pairs: {worst_z:.2f} (band {cfg.z_sigma})"],
+        [f"worst |z| over 6 (t, q) pairs: {worst_z:.2f} (band {Z_SIGMA})"],
         worst_z=worst_z,
         rows=rows,
     )
@@ -329,14 +330,14 @@ def check_residual_stability(cfg: ExperimentConfig) -> CheckResult:
     # no blow-up: the exponent of rho ~ t^{-gamma} must not exceed 0.5
     # beyond its uncertainty
     slope_ok = (
-        report.rho_blowup_exponent <= 0.5 + cfg.z_sigma * report.rho_blowup_se
+        report.rho_blowup_exponent <= 0.5 + Z_SIGMA * report.rho_blowup_se
     )
     # stability of the fitted envelope constant at the two smallest t:
     # within a factor 2, or statistically indistinguishable when the
     # residual itself is below the Monte Carlo resolution
     ratio = max(rhos[0], rhos[1]) / max(min(rhos[0], rhos[1]), 1e-300)
     joint = math.sqrt(rho_ses[0] ** 2 + rho_ses[1] ** 2)
-    ratio_ok = ratio <= 2.0 or abs(rhos[0] - rhos[1]) <= cfg.z_sigma * joint
+    ratio_ok = ratio <= 2.0 or abs(rhos[0] - rhos[1]) <= Z_SIGMA * joint
 
     # mass-zero cross-check at a coarser budget
     stable = params.with_mass(0.0)
@@ -350,7 +351,7 @@ def check_residual_stability(cfg: ExperimentConfig) -> CheckResult:
     rescaled_se = c2.stderr * t_check ** ((params.d - 1.0) / params.alpha)
     joint_cross = math.sqrt(rescaled_se**2 + c4.stderr**2)
     z_cross = (rescaled - c4.value) / joint_cross
-    cross_ok = abs(z_cross) <= cfg.z_sigma
+    cross_ok = abs(z_cross) <= Z_SIGMA
 
     passed = slope_ok and ratio_ok and cross_ok
     lines = [
@@ -405,7 +406,7 @@ def check_inequalities(cfg: ExperimentConfig) -> CheckResult:
     zed = z_trace(t, ball, b.n_x, b.n_paths, t / b.steps, rng.substream(0), params,
                   workers=b.workers)
     ft = first_term(t, ball, params)
-    z_ok = zed.value <= ft + 3.0 * zed.stderr
+    z_ok = zed.value <= ft + Z_SIGMA * zed.stderr
     if not z_ok:
         failures.append("Z exceeds the free first term")
     lines.append(f"Z({t}) = {zed.value:.3f} <= first term {ft:.3f}: "
@@ -417,7 +418,7 @@ def check_inequalities(cfg: ExperimentConfig) -> CheckResult:
         workers=cfg.workers,
     )
     p0 = free_density(t, 0.0, params)
-    r_ok = r_est.value <= p0 + 3.0 * r_est.stderr
+    r_ok = r_est.value <= p0 + Z_SIGMA * r_est.stderr
     if not r_ok:
         failures.append("r_D exceeds p(t, 0)")
     lines.append(f"r_D({t}, x) = {r_est.value:.3f} <= p(t,0) = {p0:.3f}: "
@@ -431,7 +432,7 @@ def check_inequalities(cfg: ExperimentConfig) -> CheckResult:
     bound = c4.value * math.exp(2 * params.m * t) * t ** ((1 - params.d) / params.alpha)
     bound_se = c4.stderr * math.exp(2 * params.m * t) * t ** ((1 - params.d) / params.alpha)
     joint = math.sqrt(c2.stderr**2 + bound_se**2)
-    c2_ok = c2.value <= bound + cfg.z_sigma * joint
+    c2_ok = c2.value <= bound + Z_SIGMA * joint
     if not c2_ok:
         failures.append(f"C2({t}) = {c2.value:.4f} exceeds bound {bound:.4f}")
     lines.append(

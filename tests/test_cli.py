@@ -204,12 +204,13 @@ class TestSubcommands:
             assert row["target"] == pytest.approx(target, rel=1e-12)
             assert row["z"] == pytest.approx(z, rel=1e-9)
 
-    def test_halfspace_emits_profile_and_c2(self, tiny_cfg, tmp_path):
-        cfg = tiny_cfg.override(t_grid=(0.5,), profile_n_paths=6000, q_nodes=6)
+    def test_halfspace_emits_profile_and_c2(self, monkeypatch, tiny_cfg, tmp_path):
+        monkeypatch.setattr(cli, "PROFILE_NODES", 6)
+        cfg = tiny_cfg.override(t_grid=(0.5,), profile_n_paths=6000)
         path = cli.cmd_halfspace(cfg)
         assert "halfspace_profile" in path
         lines = open(path).read().splitlines()
-        assert len(lines) > 4
+        assert len(lines) == 3 + 6  # two '#' lines, the header, one row per node
         c2_lines = open(path.replace("halfspace_profile", "c2")).read().splitlines()
         assert len(c2_lines) == 4
 
@@ -309,12 +310,16 @@ class TestMain:
             (["constants"], "fmt = jsonl\n"),
             # the residual scan needs a bounded domain's surface and volume
             (["residual", "--domain", "halfspace"], None),
+            # the acceptance band and the profile's node count are module
+            # constants, not config keys
+            (["constants"], "z_sigma = 3\n"),
+            (["halfspace"], "q_nodes = -1\n"),
         ],
         ids=["steps", "chunk_points", "n_x", "budget_scale", "density_quadrature",
              "table_quadrature",
              "density_tiny_alpha", "m_nan",
              "t_zero", "t_inf", "t_nan", "constants_t_zero", "seed", "subordinator_seed",
-             "fmt_jsonl", "residual_halfspace"],
+             "fmt_jsonl", "residual_halfspace", "z_sigma_key", "q_nodes_key"],
     )
     def test_bad_input_exit_code(self, tmp_path, capsys, argv, config):
         if config is not None:

@@ -254,6 +254,22 @@ class TestSubordinatorDensityArrays:
         got = stable_subordinator_density(us, 0.5)
         assert np.max(np.abs(got / levy_half_density(us) - 1.0)) < 1e-10
 
+    @pytest.mark.parametrize("beta", [0.2, 0.3, 0.45, 0.6, 0.75, 0.9, 0.95])
+    def test_matches_scipy_levy_stable(self, beta):
+        # scipy's totally skewed stable law is an independent route (Nolan's
+        # integral); in its S1 parameterization, scale cos(pi beta/2)^{1/beta}
+        # gives Laplace transform e^{-lam^beta}, the density theta_beta(1, u).
+        # The left tail below 1e-3 of the peak stays out: there scipy itself
+        # is off (2.9e-3 relative at u = 0.094, beta = 3/4)
+        from scipy.stats import levy_stable
+
+        us = np.geomspace(1e-3, 1e3, 400)
+        got = stable_subordinator_density(us, beta)
+        keep = got >= 1e-3 * got.max()
+        scale = math.cos(math.pi * beta / 2.0) ** (1.0 / beta)
+        want = levy_stable.pdf(us[keep], beta, 1.0, loc=0.0, scale=scale)
+        assert np.max(np.abs(got[keep] / want - 1.0)) < 1e-10
+
     @pytest.mark.parametrize("beta", [0.3, 0.75, 0.9])
     def test_entries_do_not_depend_on_the_batch(self, beta):
         # 100 lattice rows spread from the left edge of theta's window to 32
