@@ -3,7 +3,8 @@
 
 Writes the frozen reference (value, stderr, settings) used as a regression
 fixture and shown by the `constants` subcommand.  Rerun only to regenerate
-the fixture; at its defaults (8M paths) it takes about 2 min on a 2-core Xeon.
+the fixture; at its defaults (8M paths per ladder level) it takes about
+3 min on one core of a 2-core Xeon.
 """
 
 import argparse
@@ -37,7 +38,6 @@ def main():
         "steps": args.steps,
         "seed": args.seed,
         "extrapolated": True,
-        "tail_slope": est.meta["tail_slope"],
     }
     path = os.path.abspath(args.out)
     data = {"entries": []}
@@ -50,7 +50,7 @@ def main():
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
     print(f"C4(d={args.d}, alpha={args.alpha}) = {est.value:.6f} +- {est.stderr:.6f}")
-    print(f"tail slope {est.meta['tail_slope']:.2f}; written to {path}")
+    print(f"{est.meta['records_per_path']:.1f} records per path at the fine level; written to {path}")
 
 
 if __name__ == "__main__":

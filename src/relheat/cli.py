@@ -16,7 +16,7 @@ from dataclasses import fields
 import numpy as np
 
 from .config import FORMATS, ExperimentConfig, load_config
-from .errors import BudgetError, ParameterError, QuadratureError, StepTooLargeError, TailFitError
+from .errors import BudgetError, ParameterError, QuadratureError, StepTooLargeError
 from .io import _jsonable, write_rows
 from .kernels import build_table, c1_const, c1_of_t, free_density
 from .sampler import RngStream, empirical_transform, sample_brownian_leg, sample_tempered_subordinator
@@ -288,7 +288,7 @@ def main(argv=None) -> int:
         return 2
     try:
         result = COMMANDS[command](cfg)
-    except (ParameterError, StepTooLargeError, BudgetError, TailFitError, QuadratureError) as exc:
+    except (ParameterError, StepTooLargeError, BudgetError, QuadratureError) as exc:
         # inputs the estimators cannot serve: a configuration error, not a
         # failed verification
         print(f"error: {exc}", file=sys.stderr)

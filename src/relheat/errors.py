@@ -30,9 +30,5 @@ class StaleTableError(RuntimeError):
     """Kernel table was built for a different m*t product."""
 
 
-class TailFitError(RuntimeError):
-    """Power-law tail fit of the boundary profile is unstable."""
-
-
 class BudgetError(ValueError):
     """Sample budget too small for a meaningful estimate."""

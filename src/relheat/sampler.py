@@ -135,7 +135,9 @@ def _stable_blocks(dt: float, beta: float, gens, counts):
         z = np.empty(n)
         for gen, rows in _blocks(gens, counts):
             gen.standard_normal(out=z[rows])
-        return dt * dt / (2.0 * z * z)
+        z2 = 2.0 * z
+        z2 *= z
+        return np.divide(dt * dt, z2, out=z2)  # dt^2 / (2 z^2), in place
     phi, w = np.empty(n), np.empty(n)
     for gen, rows in _blocks(gens, counts):
         phi[rows] = gen.uniform(0.0, math.pi, rows.stop - rows.start)
@@ -233,7 +235,8 @@ def sample_leg_blocks(u, d: int, gens, counts):
     g = np.empty((len(u), d))
     for gen, rows in _blocks(gens, counts):
         gen.standard_normal(out=g[rows])
-    g *= np.sqrt(2.0 * u)[:, None]
+    scale = 2.0 * u
+    g *= np.sqrt(scale, out=scale)[:, None]
     return g
 
 

@@ -22,6 +22,12 @@ is bit for bit that of marching the chunks one by one.  All batches run
 through one `_execute`, after one `_warm` of the kernel tables when
 alpha != 1 (alpha = 1 scores exits in closed form).
 
+The surface coefficient C2(t) = int_0^infty f_H(t, q) dq needs no depth
+grid: the path from depth q is the path from the boundary shifted by q
+along the normal, so one path scores every depth at once, at the steps
+where its normal coordinate reaches a new minimum (`_record_steps`).  The
+same march task runs these paths without a domain, killing none.
+
 Spatial integrals over a bounded domain use stratified sampling on
 boundary layers of width ~t^{1/alpha} (refined near the boundary), each
 stratum weighted by its exact volume, with sample allocation proportional
@@ -36,7 +42,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BudgetError, ParameterError, TailFitError
+from .errors import BudgetError, ParameterError
 from .geometry import Domain, HalfSpace, row_norms
 from .kernels import (
     build_table,
@@ -46,7 +52,14 @@ from .kernels import (
     free_density,
     table_eval,
 )
-from .sampler import PathGrid, RngStream, _rows_per_block, sample_leg_blocks, sample_tempered_blocks
+from .sampler import (
+    PathGrid,
+    RngStream,
+    _blocks,
+    _rows_per_block,
+    sample_leg_blocks,
+    sample_tempered_blocks,
+)
 from .specfun import ProcessParams
 
 __all__ = [
@@ -223,50 +236,123 @@ def _run_exits(starts, gens, sizes, domain, t, n_steps, dt, params):
             for size, b in zip(sizes, ends)]
 
 
-def _kernel_at_exits(exited, exit_step, exit_dist, t, dt, params):
-    """p(t - tau, |X_tau - x|) with the mid-step convention tau = (k - 1/2) dt.
+def _record_steps(gens, sizes, n_steps, dt, params):
+    """March paths from the boundary of the half-space H = {x_1 > 0} to the
+    horizon, none killed, in chunks as `_run_exits` does; yield each step k
+    on which some path sets a new minimum of its normal coordinate W_1.
 
-    At alpha = 1 every exit is scored in one call to the closed-form kernel;
-    other alpha read the kernel table of each exit step.
+    Each item is (k, rows, counts, low, new_low, dist): the record rows in
+    path order, how many of them each chunk holds, their running minimum
+    m_{k-1} before the step and m_k = W_1(k) after it (m_0 = 0), and |W_k|.
+    A path from depth q is this path shifted by q e_1, so it exits at step k
+    exactly when -m_{k-1} < q <= -m_k, at distance |W_k| from its start.
+
+    A path carries W_1, its running minimum and the operational time since
+    its last record, S_k - S_last.  The d - 1 tangential coordinates are
+    drawn at record steps only, as T += N(0, 2 (S_k - S_last) I): given S
+    that is exact in law.  Each chunk's generator makes the draws of a
+    march of that chunk alone, row by row, so every item falls bit for bit
+    as in a march of each chunk alone.
     """
-    vals = np.zeros(len(exited))
-    if not exited.any():
-        return vals
-    steps = exit_step[exited]
-    dists = exit_dist[exited]
+    ends = np.cumsum(sizes)
+    n = int(ends[-1])
+    normal, low, since = np.zeros(n), np.zeros(n), np.zeros(n)
+    tangent = np.zeros((n, params.d - 1))
+    for k in range(1, n_steps + 1):
+        u, _ = sample_tempered_blocks(dt, params, gens, sizes)
+        normal += sample_leg_blocks(u, 1, gens, sizes)[:, 0]
+        since += u
+        rows = np.flatnonzero(normal < low)
+        if len(rows) == 0:
+            continue
+        counts = _rows_per_block(rows, ends)
+        new_low = normal[rows]
+        dist = np.abs(new_low)
+        if params.d > 1:
+            moved = tangent[rows] + sample_leg_blocks(since[rows], params.d - 1, gens, counts)
+            tangent[rows] = moved
+            since[rows] = 0.0
+            dist = np.hypot(dist, row_norms(moved))
+        yield k, rows, counts, low[rows], new_low, dist
+        low[rows] = new_low
+
+
+def _run_records(gens, sizes, t, n_steps, dt, params):
+    """Each chunk's per-path record sums and its record count.
+
+    Integrating a path's exit score over every start depth q > 0
+    (`_record_steps`) gives its record sum
+
+        sum_k (m_{k-1} - m_k) p(t - (k - 1/2) dt, |W_k|),
+
+    whose mean is C2(t) = int_0^infty f_H(t, q) dq of the monitored
+    process.  Records are scored chunk by chunk, as exits are.
+    """
+    ends = np.cumsum(sizes)
+    sums = np.zeros(int(ends[-1]))
+    n_records = np.zeros(len(sizes), dtype=np.int64)
+    for k, rows, counts, low, new_low, dist in _record_steps(gens, sizes, n_steps, dt, params):
+        scores = np.empty(len(rows))
+        for _, block in _blocks(gens, counts):
+            scores[block] = _kernel_at(np.full(block.stop - block.start, k), dist[block], t, dt, params)
+        sums[rows] += (low - new_low) * scores
+        n_records += counts
+    return [(sums[b - size:b], int(n_records[c])) for c, (size, b) in enumerate(zip(sizes, ends))]
+
+
+def _kernel_at(steps, dists, t, dt, params):
+    """p(t - tau, r) at each step k of `steps` and radius r of `dists`,
+    with the mid-step convention tau = (k - 1/2) dt.
+
+    At alpha = 1 every point is scored in one call to the closed-form
+    kernel; other alpha read the kernel table of each step.
+    """
     if params.alpha == 1.0:
-        vals[exited] = cauchy_density(t - (steps - 0.5) * dt, dists, params)
-        return vals
+        return cauchy_density(t - (steps - 0.5) * dt, dists, params)
     out = np.empty(len(steps))
     for k in np.unique(steps):
         s = t - (k - 0.5) * dt
         table = build_table(params.m * s, params)
         mask = steps == k
         out[mask] = table_eval(table, s, dists[mask], params)
-    vals[exited] = out
-    return vals
+    return out
+
+
+def _scored_exits(starts, gens, sizes, domain, t, n_steps, dt, params):
+    """Each chunk's exit scores p(t - tau, |X_tau - x|), 0 for a path that
+    stays, and its exit count."""
+    for exited, exit_step, exit_dist in _run_exits(starts, gens, sizes, domain, t, n_steps, dt, params):
+        scores = np.zeros(len(exited))
+        if exited.any():
+            scores[exited] = _kernel_at(exit_step[exited], exit_dist[exited], t, dt, params)
+        yield scores, int(exited.sum())
 
 
 def _march_batch(params, domain, t, n_steps, dt, chunks):
     """The one march task: chunks (points, n_paths, gen), `n_paths` paths
     from each of `points` on `gen`, marched together on the (n_steps, dt)
-    grid and scored chunk by chunk at their exits.
+    grid and scored chunk by chunk at their exits.  With `domain` None no
+    path is killed: the paths run from the boundary of the half-space and
+    score their record sums (`_run_records`), one point per chunk.
 
     Returns each chunk's per-point mean and M2 (sum of squared deviations
-    from the mean) of the scores, and its exit count; a chunk's (points x
-    paths) score matrix stays in the task.  Scoring stays per chunk: the
-    far field and numpy's pairwise sums may round differently at another
-    array length.
+    from the mean) of the scores, and its exit (or record) count; a chunk's
+    (points x paths) score matrix stays in the task.  Scoring stays per
+    chunk: the far field and numpy's pairwise sums may round differently at
+    another array length.
     """
-    starts = np.concatenate([np.repeat(points, n_paths, axis=0) for points, n_paths, _ in chunks])
-    marched = _run_exits(starts, [gen for _, _, gen in chunks],
-                         [len(points) * n_paths for points, n_paths, _ in chunks],
-                         domain, t, n_steps, dt, params)
+    gens = [gen for _, _, gen in chunks]
+    sizes = [len(points) * n_paths for points, n_paths, _ in chunks]
+    if domain is None:
+        scored = _run_records(gens, sizes, t, n_steps, dt, params)
+    else:
+        starts = np.concatenate([np.repeat(points, n_paths, axis=0) for points, n_paths, _ in chunks])
+        scored = _scored_exits(starts, gens, sizes, domain, t, n_steps, dt, params)
     results = []
-    for (_, n_paths, _), (exited, exit_step, exit_dist) in zip(chunks, marched):
-        scores = _kernel_at_exits(exited, exit_step, exit_dist, t, dt, params).reshape(-1, n_paths)
+    for (_, n_paths, _), (scores, count) in zip(chunks, scored):
+        scores = scores.reshape(-1, n_paths)
         means = scores.mean(axis=1)
-        results.append((means, ((scores - means[:, None]) ** 2).sum(axis=1), int(exited.sum())))
+        results.append((means, ((scores - means[:, None]) ** 2).sum(axis=1), count))
     return results
 
 
@@ -300,7 +386,8 @@ def _march(groups, domain, params, workers, max_rows):
     fewer so that there are enough batches for the workers (`_batches`),
     each batch one task of one `_execute`, after one `_warm` of the kernel
     tables (none at alpha = 1, scored in closed form).  The caller makes
-    each generator; pickled, it goes on exactly.
+    each generator; pickled, it goes on exactly.  With `domain` None the
+    chunks are the record march of `c2_of_t` (`_march_batch`).
     """
     _check_count("workers", workers)
     chunks = [c for group in groups for c in group]
@@ -397,7 +484,9 @@ def first_exit(path: PathGrid, domain: Domain):
 
 def _r_moments(requests, domain, params, workers):
     """The (n, mean, M2) of r_D(t, x, x)'s scores, and the exit count, for
-    each request (t, x, n_paths, dt, rng), in one march.
+    each request (t, x, n_paths, dt, rng), in one march.  With `domain`
+    None, of the half-space record sums of paths from the boundary point x
+    (`_run_records`), and the record count.
 
     A request's paths run in chunks of at most `CHUNK_PATHS` on the streams
     rng.substream(c), and their moments are merged chunk by chunk; at most
@@ -409,7 +498,7 @@ def _r_moments(requests, domain, params, workers):
         if n_paths < MIN_PATHS:
             raise BudgetError(f"n_paths={n_paths} below {MIN_PATHS}; stderr would be meaningless")
         x = np.asarray(x, dtype=float)
-        if not domain.contains(x):
+        if domain is not None and not domain.contains(x):
             raise ParameterError("x must lie inside the domain")
         n_steps, dt_eff = _snap_steps(t, dt)
         groups.append([
@@ -538,19 +627,6 @@ def halfspace_profile(
     return HalfspaceProfile(t=t, q_grid=q_grid, f_values=tuple(f_values))
 
 
-def _default_q_grid(t: float, params: ProcessParams):
-    """34 geometric nodes resolving the cusp of f_H at q -> 0, out to the tail cutoff.
-
-    The profile drops from p(t,0) on the scale of a small fraction of the
-    boundary layer width h = t^{1/alpha}; 25 nodes start at h/128 so the
-    trapezoid bias stays well below the Monte Carlo noise, 9 reach max(5h, 3).
-    """
-    h = t ** (1.0 / params.alpha)
-    core = np.geomspace(h / 128.0, 4.0 * h, 25)
-    outer = np.geomspace(4.0 * h * 1.35, max(5.0 * h, 3.0), 9)
-    return np.unique(np.concatenate([core, outer]))
-
-
 def c2_of_t(
     t: float,
     n_paths: int,
@@ -563,92 +639,20 @@ def c2_of_t(
 ) -> TraceEstimate:
     """Surface-term coefficient C2(t) = int_0^infty f_H(t, q) dq.
 
-    Trapezoid over the profile grid, anchored at f_H(t, 0+) = p(t, 0),
-    plus a power-law tail correction fitted on the last decade of q.
-
-    `n_paths` is the total path budget over all grid nodes: a uniform pilot
-    pass measures per-node variances, the remainder goes where quadrature
-    weight times standard deviation is largest (Neyman allocation).  Each
-    pass marches all nodes and ladder levels at once.  Pilot and top-up are
-    merged as sample moments (n, mean, M2), per node and level.
+    Each level of the dt-ladder is the sample mean of `n_paths` record sums
+    (`_run_records`): one path from the boundary integrates its exit score
+    over every depth exactly, so there is no depth grid, no tail and no
+    allocation.  Every level marches in one pool; `records_per_path` is the
+    mean number of record steps per path at the finest level.
     """
-    half = HalfSpace(d=params.d)
-    q_grid = _default_q_grid(t, params)
-    n_nodes = len(q_grid)
-
-    dq = np.diff(np.concatenate([[0.0], q_grid]))
-    node_w = 0.5 * (dq + np.append(dq[1:], 0.0))  # trapezoid weight of each MC node
-
-    n_pilot = max(500, int(0.15 * n_paths / n_nodes))
-    remaining = max(n_paths - n_pilot * n_nodes, 0)
-    xs = [_axis_point(q, params.d) for q in q_grid]
     levels = _ladder(dt, rng, extrapolate)
-
-    def run(budget, pass_index):
-        # node i of level k draws from the level's stream at substream(i, pass_index)
-        requests = [
-            (t, xs[i], n, levels[k][0], levels[k][1].substream(i, pass_index))
-            for (i, k), n in budget.items()
-        ]
-        return dict(zip(budget, (m for m, _ in _r_moments(requests, half, params, workers))))
-
-    moments = run({(i, k): n_pilot for i in range(n_nodes) for k in range(len(levels))}, 0)
-    extra = {}
-    for k in range(len(levels)):
-        sigmas = np.array([math.sqrt(moments[i, k][2] / (n_pilot - 1)) for i in range(n_nodes)])
-        alloc = node_w * sigmas
-        alloc = alloc / alloc.sum() * remaining if alloc.sum() > 0 else np.zeros(n_nodes)
-        extra.update({(i, k): int(a) for i, a in enumerate(alloc) if int(a) >= MIN_PATHS})
-    for cell, top in run(extra, 1).items():
-        moments[cell] = _merge_moments(moments[cell], top)
-    profile_est = [
-        _richardson(*[_from_moments(moments[i, k], levels[k][0], t, {}) for k in range(len(levels))])
-        for i in range(n_nodes)
-    ]
-    f = np.array([e.value for e in profile_est])
-    se = np.array([e.stderr for e in profile_est])
-
-    # product integration: exact on power-law panels, which matches both the
-    # cusp of the profile at q -> 0 and its power tail
-    p0 = free_density(t, 0.0, params)
-    core = _power_panel_integral(q_grid, f, p0)
-    grads = np.empty(len(f))
-    for i in range(len(f)):
-        bumped = f.copy()
-        bumped[i] += max(se[i], 1e-300)
-        grads[i] = _power_panel_integral(q_grid, bumped, p0) - core
-    core_se = float(np.sqrt((grads**2).sum()))
-
-    # tail: fit log f = a + s log q on the last decade, require s < -1
-    q_max = q_grid[-1]
-    sel = (q_grid >= q_max / 10.0) & (f > 0)
-    if sel.sum() < 3:
-        raise TailFitError("fewer than 3 usable profile nodes in the last decade")
-    slope, slope_se, intercept = _loglog_fit(q_grid[sel], f[sel], se[sel])
-    if slope >= -1.0:
-        raise TailFitError(
-            f"tail slope {slope:.2f} >= -1; the q-integral correction would diverge"
-        )
-    f_end = math.exp(intercept + slope * math.log(q_max))
-    tail = f_end * q_max / (-slope - 1.0)
-    tail_se = tail * math.sqrt(
-        (se[sel][-1] / max(f[sel][-1], 1e-300)) ** 2
-        + (slope_se / (-slope - 1.0)) ** 2
-    )
-
-    value = core + tail
-    stderr = math.sqrt(core_se**2 + tail_se**2)
-    meta = {
-        "estimator": "C2",
-        "q_max": float(q_max),
-        "tail": tail,
-        "tail_slope": slope,
-        "tail_slope_se": slope_se,
-        "core": core,
-        "m": params.m,
-    }
-    n_tot = sum(e.n_samples for e in profile_est)
-    return TraceEstimate(value=value, stderr=stderr, n_samples=n_tot, dt=dt, t=t, meta=meta)
+    boundary = np.zeros(params.d)
+    requests = [(t, boundary, n_paths, dt_l, sub) for dt_l, sub in levels]
+    per_level = []
+    for (dt_l, _), (moments, records) in zip(levels, _r_moments(requests, None, params, workers)):
+        meta = {"estimator": "C2", "m": params.m, "records_per_path": records / moments[0]}
+        per_level.append(_from_moments(moments, _snap_steps(t, dt_l)[1], t, meta))
+    return _richardson(*per_level)
 
 
 def c4_const(
@@ -662,44 +666,6 @@ def c4_const(
     """Stable boundary constant C4 = C2(t=1) of the mass-zero process."""
     est = c2_of_t(1.0, n_paths, dt, rng, params.with_mass(0.0), workers=workers)
     return replace(est, meta={**est.meta, "estimator": "C4"})
-
-
-def _power_panel_integral(q, f, p0):
-    """Integral of the boundary profile on [0, q[-1]].
-
-    Each interior panel is integrated as the power law through its endpoint
-    values; the leading panel [0, q[0]] uses f = p0 - g(q) with g the power
-    law through the first two drops below the exact anchor p0.  Panels with
-    non-positive endpoints fall back to the trapezoid rule.
-    """
-    q = np.asarray(q, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if len(q) < 2:
-        raise ParameterError("profile integral needs at least two nodes")
-    total = 0.0
-    # leading panel from the anchor
-    g1, g2 = p0 - f[0], p0 - f[1]
-    if g1 > 0 and g2 > g1:
-        gamma = math.log(g2 / g1) / math.log(q[1] / q[0])
-        if gamma <= 0 or not math.isfinite(gamma):
-            gamma = 1.0
-        total += p0 * q[0] - g1 * q[0] / (gamma + 1.0)
-    else:
-        total += 0.5 * (p0 + max(f[0], 0.0)) * q[0]
-    for i in range(len(q) - 1):
-        q1, q2 = q[i], q[i + 1]
-        f1, f2 = f[i], f[i + 1]
-        if f1 > 0 and f2 > 0:
-            s = math.log(f2 / f1) / math.log(q2 / q1)
-            if abs(s + 1.0) < 1e-9:
-                total += f1 * q1 * math.log(q2 / q1)
-            elif math.isfinite(s):
-                total += f1 * q1 * ((q2 / q1) ** (s + 1.0) - 1.0) / (s + 1.0)
-            else:
-                total += 0.5 * (f1 + f2) * (q2 - q1)
-        else:
-            total += 0.5 * (max(f1, 0.0) + max(f2, 0.0)) * (q2 - q1)
-    return float(total)
 
 
 def _weighted_line_fit(x, y, w):

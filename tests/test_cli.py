@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -128,7 +129,7 @@ class TestSubcommands:
     def test_constants_shows_frozen_reference(self, tiny_cfg, capsys):
         cli.cmd_constants(tiny_cfg)
         out = capsys.readouterr().out
-        assert "C4 = 0.0502798" in out
+        assert "C4 = 0.0505277" in out
 
     def test_density_artifacts(self, tiny_cfg):
         path = cli.cmd_density(tiny_cfg)
@@ -213,6 +214,21 @@ class TestSubcommands:
         assert len(lines) == 3 + 6  # two '#' lines, the header, one row per node
         c2_lines = open(path.replace("halfspace_profile", "c2")).read().splitlines()
         assert len(c2_lines) == 4
+
+    def test_halfspace_budget_scale_reaches_c2(self, tmp_path):
+        # --budget-scale scales C2's paths per ladder level like any budget:
+        # the default 20 000 becomes its floor of 200, on each of two levels
+        out = tmp_path / "hs"
+        assert cli.main(["halfspace", "--budget-scale", "0.01", "--t-grid", "0.5",
+                         "--out", str(out)]) == 0
+        with open(out / "c2.csv", newline="") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        assert [int(r["n_samples"]) for r in rows] == [400]
+        assert list(rows[0]) == [
+            "t", "value", "stderr", "n_samples", "dt", "meta_estimator", "meta_m",
+            "meta_records_per_path", "meta_extrapolated", "meta_richardson_order",
+            "meta_bias_budget", "meta_value_coarse", "meta_value_fine",
+        ]
 
     def test_residual_subcommand(self, tiny_cfg):
         cfg = tiny_cfg.override(

@@ -1,6 +1,7 @@
 import functools
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from relheat import kernels, tracelab
 from relheat.cli import _reference_c4
 from relheat.config import ExperimentConfig
-from relheat.errors import BudgetError, ParameterError, TailFitError
+from relheat.errors import BudgetError, ParameterError
 from relheat.geometry import Annulus, Ball, HalfSpace
 from relheat.kernels import build_table, free_density, table_eval
 from relheat.sampler import (
@@ -467,32 +468,134 @@ class TestHalfspaceProfile:
         assert 0.0 < est.value <= free_density(t, 0.0, params) + 3 * est.stderr
 
 
+class ScriptedNormals:
+    """A generator stand-in whose standard normals are given, one list per
+    kind of draw: the Levy draws of the subordinator (1-d), the normal leg
+    ((n, 1)) and the tangential legs ((n, 2), so d = 3)."""
+
+    def __init__(self, levy, normal, tangential):
+        self.queues = {(): list(levy), (1,): list(normal), (2,): list(tangential)}
+
+    def standard_normal(self, out):
+        queue = self.queues[out.shape[1:]]
+        out[...] = np.reshape([queue.pop(0) for _ in range(out.size)], out.shape)
+
+
+class TestRecordMarch:
+    def test_record_sum_is_the_depth_integral_of_exit_scores(self):
+        # one hand-built path at alpha = 1, m = 0, d = 3: its record sum is
+        # the exact integral over start depths q of the kill-and-score of the
+        # path started at q, piecewise constant between the record depths
+        params = ProcessParams(alpha=1.0, m=0.0, d=3)
+        t, n_steps = 1.0, 8
+        dt = t / n_steps
+        levy = [1.0, 0.5, 2.0, 1.5, 0.8, 1.2, 0.3, 2.5]
+        normal = [-0.3, 0.2, -1.0, -0.2, 0.4, -0.7, 0.3, -0.9]  # records at steps 1, 3, 4, 6
+        tangential = [0.7, -0.2, 1.1, 0.3, -0.5, 0.8, 0.2, -1.3, 0.6, 0.4, -0.9, 0.1, 1.5, -0.7]
+        u = dt * dt / (2.0 * np.square(levy))
+        w1 = np.cumsum(np.array(normal) * np.sqrt(2.0 * u))
+        s = np.cumsum(u)
+        # the tangential part moves by N(0, 2 dS) between records only
+        positions = np.zeros((n_steps + 1, 3))
+        low, s_last, tang, queue, n_records = 0.0, 0.0, np.zeros(2), list(tangential), 0
+        for k in range(1, n_steps + 1):
+            if w1[k - 1] < low:
+                tang = tang + np.array([queue.pop(0), queue.pop(0)]) * math.sqrt(2.0 * (s[k - 1] - s_last))
+                low, s_last, n_records = w1[k - 1], s[k - 1], n_records + 1
+            positions[k] = [w1[k - 1], *tang]
+        assert n_records == 4
+
+        gen = ScriptedNormals(levy, normal, tangential)
+        ((sums, count),) = tracelab._run_records([gen], [1], t, n_steps, dt, params)
+        assert count == n_records
+
+        depths = np.unique(np.concatenate([[0.0], -np.minimum.accumulate(np.minimum(w1, 0.0))]))
+        integral = 0.0
+        half = HalfSpace(d=3)
+        for lo, hi in zip(depths[:-1], depths[1:]):
+            start = np.array([0.5 * (lo + hi), 0.0, 0.0])
+            path = PathGrid(start=start, dt=dt, horizon=t, positions=positions + start)
+            k, x = first_exit(path, half)
+            score = tracelab.cauchy_density(t - (k - 0.5) * dt, np.linalg.norm(x - start), params)
+            integral += (hi - lo) * score
+        assert sums[0] == pytest.approx(integral, rel=1e-12)
+
+    def test_profile_read_off_record_paths_matches_r_estimate(self, rng, relativistic2d):
+        # the record paths also give f_H(t, q) at any depth: the score of the
+        # record whose depth interval (-m_{k-1}, -m_k] holds q; in law that
+        # is the killing march from (q, 0)
+        t, n_steps, n = 0.5, 16, 20_000
+        dt = t / n_steps
+        depths = (0.02, 0.1, 0.4)
+        f = np.zeros((len(depths), n))
+        gen = rng.substream(40).generator()
+        for k, rows, _, low, new_low, dist in tracelab._record_steps([gen], [n], n_steps, dt,
+                                                                     relativistic2d):
+            score = tracelab.cauchy_density(t - (k - 0.5) * dt, dist, relativistic2d)
+            for i, q in enumerate(depths):
+                hit = (-low < q) & (q <= -new_low)
+                f[i, rows[hit]] = score[hit]
+        for i, q in enumerate(depths):
+            est = r_estimate(t, np.array([q, 0.0]), HalfSpace(d=2), n, dt, rng.substream(41, i),
+                             relativistic2d)
+            se = f[i].std(ddof=1) / math.sqrt(n)
+            assert abs(f[i].mean() - est.value) <= 3.0 * math.hypot(se, est.stderr), (q, f[i].mean(), est)
+
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_batch_equals_separate_marches(self, alpha, m):
+        # chunks marched together give each chunk's record sums and count
+        # bit for bit, and leave each generator where its own march does
+        params = ProcessParams(alpha=alpha, m=m, d=3)
+        t, n_steps, sizes = 0.2, 16, [170, 1, 40]
+        if alpha != 1.0:
+            tracelab._warm([(t, n_steps, t / n_steps)], params)
+        gens = [np.random.default_rng(seed) for seed in range(len(sizes))]
+        batch = tracelab._run_records(gens, sizes, t, n_steps, t / n_steps, params)
+        for seed, (size, gen, (sums, count)) in enumerate(zip(sizes, gens, batch)):
+            alone = np.random.default_rng(seed)
+            ((want, want_count),) = tracelab._run_records([alone], [size], t, n_steps, t / n_steps, params)
+            assert np.array_equal(sums, want) and count == want_count
+            assert gen.bit_generator.state == alone.bit_generator.state
+        assert batch[0][1] > 170
+
+
 class TestBoundaryCoefficient:
     def test_positive_with_meta(self, rng, cauchy2d):
-        est = c2_of_t(0.5, 60_000, 0.5 / 32, rng.substream(13), cauchy2d, extrapolate=False)
+        est = c2_of_t(0.5, 20_000, 0.5 / 32, rng.substream(13), cauchy2d, extrapolate=False)
         assert est.value > 0
-        assert est.meta["tail_slope"] < -1
-        assert est.meta["core"] > 0
+        assert est.meta["estimator"] == "C2"
+        assert 1.0 < est.meta["records_per_path"] < 32
+
+    def test_extrapolated_meta(self, rng, cauchy2d):
+        # the ladder's meta is kept beside the record count per path
+        est = c2_of_t(0.5, 2000, 0.5 / 16, rng.substream(13), cauchy2d)
+        coarse, fine = est.meta["value_coarse"], est.meta["value_fine"]
+        assert est.value == 2.0 * fine - coarse
+        assert est.meta["bias_budget"] == abs(fine - coarse)
+        assert est.meta["extrapolated"] is True
+        assert (est.meta["records_per_path"] * 2000).is_integer()
+        assert est.n_samples == 4000 and est.dt == 0.5 / 32
+
+    def test_budget_is_paths_per_level(self, rng, cauchy2d):
+        # n_paths per ladder level, spent as asked: no pilot overruns it
+        est = c2_of_t(0.5, 200, 0.5 / 16, rng.substream(13), cauchy2d)
+        assert est.n_samples == 400
+        with pytest.raises(BudgetError):
+            c2_of_t(0.5, tracelab.MIN_PATHS - 1, 0.5 / 16, rng.substream(13), cauchy2d)
 
     @pytest.mark.parametrize("extrapolate", [False, True])
     def test_worker_count_does_not_change_results(self, monkeypatch, rng, cauchy2d, extrapolate):
-        # all nodes and levels run their pilots in one pool, their top-ups in
-        # a second
+        # 120 000 paths per level run in two chunks, each level's in two
+        # batches; every level marches in one pool
         starts = record_pools(monkeypatch, tracelab.ProcessPoolExecutor)
         a, b = (
-            c2_of_t(0.25, 24_000, 0.25 / 16, rng.substream(33), cauchy2d,
+            c2_of_t(0.25, 120_000, 0.25 / 16, rng.substream(33), cauchy2d,
                     extrapolate=extrapolate, workers=workers)
             for workers in (1, 2)
         )
-        assert starts == [2, 2]
+        assert starts == [2]
         assert (a.value, a.stderr, a.n_samples, a.meta) == (b.value, b.stderr, b.n_samples, b.meta)
-
-    def test_tail_fit_failure_on_flat_grid(self, monkeypatch, rng, relativistic2d):
-        # nodes confined to the flat region near the boundary make the last
-        # decade flat: the fitted slope cannot support a tail correction
-        monkeypatch.setattr(tracelab, "_default_q_grid", lambda t, params: np.geomspace(1e-4, 1e-3, 8))
-        with pytest.raises(TailFitError):
-            c2_of_t(0.5, 8000, 0.5 / 16, rng.substream(14), relativistic2d, extrapolate=False)
 
     def test_c4_regression_against_frozen_run(self, rng, within_se):
         # same protocol as the frozen run (dt ladder from steps=128) so the
@@ -517,6 +620,20 @@ class TestBoundaryCoefficient:
         scale = 0.5 ** ((params.d - 1.0) / params.alpha)
         within_se(a.value, b.value * scale, math.hypot(a.stderr, b.stderr * scale), z=3.0,
                   msg="C4 from t=1 vs t=1/2")
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_c2_self_similarity(self, rng, within_se, d):
+        # C2(t) = C4 t^{(1-d)/alpha} at m = 0 in other dimensions: d = 3
+        # draws two tangential coordinates per record, d = 1 none.  The march
+        # reads only alpha, beta, m and d, and ProcessParams starts at d = 2,
+        # so d = 1 runs on a stand-in
+        params = (ProcessParams(alpha=1.0, m=0.0, d=3) if d == 3
+                  else SimpleNamespace(alpha=1.0, beta=0.5, m=0.0, d=1))
+        a = c2_of_t(1.0, 60_000, 1.0 / 32, rng.substream(18, d), params, extrapolate=False)
+        b = c2_of_t(0.5, 60_000, 0.5 / 32, rng.substream(19, d), params, extrapolate=False)
+        scale = 0.5 ** ((d - 1.0) / params.alpha)
+        within_se(a.value, b.value * scale, math.hypot(a.stderr, b.stderr * scale), z=3.0,
+                  msg=f"C4 from t=1 vs t=1/2, d={d}")
 
 
 class TestTrace:
