@@ -3,8 +3,8 @@
 
 Writes the frozen reference (value, stderr, settings) used as a regression
 fixture and shown by the `constants` subcommand.  Rerun only to regenerate
-the fixture; at its defaults (8M paths per ladder level) it takes about
-3 min on one core of a 2-core Xeon.
+the fixture; at its defaults (8M paths, each scoring both ladder levels
+of one march) it takes about 2 min on one core of a 2-core Xeon.
 """
 
 import argparse

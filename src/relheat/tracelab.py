@@ -5,18 +5,23 @@ the boundary correction to the free kernel.  Paths are monitored on a
 grid of step dt; the first grid index outside the domain defines the exit,
 with the exit time placed mid-step to halve the timing bias.  The
 remaining discrete-monitoring bias is handled by a dt-halving ladder with
-Richardson extrapolation; the extrapolated value is the reported one and
-the ladder difference is the reported bias budget.
+Richardson extrapolation (`_ladder`).  Its two levels come from one march
+on the fine grid of step dt/2, drawn on rng.substream(0): the path at step
+2j of dt/2 is a path at step j of dt, exactly in law, so the coarse level
+is the fine path read at its even steps.  Each path (each start point in
+`z_trace`) scores both levels; the extrapolated value is the reported one,
+its stderr that of the per-path combination 2F - C, and the ladder
+difference the reported bias budget.
 
 r_D at a point, the half-space profile f_H(t, q) and the strata of int_D
 r_D are one expectation at different start points.  Each estimator call
-hands `_march` one group of chunks per point request or per (ladder
-level, stratum); a chunk is the unit of a random stream, paths from given
-start points on one generator.  `_march` packs the chunks of one
-(t, n_steps, dt) grid into batches of at most one full chunk's rows (and
-with several workers, of at most the grid's rows over the workers), and
-the one march task, `_march_batch`, marches a batch in lockstep as one
-array (`_run_exits`) and scores it chunk by chunk.  Each chunk's
+hands `_march` one group of chunks per point request or per stratum; a
+chunk is the unit of a random stream, paths from given start points on
+one generator.  `_march` packs the chunks of one (t, n_steps, dt) grid
+into batches of at most one full chunk's rows (and with several workers,
+of at most the grid's rows over the workers), and the one march task,
+`_march_batch`, marches a batch in lockstep as one array (`_run_exits`)
+and scores it chunk by chunk on every ladder level.  Each chunk's
 generator makes the draws of a march of that chunk alone, so every output
 is bit for bit that of marching the chunks one by one.  All batches run
 through one `_execute`, after one `_warm` of the kernel tables when
@@ -197,107 +202,153 @@ def _snap_steps(t: float, dt: float):
     return n_steps, t / n_steps
 
 
-def _run_exits(starts, gens, sizes, domain, t, n_steps, dt, params):
+def _strides(levels):
+    """How many march steps make one step of each ladder level, coarsest
+    first: with two levels, level 0 is the march read at its even steps."""
+    return [2 ** (levels - 1 - level) for level in range(levels)]
+
+
+def _level_grids(n_steps, dt, levels):
+    """The (n_steps, dt) grid of each ladder level of a march on the
+    (n_steps, dt) grid, coarsest first."""
+    return [(n_steps // stride, dt * stride) for stride in _strides(levels)]
+
+
+def _run_exits(starts, gens, sizes, domain, t, n_steps, dt, params, levels=1):
     """March paths from the rows of `starts` until exit or horizon, in
     chunks: chunk c is the next sizes[c] rows, drawn by gens[c].
 
-    Returns each chunk's (exited, exit_step, exit_dist): boolean mask,
-    first grid index outside the domain, and |X_exit - start|.  `pos` holds
-    the alive rows only, in path order (`idx`, their paths).  Each chunk's
-    generator makes the draws of a march of that chunk alone, and the
-    arithmetic is row by row, so every draw and every sum falls bit for bit
-    as in a march of each chunk alone, updating all its rows in place.
+    Returns each chunk's (exited, exit_step, exit_dist), each with one row
+    per ladder level (`_level_grids`), coarsest first: boolean mask, first
+    index outside the domain on that level's grid, and |X_exit - start|.
+    With two levels a row records its fine exit at its first step outside
+    the domain, and marches on to its first even step k outside, its coarse
+    exit at step k/2, which is never earlier; only then is it dropped.
+    `pos` holds the alive rows only, in path order (`idx`, their paths).
+    Each chunk's generator makes the draws of a march of that chunk alone,
+    and the arithmetic is row by row, so every draw and every sum falls bit
+    for bit as in a march of each chunk alone, updating all its rows in
+    place.
     """
     ends = np.cumsum(sizes)
     counts = sizes  # alive rows of each chunk
     n = len(starts)
     pos = np.array(starts, dtype=float)
     idx = np.arange(n)
-    exited = np.zeros(n, dtype=bool)
-    exit_step = np.zeros(n, dtype=np.int64)
-    exit_dist = np.zeros(n)
+    exited = np.zeros((levels, n), dtype=bool)
+    exit_step = np.zeros((levels, n), dtype=np.int64)
+    exit_dist = np.zeros((levels, n))
+    fine_open = np.ones(n, dtype=bool)  # alive rows yet to exit the fine level
+
+    def record(level, gone, step):
+        # compress copies the rows of a 2-d array several times faster
+        # than boolean indexing does
+        out = idx[gone]
+        exited[level, out] = True
+        exit_step[level, out] = step
+        exit_dist[level, out] = row_norms(pos.compress(gone, axis=0) - starts[out])
+
     for k in range(1, n_steps + 1):
         if len(idx) == 0:
             break
         u, _ = sample_tempered_blocks(dt, params, gens, counts)
         pos += sample_leg_blocks(u, params.d, gens, counts)
         inside = domain.contains(pos)
-        if not inside.all():
-            # compress copies the rows of a 2-d array several times
-            # faster than boolean indexing does
-            gone = ~inside
-            out = idx[gone]
-            exited[out] = True
-            exit_step[out] = k
-            exit_dist[out] = row_norms(pos.compress(gone, axis=0) - starts[out])
-            pos, idx = pos.compress(inside, axis=0), idx[inside]
-            counts = _rows_per_block(idx, ends)
-    return [(exited[b - size:b], exit_step[b - size:b], exit_dist[b - size:b])
+        if inside.all():
+            continue
+        gone = ~inside
+        if levels == 2:
+            record(1, gone & fine_open, k)
+            fine_open &= inside
+            if k % 2:
+                continue  # level 0 reads even steps only
+            fine_open = fine_open[inside]
+        record(0, gone, k // levels)  # on the grid of level 0
+        pos, idx = pos.compress(inside, axis=0), idx[inside]
+        counts = _rows_per_block(idx, ends)
+    return [(exited[:, b - size:b], exit_step[:, b - size:b], exit_dist[:, b - size:b])
             for size, b in zip(sizes, ends)]
 
 
-def _record_steps(gens, sizes, n_steps, dt, params):
+def _record_steps(gens, sizes, n_steps, dt, params, levels=1):
     """March paths from the boundary of the half-space H = {x_1 > 0} to the
-    horizon, none killed, in chunks as `_run_exits` does; yield each step k
-    on which some path sets a new minimum of its normal coordinate W_1.
+    horizon, none killed, in chunks as `_run_exits` does; yield each step on
+    which some path sets a new minimum of its normal coordinate W_1 on a
+    ladder level (`_level_grids`; with two levels, level 0 reads the march
+    at its even steps only).
 
-    Each item is (k, rows, counts, low, new_low, dist): the record rows in
-    path order, how many of them each chunk holds, their running minimum
-    m_{k-1} before the step and m_k = W_1(k) after it (m_0 = 0), and |W_k|.
-    A path from depth q is this path shifted by q e_1, so it exits at step k
+    Each item is (level, k, rows, counts, low, new_low, dist): the level,
+    the step k on its grid, the record rows in path order, how many of them
+    each chunk holds, their running minimum m_{k-1} on that level before
+    the step and m_k = W_1(k) after it (m_0 = 0), and |W_k|.  A path from
+    depth q is this path shifted by q e_1, so it exits that level at step k
     exactly when -m_{k-1} < q <= -m_k, at distance |W_k| from its start.
 
-    A path carries W_1, its running minimum and the operational time since
-    its last record, S_k - S_last.  The d - 1 tangential coordinates are
-    drawn at record steps only, as T += N(0, 2 (S_k - S_last) I): given S
-    that is exact in law.  Each chunk's generator makes the draws of a
-    march of that chunk alone, row by row, so every item falls bit for bit
-    as in a march of each chunk alone.
+    A path carries W_1, each level's running minimum and the operational
+    time since its last record on any level, S_k - S_last.  The d - 1
+    tangential coordinates are drawn at those record steps only, as
+    T += N(0, 2 (S_k - S_last) I): given S that is exact in law.  Each
+    chunk's generator makes the draws of a march of that chunk alone, row
+    by row, so every item falls bit for bit as in a march of each chunk
+    alone.
     """
     ends = np.cumsum(sizes)
     n = int(ends[-1])
-    normal, low, since = np.zeros(n), np.zeros(n), np.zeros(n)
+    normal, since = np.zeros(n), np.zeros(n)
+    lows = np.zeros((levels, n))
     tangent = np.zeros((n, params.d - 1))
+    strides = _strides(levels)
     for k in range(1, n_steps + 1):
         u, _ = sample_tempered_blocks(dt, params, gens, sizes)
         normal += sample_leg_blocks(u, 1, gens, sizes)[:, 0]
         since += u
-        rows = np.flatnonzero(normal < low)
+        read = [level for level, stride in enumerate(strides) if k % stride == 0]
+        new = [normal < lows[level] for level in read]
+        rows = np.flatnonzero(functools.reduce(np.logical_or, new))
         if len(rows) == 0:
             continue
-        counts = _rows_per_block(rows, ends)
-        new_low = normal[rows]
-        dist = np.abs(new_low)
+        dist = np.abs(normal[rows])
         if params.d > 1:
-            moved = tangent[rows] + sample_leg_blocks(since[rows], params.d - 1, gens, counts)
+            moved = tangent[rows] + sample_leg_blocks(since[rows], params.d - 1, gens,
+                                                      _rows_per_block(rows, ends))
             tangent[rows] = moved
             since[rows] = 0.0
             dist = np.hypot(dist, row_norms(moved))
-        yield k, rows, counts, low[rows], new_low, dist
-        low[rows] = new_low
+        for level, is_new in zip(read, new):
+            hit = is_new[rows]
+            level_rows = rows[hit]
+            new_low = normal[level_rows]
+            yield (level, k // strides[level], level_rows, _rows_per_block(level_rows, ends),
+                   lows[level, level_rows], new_low, dist[hit])
+            lows[level, level_rows] = new_low
 
 
-def _run_records(gens, sizes, t, n_steps, dt, params):
-    """Each chunk's per-path record sums and its record count.
+def _run_records(gens, sizes, t, n_steps, dt, params, levels=1):
+    """Each chunk's per-path record sums, one row per ladder level, and its
+    record count on the finest level.
 
     Integrating a path's exit score over every start depth q > 0
-    (`_record_steps`) gives its record sum
+    (`_record_steps`) gives its record sum on a level of step dt
 
         sum_k (m_{k-1} - m_k) p(t - (k - 1/2) dt, |W_k|),
 
-    whose mean is C2(t) = int_0^infty f_H(t, q) dq of the monitored
-    process.  Records are scored chunk by chunk, as exits are.
+    whose mean is C2(t) = int_0^infty f_H(t, q) dq of the process monitored
+    on that level.  Records are scored chunk by chunk, as exits are.
     """
     ends = np.cumsum(sizes)
-    sums = np.zeros(int(ends[-1]))
+    grids = _level_grids(n_steps, dt, levels)
+    sums = np.zeros((levels, int(ends[-1])))
     n_records = np.zeros(len(sizes), dtype=np.int64)
-    for k, rows, counts, low, new_low, dist in _record_steps(gens, sizes, n_steps, dt, params):
+    for level, k, rows, counts, low, new_low, dist in _record_steps(gens, sizes, n_steps, dt,
+                                                                    params, levels):
         scores = np.empty(len(rows))
         for _, block in _blocks(gens, counts):
-            scores[block] = _kernel_at(np.full(block.stop - block.start, k), dist[block], t, dt, params)
-        sums[rows] += (low - new_low) * scores
-        n_records += counts
-    return [(sums[b - size:b], int(n_records[c])) for c, (size, b) in enumerate(zip(sizes, ends))]
+            scores[block] = _kernel_at(np.full(block.stop - block.start, k), dist[block], t,
+                                       grids[level][1], params)
+        sums[level, rows] += (low - new_low) * scores
+        if level == levels - 1:
+            n_records += counts
+    return [(sums[:, b - size:b], int(n_records[c])) for c, (size, b) in enumerate(zip(sizes, ends))]
 
 
 def _kernel_at(steps, dists, t, dt, params):
@@ -318,41 +369,58 @@ def _kernel_at(steps, dists, t, dt, params):
     return out
 
 
-def _scored_exits(starts, gens, sizes, domain, t, n_steps, dt, params):
-    """Each chunk's exit scores p(t - tau, |X_tau - x|), 0 for a path that
-    stays, and its exit count."""
-    for exited, exit_step, exit_dist in _run_exits(starts, gens, sizes, domain, t, n_steps, dt, params):
-        scores = np.zeros(len(exited))
-        if exited.any():
-            scores[exited] = _kernel_at(exit_step[exited], exit_dist[exited], t, dt, params)
-        yield scores, int(exited.sum())
+def _scored_exits(starts, gens, sizes, domain, t, n_steps, dt, params, levels):
+    """Each chunk's exit scores p(t - tau, |X_tau - x|) on each ladder level,
+    0 for a path that stays, and its exit count on the finest level."""
+    grids = _level_grids(n_steps, dt, levels)
+    for exited, exit_step, exit_dist in _run_exits(starts, gens, sizes, domain, t, n_steps, dt,
+                                                   params, levels):
+        scores = np.zeros(exited.shape)
+        for level, (_, dt_level) in enumerate(grids):
+            hit = exited[level]
+            if hit.any():
+                scores[level, hit] = _kernel_at(exit_step[level, hit], exit_dist[level, hit], t,
+                                                dt_level, params)
+        yield scores, int(exited[-1].sum())
 
 
-def _march_batch(params, domain, t, n_steps, dt, chunks):
+def _combined(levels):
+    """The Richardson combination of a ladder's levels, coarsest first, as
+    values or sample by sample; one level is its own."""
+    return _extrapolate(*levels) if len(levels) == 2 else levels[0]
+
+
+def _march_batch(params, domain, t, n_steps, dt, levels, chunks):
     """The one march task: chunks (points, n_paths, gen), `n_paths` paths
     from each of `points` on `gen`, marched together on the (n_steps, dt)
-    grid and scored chunk by chunk at their exits.  With `domain` None no
-    path is killed: the paths run from the boundary of the half-space and
-    score their record sums (`_run_records`), one point per chunk.
+    grid (with two levels, the fine level of the ladder, read at its even
+    steps for the coarse one) and scored chunk by chunk at their exits on
+    every level.  With `domain` None no path is killed: the paths run from
+    the boundary of the half-space and score their record sums
+    (`_run_records`), one point per chunk.
 
-    Returns each chunk's per-point mean and M2 (sum of squared deviations
-    from the mean) of the scores, and its exit (or record) count; a chunk's
-    (points x paths) score matrix stays in the task.  Scoring stays per
-    chunk: the far field and numpy's pairwise sums may round differently at
-    another array length.
+    Returns each chunk's per-point means and M2 (sums of squared deviations
+    from the mean) of its score columns, and its exit (or record) count on
+    the finest level.  The columns are the levels' scores, coarsest first,
+    then their path-by-path combination (`_combined`), the sample whose
+    stderr an estimate reports.  A chunk's (points x paths) score matrix
+    stays in the task.  Scoring stays per chunk: the far field and numpy's
+    pairwise sums may round differently at another array length.
     """
     gens = [gen for _, _, gen in chunks]
     sizes = [len(points) * n_paths for points, n_paths, _ in chunks]
     if domain is None:
-        scored = _run_records(gens, sizes, t, n_steps, dt, params)
+        scored = _run_records(gens, sizes, t, n_steps, dt, params, levels)
     else:
         starts = np.concatenate([np.repeat(points, n_paths, axis=0) for points, n_paths, _ in chunks])
-        scored = _scored_exits(starts, gens, sizes, domain, t, n_steps, dt, params)
+        scored = _scored_exits(starts, gens, sizes, domain, t, n_steps, dt, params, levels)
     results = []
     for (_, n_paths, _), (scores, count) in zip(chunks, scored):
-        scores = scores.reshape(-1, n_paths)
-        means = scores.mean(axis=1)
-        results.append((means, ((scores - means[:, None]) ** 2).sum(axis=1), count))
+        per_level = [level_scores.reshape(-1, n_paths) for level_scores in scores]
+        columns = [*per_level, _combined(per_level)]
+        means = [column.mean(axis=1) for column in columns]
+        m2 = [((column - mean[:, None]) ** 2).sum(axis=1) for column, mean in zip(columns, means)]
+        results.append((np.array(means), np.array(m2), count))
     return results
 
 
@@ -378,9 +446,10 @@ def _batches(chunks, max_rows, workers):
     return batches
 
 
-def _march(groups, domain, params, workers, max_rows):
-    """Run groups of chunk requests (t, n_steps, dt, points, n_paths, gen);
-    results come back grouped the same way.
+def _march(groups, domain, params, workers, max_rows, levels=1):
+    """Run groups of chunk requests (t, n_steps, dt, points, n_paths, gen),
+    each scoring `levels` ladder levels off its (n_steps, dt) grid; results
+    come back grouped the same way.
 
     The chunks of one grid march in batches of at most `max_rows` rows, or
     fewer so that there are enough batches for the workers (`_batches`),
@@ -392,9 +461,10 @@ def _march(groups, domain, params, workers, max_rows):
     _check_count("workers", workers)
     chunks = [c for group in groups for c in group]
     if params.alpha != 1.0:
-        _warm(dict.fromkeys(c[:3] for c in chunks), params)
+        _warm(dict.fromkeys(c[:3] for c in chunks), params, levels)
     batches = _batches(chunks, max_rows, workers)
-    tasks = [(params, domain, *chunks[b[0]][:3], [chunks[i][3:] for i in b]) for b in batches]
+    tasks = [(params, domain, *chunks[b[0]][:3], levels, [chunks[i][3:] for i in b])
+             for b in batches]
     done = _execute(_march_batch, tasks, workers)
     by_index = dict(zip([i for b in batches for i in b], [r for out in done for r in out]))
     results = (by_index[i] for i in range(len(chunks)))
@@ -403,7 +473,8 @@ def _march(groups, domain, params, workers, max_rows):
 
 def _merge_moments(a, b):
     """Merge two samples' (n, mean, M2), M2 the sum of squared deviations
-    from the mean (Chan, Golub & LeVeque 1979).
+    from the mean (Chan, Golub & LeVeque 1979); mean and M2 may be arrays,
+    one entry per score column, merged column by column.
 
     Unlike E[x^2] - E[x]^2, the merged M2 keeps its digits when the mean is
     large against the spread.  The mean is the count-weighted one.
@@ -416,24 +487,50 @@ def _merge_moments(a, b):
 
 
 def _from_moments(moments, dt, t, meta) -> TraceEstimate:
-    """The sample-mean estimate of a sample's (n, mean, M2)."""
-    n, mean, m2 = moments
-    return TraceEstimate(
-        value=mean, stderr=math.sqrt(m2 / (n - 1) / n), n_samples=n, dt=dt, t=t, meta=meta
-    )
+    """The estimate of a sample's (n, means, M2) over the score columns of
+    `_march_batch`: the level means, with the sample stderr of the last
+    column, their path-by-path combination."""
+    n, means, m2 = moments
+    stderr = math.sqrt(float(m2[-1]) / (n - 1) / n)
+    return _estimate([float(v) for v in means[:-1]], stderr, n, dt, t, meta)
 
 
-def _warm(grids, params):
-    """Build every kernel table a march on the (t, n_steps, dt) grids can use.
+def _estimate(values, stderr, n_paths, dt, t, meta) -> TraceEstimate:
+    """The estimate of a ladder's level values, coarsest first, each scored
+    by `n_paths` samples, with the stderr of their sample-by-sample
+    combination: one level as it is, two Richardson-extrapolated with the
+    ladder correction as the reported bias budget.  `dt` is the finest
+    level's, and `n_samples` counts paths per level summed over levels."""
+    if len(values) == 2:
+        coarse, fine = values
+        meta = {
+            **meta,
+            "extrapolated": True,
+            "richardson_order": RICHARDSON_ORDER,
+            "bias_budget": abs(fine - coarse) / (2.0**RICHARDSON_ORDER - 1.0),
+            "value_coarse": coarse,
+            "value_fine": fine,
+        }
+    return TraceEstimate(value=_combined(values), stderr=stderr, n_samples=n_paths * len(values),
+                         dt=dt, t=t, meta=meta)
+
+
+def _warm(grids, params, levels=1):
+    """Build every kernel table a march on the (t, n_steps, dt) grids can
+    use, scoring `levels` ladder levels off each.
 
     Called before `_execute`, so the tables, and the theta_beta values on
     the log-z lattice they need, are in the process a pool forks and its
     workers build none.
-    The products m * (t - (k - 1/2) dt) are those `_kernel_at_exits` asks
-    for; at m = 0 they are all one product, and this is a single lookup.
+    The products m * (t - (k - 1/2) dt) on each level's grid are those
+    `_kernel_at` asks for; at m = 0 they are all one product, and this is a
+    single lookup.
     """
     mts = dict.fromkeys(
-        params.m * (t - (k - 0.5) * dt) for t, n_steps, dt in grids for k in range(1, n_steps + 1)
+        params.m * (t - (k - 0.5) * dt_level)
+        for t, n_steps, dt in grids
+        for n_level, dt_level in _level_grids(n_steps, dt, levels)
+        for k in range(1, n_level + 1)
     )
     build_tables(mts, params)
 
@@ -482,9 +579,11 @@ def first_exit(path: PathGrid, domain: Domain):
     return k, path.positions[k]
 
 
-def _r_moments(requests, domain, params, workers):
-    """The (n, mean, M2) of r_D(t, x, x)'s scores, and the exit count, for
-    each request (t, x, n_paths, dt, rng), in one march.  With `domain`
+def _r_moments(requests, domain, params, workers, levels=1):
+    """The (n, means, M2) of r_D(t, x, x)'s score columns (`_march_batch`:
+    the ladder levels, then their path-by-path combination), and the exit
+    count on the finest level, for each request (t, x, n_paths, n_steps,
+    dt, rng), in one march, each on its (n_steps, dt) grid.  With `domain`
     None, of the half-space record sums of paths from the boundary point x
     (`_run_records`), and the record count.
 
@@ -493,33 +592,33 @@ def _r_moments(requests, domain, params, workers):
     `CHUNK_PATHS` paths march at once.
     """
     groups = []
-    for t, x, n_paths, dt, rng in requests:
+    for t, x, n_paths, n_steps, dt, rng in requests:
         _check_count("n_paths", n_paths)
         if n_paths < MIN_PATHS:
             raise BudgetError(f"n_paths={n_paths} below {MIN_PATHS}; stderr would be meaningless")
         x = np.asarray(x, dtype=float)
         if domain is not None and not domain.contains(x):
             raise ParameterError("x must lie inside the domain")
-        n_steps, dt_eff = _snap_steps(t, dt)
         groups.append([
-            (t, n_steps, dt_eff, x[None], m, rng.substream(c).generator())
+            (t, n_steps, dt, x[None], m, rng.substream(c).generator())
             for c, m in enumerate(_chunk_sizes(n_paths, CHUNK_PATHS))
         ])
     out = []
-    for group, results in zip(groups, _march(groups, domain, params, workers, CHUNK_PATHS)):
-        chunks = ((c[4], float(mean[0]), float(m2[0])) for c, (mean, m2, _) in zip(group, results))
+    for group, results in zip(groups, _march(groups, domain, params, workers, CHUNK_PATHS, levels)):
+        chunks = ((c[4], means[:, 0], m2[:, 0]) for c, (means, m2, _) in zip(group, results))
         out.append((functools.reduce(_merge_moments, chunks), sum(e for _, _, e in results)))
     return out
 
 
-def _r_estimates(requests, domain, params, *, workers=1):
-    """r_D(t, x, x) for each request (t, x, n_paths, dt, rng): the
-    sample-mean estimates of `_r_moments`."""
+def _r_estimates(requests, domain, params, *, workers=1, levels=1):
+    """r_D(t, x, x) for each request (t, x, n_paths, n_steps, dt, rng): the
+    estimates of `_r_moments`."""
     estimates = []
-    for (t, x, _, dt, _), (moments, exits) in zip(requests, _r_moments(requests, domain, params, workers)):
+    for (t, x, _, _, dt, _), (moments, exits) in zip(
+            requests, _r_moments(requests, domain, params, workers, levels)):
         meta = {"estimator": "r_D", "exit_fraction": exits / moments[0],
                 "x_delta": float(domain.delta(np.asarray(x, dtype=float)))}
-        estimates.append(_from_moments(moments, _snap_steps(t, dt)[1], t, meta))
+        estimates.append(_from_moments(moments, dt, t, meta))
     return estimates
 
 
@@ -534,14 +633,21 @@ def r_estimate(
     *,
     workers: int = 1,
 ) -> TraceEstimate:
-    """Monte Carlo estimate of r_D(t, x, x)."""
-    return _r_estimates([(t, x, n_paths, dt, rng)], domain, params, workers=workers)[0]
+    """Monte Carlo estimate of r_D(t, x, x), on one level, drawn on rng."""
+    return _r_estimates([(t, x, n_paths, *_snap_steps(t, dt), rng)], domain, params,
+                        workers=workers)[0]
 
 
-def _ladder(dt, rng, extrapolate):
-    """The monitoring levels (dt, stream): dt on rng.substream(0) and, when
-    extrapolating, the fine level dt/2 on rng.substream(1)."""
-    return [(dt, rng.substream(0)), (dt / 2.0, rng.substream(1))][: 1 + extrapolate]
+def _ladder(t, dt, rng, levels):
+    """The one march of a dt-ladder of 1 or 2 levels: (n_steps, dt, stream).
+
+    Level 0 monitors at dt snapped to t/n (`_snap_steps`).  With two levels
+    the march is the fine level, 2n steps of dt/2, and level 0 is read off
+    its even steps (`_level_grids`).  Either way it draws on
+    rng.substream(0).
+    """
+    n_steps, dt = _snap_steps(t, dt)
+    return n_steps * levels, dt / levels, rng.substream(0)
 
 
 def _extrapolate(coarse, fine):
@@ -549,45 +655,14 @@ def _extrapolate(coarse, fine):
     return fine + (fine - coarse) / (2.0**RICHARDSON_ORDER - 1.0)
 
 
-def _richardson(coarse: TraceEstimate, fine: TraceEstimate = None) -> TraceEstimate:
-    """Extrapolate a dt-halving pair; the reported bias budget is the
-    ladder correction itself.  A single level is reported as it is."""
-    if fine is None:
-        return coarse
-    f = 2.0**RICHARDSON_ORDER - 1.0
-    stderr = math.sqrt(((1.0 + 1.0 / f) * fine.stderr) ** 2 + (coarse.stderr / f) ** 2)
-    meta = dict(fine.meta)
-    meta.update(
-        {
-            "extrapolated": True,
-            "richardson_order": RICHARDSON_ORDER,
-            "bias_budget": abs(fine.value - coarse.value) / f,
-            "value_coarse": coarse.value,
-            "value_fine": fine.value,
-        }
-    )
-    return TraceEstimate(
-        value=_extrapolate(coarse.value, fine.value),
-        stderr=stderr,
-        n_samples=coarse.n_samples + fine.n_samples,
-        dt=fine.dt,
-        t=fine.t,
-        meta=meta,
-    )
-
-
 def _r_extrapolated(points, domain, n_paths, params, *, extrapolate=True, workers=1):
-    """Estimates of r_D(t, x, x) at each point (t, x, dt, rng) through the
-    ladder of its dt and rng, Richardson-extrapolated when `extrapolate`;
-    every point and level marches in one batch."""
-    requests = [
-        (t, x, n_paths, dt_l, sub)
-        for t, x, dt, rng in points
-        for dt_l, sub in _ladder(dt, rng, extrapolate)
-    ]
-    ests = _r_estimates(requests, domain, params, workers=workers)
-    n_levels = 1 + extrapolate
-    return [_richardson(*ests[i:i + n_levels]) for i in range(0, len(ests), n_levels)]
+    """Estimates of r_D(t, x, x) at each point (t, x, dt, rng), each on the
+    one march of the ladder of its dt and rng (`_ladder`), two levels
+    Richardson-extrapolated when `extrapolate`; every point marches in one
+    batch."""
+    levels = 2 if extrapolate else 1
+    requests = [(t, x, n_paths, *_ladder(t, dt, rng, levels)) for t, x, dt, rng in points]
+    return _r_estimates(requests, domain, params, workers=workers, levels=levels)
 
 
 def r_estimate_extrapolated(t, x, domain, n_paths, dt, rng, params, *, workers=1) -> TraceEstimate:
@@ -615,8 +690,8 @@ def halfspace_profile(
     """Profile f_H(t, q) over a grid of boundary distances q.
 
     Node i is the point (q_i, 0, ..., 0) on the dt-ladder of rng.substream(i)
-    (one level unless extrapolating), so level k draws from
-    rng.substream(i).substream(k); every node and level marches in one pool.
+    (one level unless extrapolating), so its one march draws from
+    rng.substream(i).substream(0); every node marches in one pool.
     """
     q_grid = np.asarray(q_grid, dtype=float)
     if (q_grid <= 0).any():
@@ -642,17 +717,16 @@ def c2_of_t(
     Each level of the dt-ladder is the sample mean of `n_paths` record sums
     (`_run_records`): one path from the boundary integrates its exit score
     over every depth exactly, so there is no depth grid, no tail and no
-    allocation.  Every level marches in one pool; `records_per_path` is the
-    mean number of record steps per path at the finest level.
+    allocation.  Each path scores both levels of the one march (`_ladder`),
+    in one pool; `records_per_path` is the mean number of record steps per
+    path at the finest level.
     """
-    levels = _ladder(dt, rng, extrapolate)
-    boundary = np.zeros(params.d)
-    requests = [(t, boundary, n_paths, dt_l, sub) for dt_l, sub in levels]
-    per_level = []
-    for (dt_l, _), (moments, records) in zip(levels, _r_moments(requests, None, params, workers)):
-        meta = {"estimator": "C2", "m": params.m, "records_per_path": records / moments[0]}
-        per_level.append(_from_moments(moments, _snap_steps(t, dt_l)[1], t, meta))
-    return _richardson(*per_level)
+    levels = 2 if extrapolate else 1
+    n_steps, dt, stream = _ladder(t, dt, rng, levels)
+    request = (t, np.zeros(params.d), n_paths, n_steps, dt, stream)
+    ((moments, records),) = _r_moments([request], None, params, workers, levels)
+    meta = {"estimator": "C2", "m": params.m, "records_per_path": records / moments[0]}
+    return _from_moments(moments, dt, t, meta)
 
 
 def c4_const(
@@ -752,9 +826,12 @@ def z_trace(
 
     The integral is a stratified sum: each stratum's mean of r_D at uniform
     points, times its exact volume.  Chunk c of stratum j, at most
-    `chunk_points` points, draws its points and its paths from its level's
-    stream at substream(j, c); the chunks of every stratum and ladder level
-    march in one pool, at most chunk_points x n_paths rows at once.
+    `chunk_points` points, draws its points and its paths from the ladder's
+    one stream (`_ladder`) at substream(j, c); the chunks of every stratum
+    march in one pool, at most chunk_points x n_paths rows at once, and
+    every path scores both ladder levels.  The stderr is that of the
+    per-point combination 2 f - c of the levels' path means, within each
+    stratum.
     """
     if not getattr(domain, "bounded", False):
         raise ParameterError("z_trace requires a bounded domain")
@@ -762,7 +839,8 @@ def z_trace(
     _check_count("chunk_points", chunk_points)
     strata = default_strata(domain, t, params)
     ft = first_term(t, domain, params)
-    levels = [(*_snap_steps(t, dt_l), sub) for dt_l, sub in _ladder(dt, rng, extrapolate)]
+    levels = 2 if extrapolate else 1
+    n_steps, dt, sub = _ladder(t, dt, rng, levels)
     layers = []
     for j, ((q_lo, q_hi), n_j) in enumerate(zip(strata, _allocate(domain, strata, t, params, n_x))):
         vol = domain.layer_volume(q_lo, q_hi)
@@ -770,40 +848,29 @@ def z_trace(
             continue
         layers.append((j, q_lo, q_hi, vol, _chunk_sizes(n_j, chunk_points)))
     groups = []
-    for n_steps, dt_eff, sub in levels:
-        for j, q_lo, q_hi, _, sizes in layers:
-            gens = [sub.substream(j, c).generator() for c in range(len(sizes))]
-            groups.append([(t, n_steps, dt_eff, domain.sample_layer(q_lo, q_hi, g, m), n_paths, g)
-                           for g, m in zip(gens, sizes)])
-    per_stratum = iter(_march(groups, domain, params, workers, chunk_points * n_paths))
+    for j, q_lo, q_hi, _, sizes in layers:
+        gens = [sub.substream(j, c).generator() for c in range(len(sizes))]
+        groups.append([(t, n_steps, dt, domain.sample_layer(q_lo, q_hi, g, m), n_paths, g)
+                       for g, m in zip(gens, sizes)])
+    per_stratum = _march(groups, domain, params, workers, chunk_points * n_paths, levels)
     n_points = sum(sum(layer[-1]) for layer in layers)
-    per_level = []
-    for _, dt_eff, _ in levels:
-        interior = var = 0.0
-        for (j, q_lo, q_hi, vol, sizes), results in zip(layers, per_stratum):
-            values = np.concatenate([means for means, _, _ in results])
-            sem = values.std(ddof=1) / math.sqrt(len(values))
-            interior += vol * values.mean()
-            var += (vol * sem) ** 2
-        se = math.sqrt(var)
-        meta = {
-            "estimator": "Z_D",
-            "first_term": ft,
-            "interior": interior,
-            "interior_se": se,
-            "n_strata": len(strata),
-        }
-        per_level.append(
-            TraceEstimate(value=ft - interior, stderr=se, n_samples=n_points * n_paths,
-                          dt=dt_eff, t=t, meta=meta)
-        )
-    est = _richardson(*per_level)
-    if extrapolate:
-        # the first term is exact; extrapolate the interior part alongside
-        coarse, fine = (e.meta["interior"] for e in per_level)
-        est = replace(est, meta={**est.meta, "interior": _extrapolate(coarse, fine),
-                                 "interior_se": est.stderr})
-    return est
+    interior, var = [0.0] * levels, 0.0
+    for (_, _, _, vol, _), results in zip(layers, per_stratum):
+        # per point: each level's path mean, then their combination
+        means = np.concatenate([chunk_means for chunk_means, _, _ in results], axis=1)
+        for level in range(levels):
+            interior[level] += vol * means[level].mean()
+        sem = means[-1].std(ddof=1) / math.sqrt(means.shape[1])
+        var += (vol * sem) ** 2
+    se = math.sqrt(var)
+    meta = {
+        "estimator": "Z_D",
+        "first_term": ft,
+        "interior": _combined(interior),  # the first term is exact
+        "interior_se": se,
+        "n_strata": len(strata),
+    }
+    return _estimate([ft - i for i in interior], se, n_points * n_paths, dt, t, meta)
 
 
 # ---------------------------------------------------------------------------

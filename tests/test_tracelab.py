@@ -14,6 +14,7 @@ from relheat.geometry import Annulus, Ball, HalfSpace
 from relheat.kernels import build_table, free_density, table_eval
 from relheat.sampler import (
     PathGrid,
+    RngStream,
     sample_brownian_leg,
     sample_tempered_subordinator,
     simulate_path,
@@ -127,8 +128,9 @@ class TestFirstExit:
 
 
 def one_chunk_exits(starts, domain, t, n_steps, dt, params, gen):
-    """`_run_exits` on `starts` as one chunk."""
-    return tracelab._run_exits(starts, [gen], [len(starts)], domain, t, n_steps, dt, params)[0]
+    """`_run_exits` on `starts` as one chunk, on one level."""
+    return tuple(a[0] for a in tracelab._run_exits(starts, [gen], [len(starts)], domain, t,
+                                                   n_steps, dt, params)[0])
 
 
 def gather_scatter_exits(starts, domain, t, n_steps, dt, params, gen):
@@ -254,9 +256,10 @@ class TestRunExits:
             alone = np.random.default_rng(seed)
             want = gather_scatter_exits(s, domain, 0.2, n_steps, dt, params, alone)
             for a, b in zip(got, want):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert a.dtype == b.dtype and np.array_equal(a[0], b)
             assert gen.bit_generator.state == alone.bit_generator.state
-        (exited, exit_step, _), _, (deep, _, _), (out, out_step, _) = batch
+        (exited, exit_step, _), _, (deep, _, _), (out, out_step, _) = (
+            [a[0] for a in chunk] for chunk in batch)
         assert 0 < exited.sum() < len(exited) and len(np.unique(exit_step[exited])) > 3
         assert not deep.any()
         assert out.all() and (out_step == 1).all()
@@ -393,6 +396,9 @@ class TestREstimate:
         assert est.dt == pytest.approx(0.2 / 32)
 
     def test_extrapolated_uses_one_pool(self, monkeypatch, rng, cauchy2d, unit_ball):
+        # both levels come from one march; its three 100-path chunks are
+        # three tasks, so the march starts one pool
+        monkeypatch.setattr(tracelab, "CHUNK_PATHS", 100)
         starts = record_pools(monkeypatch, tracelab.ProcessPoolExecutor)
         est = r_estimate_extrapolated(0.2, np.array([0.8, 0.0]), unit_ball, 300, 0.2 / 8,
                                       rng.substream(34), cauchy2d, workers=2)
@@ -414,8 +420,8 @@ class TestHalfspaceProfile:
     @pytest.mark.parametrize("extrapolate", [False, True])
     def test_equals_separate_point_estimates(self, monkeypatch, rng, relativistic2d, extrapolate):
         # one march over all nodes gives each node the numbers of its own
-        # point estimate on the same ladder (level k of node i on
-        # substream(40, i, k)), at any worker count, in one pool
+        # point estimate on the same ladder (the march of node i on
+        # substream(40, i, 0)), at any worker count, in one pool
         half = HalfSpace(d=2)
         t, qs, n = 0.1, [0.02, 0.1, 0.3], 1500
         if extrapolate:
@@ -529,8 +535,8 @@ class TestRecordMarch:
         depths = (0.02, 0.1, 0.4)
         f = np.zeros((len(depths), n))
         gen = rng.substream(40).generator()
-        for k, rows, _, low, new_low, dist in tracelab._record_steps([gen], [n], n_steps, dt,
-                                                                     relativistic2d):
+        for _, k, rows, _, low, new_low, dist in tracelab._record_steps([gen], [n], n_steps, dt,
+                                                                        relativistic2d):
             score = tracelab.cauchy_density(t - (k - 0.5) * dt, dist, relativistic2d)
             for i, q in enumerate(depths):
                 hit = (-low < q) & (q <= -new_low)
@@ -560,6 +566,169 @@ class TestRecordMarch:
         assert batch[0][1] > 170
 
 
+def single_level_record_sum(w1, s, tangent, t, dt, params):
+    """The record sum of `_run_records` on one level, scripted to march the
+    path with normal coordinate w1[k], operational time s[k] and tangential
+    position tangent[k] at its steps k (index 0 the start, all zero)."""
+    du = np.diff(s)
+    levy = dt / np.sqrt(2.0 * du)  # u = dt^2 / (2 z^2)
+    normal = np.diff(w1) / np.sqrt(2.0 * du)
+    tangential, low, last = [], 0.0, 0
+    for k in range(1, len(w1)):
+        if w1[k] < low:
+            tangential += list((tangent[k] - tangent[last]) / math.sqrt(2.0 * (s[k] - s[last])))
+            low, last = w1[k], k
+    gen = ScriptedNormals(levy, normal, tangential)
+    ((sums, _),) = tracelab._run_records([gen], [1], t, len(w1) - 1, dt, params)
+    return sums[0, 0]
+
+
+class TestCoupledLadder:
+    """Both ladder levels scored off one march on the fine grid: the coarse
+    level is the fine path read at its even steps."""
+
+    def test_exits_are_first_exits_of_each_level(self):
+        # hand-built paths on the unit disc, one chunk each: the first leaves
+        # at step 3, comes back at step 4 and leaves again at step 6, so its
+        # fine exit is step 3 and its coarse exit step 6 = 2 x 3; the second
+        # first leaves at the even step 4, which exits both levels; the
+        # third is out at step 7 only, which the coarse level never sees.
+        # Each level's exit and score are those of `first_exit` on the path
+        # (fine) and on its even-step subsequence (coarse)
+        params = ProcessParams(alpha=1.0, m=0.0, d=2)
+        disc = Ball(center=(0.0, 0.0), radius=1.0, d=2)
+        t, n_steps = 0.8, 8
+        dt = t / n_steps
+        paths = np.array([
+            [[0.0, 0.0], [0.5, 0.2], [0.7, -0.3], [1.2, 0.1], [0.3, 0.4], [0.0, 1.3],
+             [-1.1, 0.5], [-0.2, 0.1], [0.9, 0.9]],
+            [[0.0, 0.0], [0.3, 0.1], [0.6, 0.2], [0.8, 0.1], [1.1, 0.0], [0.5, 0.5],
+             [0.2, 0.2], [0.1, 0.1], [0.0, 0.0]],
+            [[0.0, 0.0], [0.1, 0.1], [0.2, -0.3], [0.4, 0.1], [0.3, 0.3], [0.5, 0.5],
+             [0.6, 0.2], [1.05, 0.2], [0.7, 0.0]],
+        ])
+        levy = np.array([0.1, 0.2, 0.05, 0.1, 0.3, 0.1, 0.2, 0.1])
+        u = dt * dt / (2.0 * np.square(levy))
+        legs = np.diff(paths, axis=1) / np.sqrt(2.0 * u)[:, None]
+
+        def gens():  # the legs of d = 2 are (n, 2) draws
+            return [ScriptedNormals(levy, [], leg.ravel()) for leg in legs]
+
+        starts = paths[:, 0]
+        exits = tracelab._run_exits(starts, gens(), [1, 1, 1], disc, t, n_steps, dt, params,
+                                    levels=2)
+        scored = list(tracelab._scored_exits(starts, gens(), [1, 1, 1], disc, t, n_steps, dt,
+                                             params, 2))
+        want_steps = [(3, 3), (2, 4), (None, 7)]  # (coarse, fine)
+        for path, (exited, exit_step, _), (scores, count), steps in zip(
+                paths, exits, scored, want_steps):
+            assert count == 1
+            for level, (grid, dt_level) in enumerate([(path[::2], 2 * dt), (path, dt)]):
+                k, x = first_exit(PathGrid(start=grid[0], dt=dt_level, horizon=t, positions=grid),
+                                  disc)
+                assert k == steps[level]
+                if k is None:
+                    assert not exited[level, 0] and scores[level, 0] == 0.0
+                    continue
+                assert exited[level, 0] and exit_step[level, 0] == k
+                want = tracelab.cauchy_density(t - (k - 0.5) * dt_level, np.linalg.norm(x), params)
+                assert scores[level, 0] == pytest.approx(want, rel=1e-12)
+
+    def test_level_record_sums_are_single_level_record_sums(self):
+        # a hand-built d = 3 path whose coarse records (even steps 2, 4, 6,
+        # 8) are none of its fine records (steps 1, 3, 7): the coupled march
+        # draws the tangential part at the union of both, and each level's
+        # record sum is the one-level record sum of its own steps
+        params = ProcessParams(alpha=1.0, m=0.0, d=3)
+        t, n_steps = 1.0, 8
+        dt = t / n_steps
+        w1 = np.array([0.0, -0.3, -0.2, -1.0, -0.5, 0.4, -0.7, -1.2, -1.1])
+        levy = np.array([1.0, 0.5, 2.0, 1.5, 0.8, 1.2, 0.3, 2.5])
+        s = np.concatenate([[0.0], np.cumsum(dt * dt / (2.0 * np.square(levy)))])
+        normal = np.diff(w1) / np.sqrt(2.0 * np.diff(s))
+        union = [1, 2, 3, 4, 6, 7, 8]
+        draws = np.array([0.7, -0.2, 1.1, 0.3, -0.5, 0.8, 0.2, -1.3, 0.6, 0.4, -0.9, 0.1,
+                          1.5, -0.7]).reshape(-1, 2)
+        tangent, last = np.zeros((n_steps + 1, 2)), 0
+        for k in range(1, n_steps + 1):
+            tangent[k] = tangent[k - 1]
+            if k in union:
+                tangent[k] += draws[union.index(k)] * math.sqrt(2.0 * (s[k] - s[last]))
+                last = k
+        gen = ScriptedNormals(levy, normal, draws.ravel())
+        ((sums, count),) = tracelab._run_records([gen], [1], t, n_steps, dt, params, levels=2)
+        assert count == 3 and not gen.queues[(2,)]
+        coarse = single_level_record_sum(w1[::2], s[::2], tangent[::2], t, 2 * dt, params)
+        fine = single_level_record_sum(w1, s, tangent, t, dt, params)
+        assert sums[0, 0] == pytest.approx(coarse, rel=1e-12)
+        assert sums[1, 0] == pytest.approx(fine, rel=1e-12)
+        assert coarse != pytest.approx(fine, rel=1e-3)
+
+    def test_score_columns_are_levels_then_their_combination(self, cauchy2d):
+        # a march task returns the levels' record sums and their path-by-path
+        # combination 2F - C, whose sample stderr the estimate reports
+        t, n_steps, n = 0.5, 32, 2000
+        args = ([np.random.default_rng(5)], [n], t, n_steps, t / n_steps, cauchy2d, 2)
+        ((sums, _),) = tracelab._run_records(*args)
+        ((means, m2, _),) = tracelab._march_batch(cauchy2d, None, t, n_steps, t / n_steps, 2,
+                                                  [(np.zeros((1, 2)), n, np.random.default_rng(5))])
+        paired = 2.0 * sums[1] - sums[0]
+        for column, want in zip(means[:, 0], (sums[0].mean(), sums[1].mean(), paired.mean())):
+            assert column == pytest.approx(want, rel=1e-12)
+        assert m2[-1, 0] == pytest.approx(((paired - paired.mean()) ** 2).sum(), rel=1e-12)
+        est = tracelab._from_moments((n, means[:, 0], m2[:, 0]), t / n_steps, t, {})
+        assert est.value == 2.0 * means[1, 0] - means[0, 0]
+        assert est.stderr == pytest.approx(paired.std(ddof=1) / math.sqrt(n), rel=1e-12)
+        # far below the se of independent levels, sqrt(4 Var F + Var C / n)
+        independent = math.sqrt((4.0 * sums[1].var(ddof=1) + sums[0].var(ddof=1)) / n)
+        assert est.stderr < 0.6 * independent
+
+    def test_paired_stderr_is_honest(self):
+        # over 20 seeds at 2000 paths, C4 from coupled levels centres on the
+        # frozen reference (independent levels, the same expectation), and
+        # its values spread as their paired stderrs say
+        params = ProcessParams(alpha=1.0, m=0.0, d=2)
+        ests = [c4_const(2000, 1.0 / 128, RngStream(seed, 60), params) for seed in range(20)]
+        values = np.array([e.value for e in ests])
+        ses = np.array([e.stderr for e in ests])
+        se_mean = math.sqrt((ses**2).sum()) / len(ests)
+        assert abs(values.mean() - C4_REFERENCE["value"]) <= 3.0 * math.hypot(
+            se_mean, C4_REFERENCE["stderr"])
+        assert 0.6 <= values.std(ddof=1) / ses.mean() <= 1.5
+
+
+# value and stderr of one-level estimates, to the last bit, as the
+# independent-level ladder that the coupled one replaced computed them: a
+# march of one level draws and scores exactly as it did
+ONE_LEVEL_PINS = {
+    1.0: {
+        "z_trace": (205.1581623870947, 0.16498388372569658),
+        "c2_of_t": (0.22268752767683656, 0.0041882396626297036),
+        "halfspace_profile": [(2.2284550505197576, 0.13919596174917273),
+                              (0.006614261110774825, 0.0012399410464565017)],
+    },
+    1.5: {
+        "z_trace": (14.707551765681448, 0.05095809163936359),
+        "c2_of_t": (0.13901622502096136, 0.0024850398365497),
+        "halfspace_profile": [(1.3770289725879077, 0.04526564193361144),
+                              (0.056750302254094845, 0.005439112800630162)],
+    },
+}
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_one_level_outputs_are_pinned(rng, unit_ball, alpha):
+    params = ProcessParams(alpha=alpha, m=1.0, d=2)
+    pins = ONE_LEVEL_PINS[alpha]
+    z = z_trace(0.05, unit_ball, 300, 20, 0.05 / 8, rng.substream(50), params, extrapolate=False,
+                chunk_points=64)
+    assert (z.value, z.stderr) == pins["z_trace"]
+    c2 = c2_of_t(0.25, 2000, 0.25 / 16, rng.substream(51), params, extrapolate=False)
+    assert (c2.value, c2.stderr) == pins["c2_of_t"]
+    prof = halfspace_profile(0.1, [0.05, 0.3], 1000, 0.1 / 8, rng.substream(52), params)
+    assert [(e.value, e.stderr) for e in prof.f_values] == pins["halfspace_profile"]
+
+
 class TestBoundaryCoefficient:
     def test_positive_with_meta(self, rng, cauchy2d):
         est = c2_of_t(0.5, 20_000, 0.5 / 32, rng.substream(13), cauchy2d, extrapolate=False)
@@ -586,8 +755,8 @@ class TestBoundaryCoefficient:
 
     @pytest.mark.parametrize("extrapolate", [False, True])
     def test_worker_count_does_not_change_results(self, monkeypatch, rng, cauchy2d, extrapolate):
-        # 120 000 paths per level run in two chunks, each level's in two
-        # batches; every level marches in one pool
+        # 120 000 paths run in two chunks, two batches, each path scoring
+        # every level; the march is one pool
         starts = record_pools(monkeypatch, tracelab.ProcessPoolExecutor)
         a, b = (
             c2_of_t(0.25, 120_000, 0.25 / 16, rng.substream(33), cauchy2d,
@@ -892,7 +1061,7 @@ class TestMomentMerge:
         # 350 paths run in four chunks (100, 100, 100, 50); the estimate is
         # the sample mean of their merged (n, mean, M2), field for field
         monkeypatch.setattr(tracelab, "CHUNK_PATHS", 100)
-        requests = [(0.1, np.array([0.8, 0.0]), 350, 0.1 / 8, rng.substream(31))]
+        requests = [(0.1, np.array([0.8, 0.0]), 350, 8, 0.1 / 8, rng.substream(31))]
         ((moments, exits),) = tracelab._r_moments(requests, unit_ball, relativistic2d, 1)
         (est,) = tracelab._r_estimates(requests, unit_ball, relativistic2d)
         ref = tracelab._from_moments(moments, est.dt, 0.1, est.meta)

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from relheat import verify
+from relheat import tracelab, verify
 from relheat.config import ExperimentConfig
 from test_tracelab import SerialPool, record_pools
 
@@ -17,15 +17,17 @@ from test_tracelab import SerialPool, record_pools
 @pytest.mark.parametrize(
     "check,n_pools",
     [
-        # 6 (t, q) pairs x 2 routes x 2 ladder levels march in one batch
+        # 6 (t, q) pairs x 2 routes march in one batch
         (verify.check_halfspace_scaling, 1),
         (verify.check_halfspace_tail, 1),
-        # z_trace, the r_D point, and the pilots of C2 and of C4 (this
-        # budget leaves nothing for a top-up)
+        # z_trace, the r_D point, C2 and C4
         (verify.check_inequalities, 4),
     ],
 )
 def test_workers_reach_the_estimators(monkeypatch, tmp_path, check, n_pools):
+    # 500-path chunks split each 2000-path estimate into several tasks, so
+    # that every estimator call that gets the workers starts a pool
+    monkeypatch.setattr(tracelab, "CHUNK_PATHS", 500)
     sizes = record_pools(monkeypatch, SerialPool)
     results = []
     for workers in (1, 2):
