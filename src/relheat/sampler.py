@@ -135,9 +135,9 @@ def _stable_blocks(dt: float, beta: float, gens, counts):
         z = np.empty(n)
         for gen, rows in _blocks(gens, counts):
             gen.standard_normal(out=z[rows])
-        z2 = 2.0 * z
-        z2 *= z
-        return np.divide(dt * dt, z2, out=z2)  # dt^2 / (2 z^2), in place
+        z *= z
+        z *= 2.0  # 2 (z z), bit for bit (2 z) z
+        return np.divide(dt * dt, z, out=z)  # dt^2 / (2 z^2), in place
     phi, w = np.empty(n), np.empty(n)
     for gen, rows in _blocks(gens, counts):
         phi[rows] = gen.uniform(0.0, math.pi, rows.stop - rows.start)
@@ -162,6 +162,17 @@ def sample_stable_subordinator(dt: float, beta: float, rng: RngStream | np.rando
     return float(out[0]) if size is None else out
 
 
+def _rejected(u, tilt: float, gens, counts):
+    """Indices of the proposals u that tilting rejects: gens[c] draws the
+    acceptance uniforms of block c, and row i is rejected unless its
+    uniform is below e^{-tilt u_i}."""
+    uniforms = np.empty(len(u))
+    for gen, rows in _blocks(gens, counts):
+        gen.random(out=uniforms[rows])
+    keep = np.multiply(u, -tilt)
+    return np.flatnonzero(uniforms >= np.exp(keep, out=keep))
+
+
 def sample_tempered_blocks(
     dt: float,
     params: ProcessParams,
@@ -173,11 +184,14 @@ def sample_tempered_blocks(
 
     Proposals are stable draws accepted with probability e^{-m^{1/beta} u};
     the overall acceptance rate is e^{-m dt}.  When that rate falls below
-    `ACCEPTANCE_FLOOR` the step is refused outright.  Generator gens[c]
-    makes block c's counts[c] draws: its proposals, then (m > 0) their
-    acceptance uniforms, then the same for its rejected rows, until none is
-    left, the calls of a march of that block alone.  The transforms and the
-    acceptance test run once per round on every block together.
+    `ACCEPTANCE_FLOOR` the step is refused outright.  Round 1 proposes
+    every row and keeps the proposals as the draws; each later round
+    proposes again for the rows the previous round rejected, and only those
+    rows are drawn and written.  Generator gens[c] makes block c's
+    counts[c] draws: its proposals, then (m > 0) their acceptance uniforms,
+    then the same for its rejected rows, until none is left, the calls of a
+    march of that block alone.  The transforms and the acceptance test run
+    once per round on every block together.
     """
     if dt <= 0.0:
         raise ParameterError(f"dt must be > 0, got {dt}")
@@ -193,20 +207,15 @@ def sample_tempered_blocks(
         return _stable_blocks(dt, beta, gens, counts), n
     tilt = params.m ** (1.0 / beta)
     ends = np.cumsum(counts)
-    out = np.empty(n)
-    pending = np.arange(n)
-    n_proposals = 0
-    while len(pending):
-        per_block = _rows_per_block(pending, ends)
+    out = _stable_blocks(dt, beta, gens, counts)
+    rejected = _rejected(out, tilt, gens, counts)
+    n_proposals = n
+    while len(rejected):
+        per_block = _rows_per_block(rejected, ends)
         u = _stable_blocks(dt, beta, gens, per_block)
-        uniforms = np.empty(len(pending))
-        for gen, rows in _blocks(gens, per_block):
-            gen.random(out=uniforms[rows])
-        accept = uniforms < np.exp(-tilt * u)
-        del uniforms  # freed before the accepted draws are scattered
-        n_proposals += len(pending)
-        out[pending[accept]] = u[accept]
-        pending = pending[~accept]
+        out[rejected] = u
+        rejected = rejected[_rejected(u, tilt, gens, per_block)]
+        n_proposals += len(u)
     return out, n_proposals
 
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -38,6 +39,15 @@ class TestRngStream:
         c = s.substream(2, 1).generator().standard_normal(8)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_pickled_generator_resumes_the_draws(self):
+        # the march hands its generators to pool workers by pickling them
+        gen = RngStream(5, 2).substream(3, 1).generator()
+        gen.standard_normal(7)
+        clone = pickle.loads(pickle.dumps(gen))
+        assert type(clone.bit_generator) is type(gen.bit_generator)
+        assert np.array_equal(clone.standard_normal(16), gen.standard_normal(16))
+        assert np.array_equal(clone.random(16), gen.random(16))
 
     def test_equality_follows_the_draws(self):
         # streams that draw differently never compare, hash or print alike;
@@ -145,7 +155,8 @@ class TestLevyDraws:
 
 def tempered_reference(dt, params, gen, n):
     """Tilting rejection written out for one generator: n stable proposals,
-    then their acceptance uniforms, then the same for the rejected rows."""
+    then their acceptance uniforms, then the same for the rejected rows.
+    Returns the draws and the number of proposals."""
     beta = params.beta
 
     def stable(k):
@@ -155,14 +166,15 @@ def tempered_reference(dt, params, gen, n):
         return kanter_transform(gen.uniform(0.0, math.pi, k), gen.standard_exponential(k), dt, beta)
 
     if params.m == 0.0:
-        return stable(n)
-    out, pending = np.empty(n), np.arange(n)
+        return stable(n), n
+    out, pending, n_proposals = np.empty(n), np.arange(n), 0
     while len(pending):
         u = stable(len(pending))
         accept = gen.random(len(pending)) < np.exp(-params.m ** (1.0 / beta) * u)
         out[pending[accept]] = u[accept]
+        n_proposals += len(pending)
         pending = pending[~accept]
-    return out
+    return out, n_proposals
 
 
 class TestBlocks:
@@ -180,15 +192,17 @@ class TestBlocks:
         gens = [np.random.default_rng(seed) for seed in range(len(counts))]
         u, n_proposals = sample_tempered_blocks(0.1, params, gens, counts)
         legs = sample_leg_blocks(u, 3, gens, counts)
-        lo = 0
+        lo, want_proposals = 0, 0
         for seed, (gen, k) in enumerate(zip(gens, counts)):
             alone = np.random.default_rng(seed)
-            want = tempered_reference(0.1, params, alone, k)
+            want, proposals = tempered_reference(0.1, params, alone, k)
+            want_proposals += proposals
             assert np.array_equal(u[lo:lo + k], want)
             leg = alone.standard_normal((k, 3)) * np.sqrt(2.0 * want)[:, None]
             assert np.array_equal(legs[lo:lo + k], leg)
             assert gen.bit_generator.state == alone.bit_generator.state
             lo += k
+        assert n_proposals == want_proposals
         assert (n_proposals == sum(counts)) == (m == 0.0)
 
     def test_step_too_large(self, rng):
