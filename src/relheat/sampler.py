@@ -47,11 +47,13 @@ class RngStream:
     """Deterministic, splittable random stream.
 
     Identical (seed, stream_id) always reproduce the same draws; distinct
-    stream ids give statistically independent streams.  Backed by the
-    counter-based Philox generator, but nothing downstream depends on the
-    specific bit stream.  `_path` is the generator's spawn key, (stream_id,)
-    followed by the substream indices, so streams that draw differently
-    compare, hash and print differently.
+    stream ids give statistically independent streams.  Each stream is an
+    SFC64 generator seeded from `SeedSequence(seed, spawn_key=_path)`, so
+    independence rests on the seed sequence's hashing of distinct spawn
+    keys; nothing downstream depends on the specific bit stream, and a
+    generator pickles to a pool worker with its state.  `_path` is the
+    spawn key, (stream_id,) followed by the substream indices, so streams
+    that draw differently compare, hash and print differently.
     """
 
     seed: int
@@ -64,7 +66,7 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.seed, spawn_key=self._path)
-        return np.random.Generator(np.random.Philox(seq))
+        return np.random.Generator(np.random.SFC64(seq))
 
     def substream(self, *indices: int) -> "RngStream":
         """Child stream at a fixed coordinate path; used for deterministic

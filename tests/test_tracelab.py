@@ -697,21 +697,22 @@ class TestCoupledLadder:
         assert 0.6 <= values.std(ddof=1) / ses.mean() <= 1.5
 
 
-# value and stderr of one-level estimates, to the last bit, as the
-# independent-level ladder that the coupled one replaced computed them: a
-# march of one level draws and scores exactly as it did
+# value and stderr of one-level estimates, to the last bit, on the SFC64
+# streams of `RngStream`: a march of one level draws and scores exactly as
+# the independent-level ladder that the coupled one replaced did, and any
+# change to the draws or to their order shows here
 ONE_LEVEL_PINS = {
     1.0: {
-        "z_trace": (205.1581623870947, 0.16498388372569658),
-        "c2_of_t": (0.22268752767683656, 0.0041882396626297036),
-        "halfspace_profile": [(2.2284550505197576, 0.13919596174917273),
-                              (0.006614261110774825, 0.0012399410464565017)],
+        "z_trace": (204.2302869234265, 0.6677161740474933),
+        "c2_of_t": (0.22357706538173192, 0.004586030556467333),
+        "halfspace_profile": [(2.1634610105642125, 0.13491008288346784),
+                              (0.005690879630992158, 0.0009672348451222137)],
     },
     1.5: {
-        "z_trace": (14.707551765681448, 0.05095809163936359),
-        "c2_of_t": (0.13901622502096136, 0.0024850398365497),
-        "halfspace_profile": [(1.3770289725879077, 0.04526564193361144),
-                              (0.056750302254094845, 0.005439112800630162)],
+        "z_trace": (14.702122930177042, 0.04760165594990232),
+        "c2_of_t": (0.13174220317866095, 0.002325536134232234),
+        "halfspace_profile": [(1.3662029190838603, 0.05633316656010025),
+                              (0.057784577445822334, 0.0053610001625708364)],
     },
 }
 
