@@ -171,8 +171,8 @@ def _rejected(u, tilt: float, gens, counts):
     uniforms = np.empty(len(u))
     for gen, rows in _blocks(gens, counts):
         gen.random(out=uniforms[rows])
-    keep = np.multiply(u, -tilt)
-    return np.flatnonzero(uniforms >= np.exp(keep, out=keep))
+    p_accept = np.multiply(u, -tilt)
+    return np.flatnonzero(uniforms >= np.exp(p_accept, out=p_accept))
 
 
 def sample_tempered_blocks(
