@@ -20,8 +20,8 @@ chunk is the unit of a random stream, paths from given start points on
 one generator.  `_march` packs the chunks of one (t, n_steps, dt) grid
 into batches of at most one full chunk's rows (and with several workers,
 of at most the grid's rows over the workers), and the one march task,
-`_march_batch`, marches a batch in lockstep as one array (`_run_exits`)
-and scores it chunk by chunk on every ladder level.  Each chunk's
+`_march_batch`, marches a batch in lockstep as one array (`_exit_steps`)
+and scores its exits on every ladder level (`_scored`).  Each chunk's
 generator makes the draws of a march of that chunk alone, so every output
 is bit for bit that of marching the chunks one by one.  All batches run
 through one `_execute`, after one `_warm` of the kernel tables when
@@ -31,7 +31,8 @@ The surface coefficient C2(t) = int_0^infty f_H(t, q) dq needs no depth
 grid: the path from depth q is the path from the boundary shifted by q
 along the normal, so one path scores every depth at once, at the steps
 where its normal coordinate reaches a new minimum (`_record_steps`).  The
-same march task runs these paths without a domain, killing none.
+same march task runs these paths without a domain, killing none, and
+scores a record as it scores an exit, weighted by the depths it covers.
 
 Spatial integrals over a bounded domain use stratified sampling on
 boundary layers of width ~t^{1/alpha} (refined near the boundary), each
@@ -60,7 +61,6 @@ from .kernels import (
 from .sampler import (
     PathGrid,
     RngStream,
-    _blocks,
     _rows_per_block,
     sample_leg_blocks,
     sample_tempered_blocks,
@@ -179,7 +179,8 @@ class Budgets:
     is the unit of a random stream (its points and paths come from one
     substream, whatever the worker count), and chunk_points x n_paths is
     the most rows marched at once: smaller chunks of one grid march
-    together up to that many rows.
+    together up to that many rows.  Every count is an integer >= 1,
+    checked here once for the estimators that divide by it.
     """
 
     n_paths: int = 2000
@@ -189,6 +190,10 @@ class Budgets:
     profile_n_paths: int = 20000
     chunk_points: int = 512
     workers: int = 1
+
+    def __post_init__(self):
+        for name in ("n_paths", "n_x", "steps", "profile_n_paths", "chunk_points", "workers"):
+            _check_count(name, getattr(self, name))
 
 
 # ---------------------------------------------------------------------------
@@ -214,40 +219,27 @@ def _level_grids(n_steps, dt, levels):
     return [(n_steps // stride, dt * stride) for stride in _strides(levels)]
 
 
-def _run_exits(starts, gens, sizes, domain, t, n_steps, dt, params, levels=1):
+def _exit_steps(starts, gens, sizes, domain, n_steps, dt, params, levels=1):
     """March paths from the rows of `starts` until exit or horizon, in
-    chunks: chunk c is the next sizes[c] rows, drawn by gens[c].
+    chunks: chunk c is the next sizes[c] rows, drawn by gens[c].  Yield
+    each step on which some row exits a ladder level (`_level_grids`).
 
-    Returns each chunk's (exited, exit_step, exit_dist), each with one row
-    per ladder level (`_level_grids`), coarsest first: boolean mask, first
-    index outside the domain on that level's grid, and |X_exit - start|.
-    With two levels a row records its fine exit at its first step outside
-    the domain, and marches on to its first even step k outside, its coarse
-    exit at step k/2, which is never earlier; only then is it dropped.
-    `pos` holds the alive rows only, in path order (`idx`, their paths).
-    Each chunk's generator makes the draws of a march of that chunk alone,
-    and the arithmetic is row by row, so every draw and every sum falls bit
-    for bit as in a march of each chunk alone, updating all its rows in
-    place.
+    Each item is (level, k, rows, dist, None): the level, the first step k
+    outside the domain on its grid, the exiting rows in path order, and
+    |X_exit - start|; an exit carries no weight.  With two levels a row
+    exits the fine level at its first step outside the domain, and marches
+    on to its first even step k outside, its coarse exit at step k/2, which
+    is never earlier; only then is it dropped.  `pos` holds the alive rows
+    only, in path order (`idx`, their paths).  Each chunk's generator makes
+    the draws of a march of that chunk alone, and the arithmetic is row by
+    row, so every draw and every item falls bit for bit as in a march of
+    each chunk alone, updating all its rows in place.
     """
     ends = np.cumsum(sizes)
     counts = sizes  # alive rows of each chunk
-    n = len(starts)
     pos = np.array(starts, dtype=float)
-    idx = np.arange(n)
-    exited = np.zeros((levels, n), dtype=bool)
-    exit_step = np.zeros((levels, n), dtype=np.int64)
-    exit_dist = np.zeros((levels, n))
-    fine_open = np.ones(n, dtype=bool)  # alive rows yet to exit the fine level
-
-    def record(level, gone, step):
-        # compress copies the rows of a 2-d array several times faster
-        # than boolean indexing does
-        out = idx[gone]
-        exited[level, out] = True
-        exit_step[level, out] = step
-        exit_dist[level, out] = row_norms(pos.compress(gone, axis=0) - starts[out])
-
+    idx = np.arange(len(starts))
+    fine_open = np.ones(len(starts), dtype=bool)  # alive rows yet to exit the fine level
     for k in range(1, n_steps + 1):
         if len(idx) == 0:
             break
@@ -258,31 +250,36 @@ def _run_exits(starts, gens, sizes, domain, t, n_steps, dt, params, levels=1):
             continue
         gone = ~inside
         if levels == 2:
-            record(1, gone & fine_open, k)
+            first = gone & fine_open
+            if first.any():
+                rows = idx[first]
+                yield 1, k, rows, row_norms(pos.compress(first, axis=0) - starts[rows]), None
             fine_open &= inside
             if k % 2:
                 continue  # level 0 reads even steps only
             fine_open = fine_open[inside]
-        record(0, gone, k // levels)  # on the grid of level 0
+        # on the grid of level 0; compress copies the rows of a 2-d array
+        # several times faster than boolean indexing does
+        rows = idx[gone]
+        yield 0, k // levels, rows, row_norms(pos.compress(gone, axis=0) - starts[rows]), None
         pos, idx = pos.compress(inside, axis=0), idx[inside]
         counts = _rows_per_block(idx, ends)
-    return [(exited[:, b - size:b], exit_step[:, b - size:b], exit_dist[:, b - size:b])
-            for size, b in zip(sizes, ends)]
 
 
 def _record_steps(gens, sizes, n_steps, dt, params, levels=1):
     """March paths from the boundary of the half-space H = {x_1 > 0} to the
-    horizon, none killed, in chunks as `_run_exits` does; yield each step on
-    which some path sets a new minimum of its normal coordinate W_1 on a
+    horizon, none killed, in chunks as `_exit_steps` does; yield each step
+    on which some path sets a new minimum of its normal coordinate W_1 on a
     ladder level (`_level_grids`; with two levels, level 0 reads the march
     at its even steps only).
 
-    Each item is (level, k, rows, counts, low, new_low, dist): the level,
-    the step k on its grid, the record rows in path order, how many of them
-    each chunk holds, their running minimum m_{k-1} on that level before
-    the step and m_k = W_1(k) after it (m_0 = 0), and |W_k|.  A path from
-    depth q is this path shifted by q e_1, so it exits that level at step k
-    exactly when -m_{k-1} < q <= -m_k, at distance |W_k| from its start.
+    Each item is (level, k, rows, dist, weight): the level, the step k on
+    its grid, the record rows in path order, |W_k|, and the fall of their
+    running minimum on that level, m_{k-1} - m_k, with m_k = W_1(k) after
+    the step (m_0 = 0).  A path from depth q is this path shifted by q e_1,
+    so it exits that level at step k exactly when -m_{k-1} < q <= -m_k, at
+    distance |W_k| from its start: the weight integrates the exit score
+    over every start depth.
 
     A path carries W_1, each level's running minimum and the operational
     time since its last record on any level, S_k - S_last.  The d - 1
@@ -317,87 +314,81 @@ def _record_steps(gens, sizes, n_steps, dt, params, levels=1):
         for level, is_new in zip(read, new):
             hit = is_new[rows]
             level_rows = rows[hit]
+            if len(level_rows) == 0:
+                continue  # a coarse record need not be a fine one
             new_low = normal[level_rows]
-            yield (level, k // strides[level], level_rows, _rows_per_block(level_rows, ends),
-                   lows[level, level_rows], new_low, dist[hit])
+            fall = lows[level, level_rows] - new_low
             lows[level, level_rows] = new_low
+            yield level, k // strides[level], level_rows, dist[hit], fall
 
 
-def _run_records(gens, sizes, t, n_steps, dt, params, levels=1):
-    """Each chunk's per-path record sums, one row per ladder level, and its
-    record count on the finest level.
+def _kernel_at(k, dists, per_chunk, t, dt, params):
+    """p(t - tau, r) at step k, with the mid-step convention tau = (k - 1/2)
+    dt, at each radius r of `dists`: the rows of consecutive chunks, chunk
+    c holding per_chunk[c] of them.
 
-    Integrating a path's exit score over every start depth q > 0
-    (`_record_steps`) gives its record sum on a level of step dt
+    At alpha = 1 every radius is scored in one call to the closed-form
+    kernel.  Other alpha read the step's kernel table chunk by chunk: a
+    radius in the far field goes to `_profile_batch` on a lattice cut at
+    the largest radius of its call, so one call over several chunks could
+    round a chunk's scores otherwise.
+    """
+    s = t - (k - 0.5) * dt
+    if params.alpha == 1.0:
+        return cauchy_density(s, dists, params)
+    table = build_table(params.m * s, params)
+    ends = np.cumsum(per_chunk)
+    return np.concatenate([table_eval(table, s, dists[b - n:b], params)
+                           for n, b in zip(per_chunk, ends) if n])
+
+
+def _scored(steps, sizes, t, n_steps, dt, params, levels):
+    """Each chunk's per-path scores, one row per ladder level, and its count
+    of events on the finest level, from the items (level, k, rows, dist,
+    weight) of `steps` (`_exit_steps` or `_record_steps`) of a march in
+    chunks of `sizes` rows on the (n_steps, dt) grid.
+
+    An event adds weight x p(t - (k - 1/2) dt, dist) (`_kernel_at`, dt that
+    of its level) to its row's score on its level, the weight 1 when None.
+    A path scores its exit once per level, and 0 if it stays.  A record
+    path's score on a level of step dt is its record sum
 
         sum_k (m_{k-1} - m_k) p(t - (k - 1/2) dt, |W_k|),
 
     whose mean is C2(t) = int_0^infty f_H(t, q) dq of the process monitored
-    on that level.  Records are scored chunk by chunk, as exits are.
+    on that level.
     """
     ends = np.cumsum(sizes)
     grids = _level_grids(n_steps, dt, levels)
-    sums = np.zeros((levels, int(ends[-1])))
-    n_records = np.zeros(len(sizes), dtype=np.int64)
-    for level, k, rows, counts, low, new_low, dist in _record_steps(gens, sizes, n_steps, dt,
-                                                                    params, levels):
-        scores = np.empty(len(rows))
-        for _, block in _blocks(gens, counts):
-            scores[block] = _kernel_at(np.full(block.stop - block.start, k), dist[block], t,
-                                       grids[level][1], params)
-        sums[level, rows] += (low - new_low) * scores
+    scores = np.zeros((levels, int(ends[-1])))
+    counts = np.zeros(len(sizes), dtype=np.int64)
+    for level, k, rows, dist, weight in steps:
+        per_chunk = _rows_per_block(rows, ends)
+        score = _kernel_at(k, dist, per_chunk, t, grids[level][1], params)
+        scores[level, rows] += score if weight is None else weight * score
         if level == levels - 1:
-            n_records += counts
-    return [(sums[:, b - size:b], int(n_records[c])) for c, (size, b) in enumerate(zip(sizes, ends))]
-
-
-def _kernel_at(steps, dists, t, dt, params):
-    """p(t - tau, r) at each step k of `steps` and radius r of `dists`,
-    with the mid-step convention tau = (k - 1/2) dt.
-
-    At alpha = 1 every point is scored in one call to the closed-form
-    kernel; other alpha read the kernel table of each step.
-    """
-    if params.alpha == 1.0:
-        return cauchy_density(t - (steps - 0.5) * dt, dists, params)
-    out = np.empty(len(steps))
-    for k in np.unique(steps):
-        s = t - (k - 0.5) * dt
-        table = build_table(params.m * s, params)
-        mask = steps == k
-        out[mask] = table_eval(table, s, dists[mask], params)
-    return out
-
-
-def _scored_exits(starts, gens, sizes, domain, t, n_steps, dt, params, levels):
-    """Each chunk's exit scores p(t - tau, |X_tau - x|) on each ladder level,
-    0 for a path that stays, and its exit count on the finest level."""
-    grids = _level_grids(n_steps, dt, levels)
-    for exited, exit_step, exit_dist in _run_exits(starts, gens, sizes, domain, t, n_steps, dt,
-                                                   params, levels):
-        scores = np.zeros(exited.shape)
-        for level, (_, dt_level) in enumerate(grids):
-            hit = exited[level]
-            if hit.any():
-                scores[level, hit] = _kernel_at(exit_step[level, hit], exit_dist[level, hit], t,
-                                                dt_level, params)
-        yield scores, int(exited[-1].sum())
+            counts += per_chunk
+    return [(scores[:, b - size:b], int(count)) for size, b, count in zip(sizes, ends, counts)]
 
 
 def _combined(levels):
     """The Richardson combination of a ladder's levels, coarsest first, as
-    values or sample by sample; one level is its own."""
-    return _extrapolate(*levels) if len(levels) == 2 else levels[0]
+    values or sample by sample: with levels at dt (coarse) and dt/2 (fine),
+    fine + (fine - coarse) / (2^RICHARDSON_ORDER - 1); one level is its own."""
+    if len(levels) == 1:
+        return levels[0]
+    coarse, fine = levels
+    return fine + (fine - coarse) / (2.0**RICHARDSON_ORDER - 1.0)
 
 
 def _march_batch(params, domain, t, n_steps, dt, levels, chunks):
     """The one march task: chunks (points, n_paths, gen), `n_paths` paths
     from each of `points` on `gen`, marched together on the (n_steps, dt)
     grid (with two levels, the fine level of the ladder, read at its even
-    steps for the coarse one) and scored chunk by chunk at their exits on
-    every level.  With `domain` None no path is killed: the paths run from
-    the boundary of the half-space and score their record sums
-    (`_run_records`), one point per chunk.
+    steps for the coarse one) and scored on every level (`_scored`) at
+    their exits (`_exit_steps`).  With `domain` None no path is killed: the
+    paths run from the boundary of the half-space and score their record
+    sums (`_record_steps`), one point per chunk.
 
     Returns each chunk's per-point means and M2 (sums of squared deviations
     from the mean) of its score columns, and its exit (or record) count on
@@ -410,12 +401,13 @@ def _march_batch(params, domain, t, n_steps, dt, levels, chunks):
     gens = [gen for _, _, gen in chunks]
     sizes = [len(points) * n_paths for points, n_paths, _ in chunks]
     if domain is None:
-        scored = _run_records(gens, sizes, t, n_steps, dt, params, levels)
+        steps = _record_steps(gens, sizes, n_steps, dt, params, levels)
     else:
         starts = np.concatenate([np.repeat(points, n_paths, axis=0) for points, n_paths, _ in chunks])
-        scored = _scored_exits(starts, gens, sizes, domain, t, n_steps, dt, params, levels)
+        steps = _exit_steps(starts, gens, sizes, domain, n_steps, dt, params, levels)
     results = []
-    for (_, n_paths, _), (scores, count) in zip(chunks, scored):
+    for (_, n_paths, _), (scores, count) in zip(chunks, _scored(steps, sizes, t, n_steps, dt,
+                                                                params, levels)):
         per_level = [level_scores.reshape(-1, n_paths) for level_scores in scores]
         columns = [*per_level, _combined(per_level)]
         means = [column.mean(axis=1) for column in columns]
@@ -585,7 +577,7 @@ def _r_moments(requests, domain, params, workers, levels=1):
     count on the finest level, for each request (t, x, n_paths, n_steps,
     dt, rng), in one march, each on its (n_steps, dt) grid.  With `domain`
     None, of the half-space record sums of paths from the boundary point x
-    (`_run_records`), and the record count.
+    (`_record_steps`), and the record count.
 
     A request's paths run in chunks of at most `CHUNK_PATHS` on the streams
     rng.substream(c), and their moments are merged chunk by chunk; at most
@@ -650,11 +642,6 @@ def _ladder(t, dt, rng, levels):
     return n_steps * levels, dt / levels, rng.substream(0)
 
 
-def _extrapolate(coarse, fine):
-    """Richardson value of a quantity measured at dt (coarse) and dt/2 (fine)."""
-    return fine + (fine - coarse) / (2.0**RICHARDSON_ORDER - 1.0)
-
-
 def _r_extrapolated(points, domain, n_paths, params, *, extrapolate=True, workers=1):
     """Estimates of r_D(t, x, x) at each point (t, x, dt, rng), each on the
     one march of the ladder of its dt and rng (`_ladder`), two levels
@@ -715,7 +702,7 @@ def c2_of_t(
     """Surface-term coefficient C2(t) = int_0^infty f_H(t, q) dq.
 
     Each level of the dt-ladder is the sample mean of `n_paths` record sums
-    (`_run_records`): one path from the boundary integrates its exit score
+    (`_scored`): one path from the boundary integrates its exit score
     over every depth exactly, so there is no depth grid, no tail and no
     allocation.  Each path scores both levels of the one march (`_ladder`),
     in one pool; `records_per_path` is the mean number of record steps per
@@ -835,6 +822,7 @@ def z_trace(
     """
     if not getattr(domain, "bounded", False):
         raise ParameterError("z_trace requires a bounded domain")
+    _check_count("n_x", n_x)
     _check_count("n_paths", n_paths)
     _check_count("chunk_points", chunk_points)
     strata = default_strata(domain, t, params)
@@ -1052,9 +1040,11 @@ def ryznar_check(
     at mass m and on rng.substream(i, 1) at mass 0; all points of one mass
     march in one batch.
     """
+    xs = [np.asarray(x, dtype=float) for x in x_list]
+    if not xs:
+        raise ParameterError("ryznar_check needs at least one point")
     stable = params.with_mass(0.0)
     dt = t / budgets.steps
-    xs = [np.asarray(x, dtype=float) for x in x_list]
     ests = [
         _r_extrapolated([(t, x, dt, rng.substream(i, branch)) for i, x in enumerate(xs)], domain,
                         budgets.n_paths, p, workers=budgets.workers)

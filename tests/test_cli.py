@@ -152,15 +152,25 @@ class TestSubcommands:
         assert rec["value"] == pytest.approx(1 / (2 * math.pi))
 
     def test_deterministic_artifacts(self, tiny_cfg, tmp_path):
-        # neither the output directory nor the worker count reaches the bytes
-        cfg_a = tiny_cfg.override(out=str(tmp_path / "a"))
-        cfg_b = tiny_cfg.override(out=str(tmp_path / "b"), workers=2)
-        pa = cli.cmd_subordinator(cfg_a)
-        pb = cli.cmd_subordinator(cfg_b)
-        assert open(pa).read() == open(pb).read()
-        pa = cli.cmd_trace(cfg_a)
-        pb = cli.cmd_trace(cfg_b)
-        assert open(pa).read() == open(pb).read()
+        # neither the output directory nor the worker count reaches the
+        # bytes: of the subordinator draws, and at alpha 1 (closed form) and
+        # 1.5 (kernel tables), on one ladder level and on two, of the
+        # killing march (`trace`, and `halfspace`'s profile) and of the
+        # record march (`halfspace`'s C2)
+        def artifacts(workers, commands, **kw):
+            out = tmp_path / f"{workers}-{kw}"
+            cfg = tiny_cfg.override(out=str(out), workers=workers, **kw)
+            for command in commands:
+                command(cfg)
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        cases = [([cli.cmd_subordinator], {})] + [
+            ([cli.cmd_trace, cli.cmd_halfspace], dict(alpha=alpha, extrapolate=extrapolate))
+            for alpha in (1.0, 1.5) for extrapolate in (False, True)]
+        for commands, kw in cases:
+            one = artifacts(1, commands, **kw)
+            assert len(one) == len(commands) + (cli.cmd_halfspace in commands)
+            assert artifacts(2, commands, **kw) == one, kw
 
     def test_charfn_runs(self, tiny_cfg):
         path = cli.cmd_charfn(tiny_cfg)

@@ -113,13 +113,10 @@ class TestFirstExit:
         t, n = 0.5, 20_000
         means = []
         ses = []
-        from relheat.tracelab import _run_exits, _snap_steps
-
         for j, steps in enumerate((8, 16, 32)):
-            n_steps, dt = _snap_steps(t, t / steps)
+            n_steps, dt = tracelab._snap_steps(t, t / steps)
             gen = rng.substream(20, j).generator()
-            starts = np.zeros((n, 2))
-            exited, exit_step, _ = _run_exits(starts, [gen], [n], ball, t, n_steps, dt, p)[0]
+            exited, exit_step, _ = one_chunk_exits(np.zeros((n, 2)), ball, n_steps, dt, p, gen)
             tau = np.where(exited, (exit_step - 0.5) * dt, t)
             means.append(tau.mean())
             ses.append(tau.std(ddof=1) / math.sqrt(n))
@@ -127,16 +124,36 @@ class TestFirstExit:
             assert b <= a + 3 * math.hypot(sa, sb)
 
 
-def one_chunk_exits(starts, domain, t, n_steps, dt, params, gen):
-    """`_run_exits` on `starts` as one chunk, on one level."""
-    return tuple(a[0] for a in tracelab._run_exits(starts, [gen], [len(starts)], domain, t,
-                                                   n_steps, dt, params)[0])
+def exit_arrays(starts, gens, sizes, domain, n_steps, dt, params, levels=1):
+    """Each chunk's (exited, exit_step, exit_dist), one row per ladder level,
+    coarsest first, rebuilt from the exit events of `_exit_steps`: a mask,
+    the exit step on the level's grid and |X_exit - start|."""
+    n = len(starts)
+    exited = np.zeros((levels, n), dtype=bool)
+    exit_step = np.zeros((levels, n), dtype=np.int64)
+    exit_dist = np.zeros((levels, n))
+    for level, k, rows, dist, weight in tracelab._exit_steps(starts, gens, sizes, domain,
+                                                             n_steps, dt, params, levels):
+        assert weight is None and not exited[level, rows].any()  # one exit per level
+        exited[level, rows] = True
+        exit_step[level, rows] = k
+        exit_dist[level, rows] = dist
+    ends = np.cumsum(sizes)
+    return [(exited[:, b - size:b], exit_step[:, b - size:b], exit_dist[:, b - size:b])
+            for size, b in zip(sizes, ends)]
 
 
-def gather_scatter_exits(starts, domain, t, n_steps, dt, params, gen):
+def one_chunk_exits(starts, domain, n_steps, dt, params, gen):
+    """The exit arrays of `starts` marched as one chunk, on one level."""
+    return tuple(a[0] for a in exit_arrays(starts, [gen], [len(starts)], domain, n_steps, dt,
+                                           params)[0])
+
+
+def gather_scatter_exits(starts, domain, n_steps, dt, params, gen):
     """Reference march: every step gathers the alive rows out of all n
     paths, adds the legs, scatters them back and gathers them again for
-    membership.  `_run_exits` must return its arrays bit for bit."""
+    membership.  The exit events of `_exit_steps` must give its arrays bit
+    for bit."""
     n = len(starts)
     pos = np.array(starts, dtype=float, copy=True)
     alive = np.arange(n)
@@ -170,7 +187,7 @@ class TestRunExits:
         runs = []
         for march in (one_chunk_exits, gather_scatter_exits):
             gen = np.random.default_rng(seed)
-            runs.append((*march(starts, domain, n_steps * dt, n_steps, dt, params, gen),
+            runs.append((*march(starts, domain, n_steps, dt, params, gen),
                          gen.bit_generator.state))
         return runs
 
@@ -250,11 +267,11 @@ class TestRunExits:
         params = ProcessParams(alpha=alpha, m=m, d=d)
         n_steps, dt = 16, 0.2 / 16
         gens = [np.random.default_rng(seed) for seed in range(len(starts))]
-        batch = tracelab._run_exits(np.concatenate(starts), gens, [len(s) for s in starts],
-                                    domain, 0.2, n_steps, dt, params)
+        batch = exit_arrays(np.concatenate(starts), gens, [len(s) for s in starts], domain,
+                            n_steps, dt, params)
         for seed, (s, gen, got) in enumerate(zip(starts, gens, batch)):
             alone = np.random.default_rng(seed)
-            want = gather_scatter_exits(s, domain, 0.2, n_steps, dt, params, alone)
+            want = gather_scatter_exits(s, domain, n_steps, dt, params, alone)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and np.array_equal(a[0], b)
             assert gen.bit_generator.state == alone.bit_generator.state
@@ -263,6 +280,30 @@ class TestRunExits:
         assert 0 < exited.sum() < len(exited) and len(np.unique(exit_step[exited])) > 3
         assert not deep.any()
         assert out.all() and (out_step == 1).all()
+
+    def test_far_field_is_scored_chunk_by_chunk(self):
+        # alpha = 0.5 from the centre of the unit disc: every exit lies at
+        # rho = r t^{-1/alpha} >= 400, past the kernel table, where the
+        # far-field quadrature's lattice is cut at the largest radius of its
+        # call; two chunks scored in one batch keep each chunk's scores bit
+        # for bit, which one call over both chunks' radii would not
+        params = ProcessParams(alpha=0.5, m=1.0, d=2)
+        disc = Ball(center=(0.0, 0.0), radius=1.0, d=2)
+        t, n_steps, sizes = 0.05, 8, [1500, 1000]
+        dt = t / n_steps
+        tracelab._warm([(t, n_steps, dt)], params)
+
+        def scored(seeds, sizes):
+            gens = [np.random.default_rng(seed) for seed in seeds]
+            steps = tracelab._exit_steps(np.zeros((sum(sizes), 2)), gens, sizes, disc, n_steps,
+                                         dt, params)
+            return tracelab._scored(steps, sizes, t, n_steps, dt, params, 1)
+
+        batch = scored([0, 1], sizes)
+        for seed, size, (scores, count) in zip([0, 1], sizes, batch):
+            ((want, want_count),) = scored([seed], [size])
+            assert np.array_equal(scores, want) and count == want_count
+            assert 0 < count == (scores[0] > 0).sum()  # every exit scores
 
 
 class TestREstimate:
@@ -487,6 +528,14 @@ class ScriptedNormals:
         out[...] = np.reshape([queue.pop(0) for _ in range(out.size)], out.shape)
 
 
+def record_sums(gens, sizes, t, n_steps, dt, params, levels=1):
+    """Each chunk's per-path record sums, one row per ladder level, and its
+    record count on the finest level: the record events of `_record_steps`
+    scored by `_scored`."""
+    steps = tracelab._record_steps(gens, sizes, n_steps, dt, params, levels)
+    return tracelab._scored(steps, sizes, t, n_steps, dt, params, levels)
+
+
 class TestRecordMarch:
     def test_record_sum_is_the_depth_integral_of_exit_scores(self):
         # one hand-built path at alpha = 1, m = 0, d = 3: its record sum is
@@ -512,7 +561,7 @@ class TestRecordMarch:
         assert n_records == 4
 
         gen = ScriptedNormals(levy, normal, tangential)
-        ((sums, count),) = tracelab._run_records([gen], [1], t, n_steps, dt, params)
+        ((sums, count),) = record_sums([gen], [1], t, n_steps, dt, params)
         assert count == n_records
 
         depths = np.unique(np.concatenate([[0.0], -np.minimum.accumulate(np.minimum(w1, 0.0))]))
@@ -528,16 +577,20 @@ class TestRecordMarch:
 
     def test_profile_read_off_record_paths_matches_r_estimate(self, rng, relativistic2d):
         # the record paths also give f_H(t, q) at any depth: the score of the
-        # record whose depth interval (-m_{k-1}, -m_k] holds q; in law that
+        # record whose depth interval (-m_{k-1}, -m_k] holds q, m_k the
+        # running minimum, which falls by each record's weight; in law that
         # is the killing march from (q, 0)
         t, n_steps, n = 0.5, 16, 20_000
         dt = t / n_steps
         depths = (0.02, 0.1, 0.4)
         f = np.zeros((len(depths), n))
+        lows = np.zeros(n)
         gen = rng.substream(40).generator()
-        for _, k, rows, _, low, new_low, dist in tracelab._record_steps([gen], [n], n_steps, dt,
-                                                                        relativistic2d):
+        for _, k, rows, dist, fall in tracelab._record_steps([gen], [n], n_steps, dt,
+                                                             relativistic2d):
             score = tracelab.cauchy_density(t - (k - 0.5) * dt, dist, relativistic2d)
+            low, new_low = lows[rows], lows[rows] - fall
+            lows[rows] = new_low
             for i, q in enumerate(depths):
                 hit = (-low < q) & (q <= -new_low)
                 f[i, rows[hit]] = score[hit]
@@ -551,23 +604,27 @@ class TestRecordMarch:
     @pytest.mark.parametrize("alpha", [1.0, 1.5])
     def test_batch_equals_separate_marches(self, alpha, m):
         # chunks marched together give each chunk's record sums and count
-        # bit for bit, and leave each generator where its own march does
+        # bit for bit, and leave each generator where its own march does, on
+        # one level and on two, where the one-path chunk has even steps
+        # with a coarse record and no fine one
         params = ProcessParams(alpha=alpha, m=m, d=3)
         t, n_steps, sizes = 0.2, 16, [170, 1, 40]
-        if alpha != 1.0:
-            tracelab._warm([(t, n_steps, t / n_steps)], params)
-        gens = [np.random.default_rng(seed) for seed in range(len(sizes))]
-        batch = tracelab._run_records(gens, sizes, t, n_steps, t / n_steps, params)
-        for seed, (size, gen, (sums, count)) in enumerate(zip(sizes, gens, batch)):
-            alone = np.random.default_rng(seed)
-            ((want, want_count),) = tracelab._run_records([alone], [size], t, n_steps, t / n_steps, params)
-            assert np.array_equal(sums, want) and count == want_count
-            assert gen.bit_generator.state == alone.bit_generator.state
-        assert batch[0][1] > 170
+        for levels in (1, 2):
+            if alpha != 1.0:
+                tracelab._warm([(t, n_steps, t / n_steps)], params, levels)
+            gens = [np.random.default_rng(seed) for seed in range(len(sizes))]
+            batch = record_sums(gens, sizes, t, n_steps, t / n_steps, params, levels)
+            for seed, (size, gen, (sums, count)) in enumerate(zip(sizes, gens, batch)):
+                alone = np.random.default_rng(seed)
+                ((want, want_count),) = record_sums([alone], [size], t, n_steps, t / n_steps,
+                                                    params, levels)
+                assert np.array_equal(sums, want) and count == want_count
+                assert gen.bit_generator.state == alone.bit_generator.state
+            assert batch[0][1] > 170
 
 
 def single_level_record_sum(w1, s, tangent, t, dt, params):
-    """The record sum of `_run_records` on one level, scripted to march the
+    """The record sum of `record_sums` on one level, scripted to march the
     path with normal coordinate w1[k], operational time s[k] and tangential
     position tangent[k] at its steps k (index 0 the start, all zero)."""
     du = np.diff(s)
@@ -579,7 +636,7 @@ def single_level_record_sum(w1, s, tangent, t, dt, params):
             tangential += list((tangent[k] - tangent[last]) / math.sqrt(2.0 * (s[k] - s[last])))
             low, last = w1[k], k
     gen = ScriptedNormals(levy, normal, tangential)
-    ((sums, _),) = tracelab._run_records([gen], [1], t, len(w1) - 1, dt, params)
+    ((sums, _),) = record_sums([gen], [1], t, len(w1) - 1, dt, params)
     return sums[0, 0]
 
 
@@ -615,10 +672,9 @@ class TestCoupledLadder:
             return [ScriptedNormals(levy, [], leg.ravel()) for leg in legs]
 
         starts = paths[:, 0]
-        exits = tracelab._run_exits(starts, gens(), [1, 1, 1], disc, t, n_steps, dt, params,
-                                    levels=2)
-        scored = list(tracelab._scored_exits(starts, gens(), [1, 1, 1], disc, t, n_steps, dt,
-                                             params, 2))
+        exits = exit_arrays(starts, gens(), [1, 1, 1], disc, n_steps, dt, params, levels=2)
+        steps = tracelab._exit_steps(starts, gens(), [1, 1, 1], disc, n_steps, dt, params, 2)
+        scored = tracelab._scored(steps, [1, 1, 1], t, n_steps, dt, params, 2)
         want_steps = [(3, 3), (2, 4), (None, 7)]  # (coarse, fine)
         for path, (exited, exit_step, _), (scores, count), steps in zip(
                 paths, exits, scored, want_steps):
@@ -656,7 +712,7 @@ class TestCoupledLadder:
                 tangent[k] += draws[union.index(k)] * math.sqrt(2.0 * (s[k] - s[last]))
                 last = k
         gen = ScriptedNormals(levy, normal, draws.ravel())
-        ((sums, count),) = tracelab._run_records([gen], [1], t, n_steps, dt, params, levels=2)
+        ((sums, count),) = record_sums([gen], [1], t, n_steps, dt, params, levels=2)
         assert count == 3 and not gen.queues[(2,)]
         coarse = single_level_record_sum(w1[::2], s[::2], tangent[::2], t, 2 * dt, params)
         fine = single_level_record_sum(w1, s, tangent, t, dt, params)
@@ -669,7 +725,7 @@ class TestCoupledLadder:
         # combination 2F - C, whose sample stderr the estimate reports
         t, n_steps, n = 0.5, 32, 2000
         args = ([np.random.default_rng(5)], [n], t, n_steps, t / n_steps, cauchy2d, 2)
-        ((sums, _),) = tracelab._run_records(*args)
+        ((sums, _),) = record_sums(*args)
         ((means, m2, _),) = tracelab._march_batch(cauchy2d, None, t, n_steps, t / n_steps, 2,
                                                   [(np.zeros((1, 2)), n, np.random.default_rng(5))])
         paired = 2.0 * sums[1] - sums[0]
@@ -717,17 +773,44 @@ ONE_LEVEL_PINS = {
 }
 
 
+# the same calls with both ladder levels scored off one march: the coupled
+# exits of the killing march and the coupled records of the record march
+TWO_LEVEL_PINS = {
+    1.0: {
+        "z_trace": (203.69502669618868, 0.2089659747105832),
+        "c2_of_t": (0.24667307202948993, 0.00463846154448431),
+        "halfspace_profile": [(2.9056525792540717, 0.18640258126372355),
+                              (0.005266415736462239, 0.00091193233444511)],
+    },
+    1.5: {
+        "z_trace": (14.247448854222625, 0.05722688542393765),
+        "c2_of_t": (0.1548382938061114, 0.002574431997391572),
+        "halfspace_profile": [(1.6566933571154845, 0.06287251245597482),
+                              (0.07966915802487881, 0.007341915334572224)],
+    },
+}
+
+
+def assert_pinned(rng, unit_ball, alpha, extrapolate, pins):
+    params = ProcessParams(alpha=alpha, m=1.0, d=2)
+    z = z_trace(0.05, unit_ball, 300, 20, 0.05 / 8, rng.substream(50), params,
+                extrapolate=extrapolate, chunk_points=64)
+    assert (z.value, z.stderr) == pins["z_trace"]
+    c2 = c2_of_t(0.25, 2000, 0.25 / 16, rng.substream(51), params, extrapolate=extrapolate)
+    assert (c2.value, c2.stderr) == pins["c2_of_t"]
+    prof = halfspace_profile(0.1, [0.05, 0.3], 1000, 0.1 / 8, rng.substream(52), params,
+                             extrapolate=extrapolate)
+    assert [(e.value, e.stderr) for e in prof.f_values] == pins["halfspace_profile"]
+
+
 @pytest.mark.parametrize("alpha", [1.0, 1.5])
 def test_one_level_outputs_are_pinned(rng, unit_ball, alpha):
-    params = ProcessParams(alpha=alpha, m=1.0, d=2)
-    pins = ONE_LEVEL_PINS[alpha]
-    z = z_trace(0.05, unit_ball, 300, 20, 0.05 / 8, rng.substream(50), params, extrapolate=False,
-                chunk_points=64)
-    assert (z.value, z.stderr) == pins["z_trace"]
-    c2 = c2_of_t(0.25, 2000, 0.25 / 16, rng.substream(51), params, extrapolate=False)
-    assert (c2.value, c2.stderr) == pins["c2_of_t"]
-    prof = halfspace_profile(0.1, [0.05, 0.3], 1000, 0.1 / 8, rng.substream(52), params)
-    assert [(e.value, e.stderr) for e in prof.f_values] == pins["halfspace_profile"]
+    assert_pinned(rng, unit_ball, alpha, False, ONE_LEVEL_PINS[alpha])
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_two_level_outputs_are_pinned(rng, unit_ball, alpha):
+    assert_pinned(rng, unit_ball, alpha, True, TWO_LEVEL_PINS[alpha])
 
 
 class TestBoundaryCoefficient:
@@ -870,10 +953,10 @@ class TestTrace:
 
         def recording(starts, gens, sizes, *args):
             rows.append(sizes)
-            return run_exits(starts, gens, sizes, *args)
+            return exit_steps(starts, gens, sizes, *args)
 
-        run_exits = tracelab._run_exits
-        monkeypatch.setattr(tracelab, "_run_exits", recording)
+        exit_steps = tracelab._exit_steps
+        monkeypatch.setattr(tracelab, "_exit_steps", recording)
         sizes = record_pools(monkeypatch, SerialPool)
         est = z_trace(0.05, unit_ball, 300, 20, 0.05 / 8, rng.substream(36), params,
                       workers=workers, chunk_points=64)
@@ -898,15 +981,17 @@ class TestTrace:
 
     @pytest.mark.parametrize(
         "kw", [dict(chunk_points=0), dict(chunk_points=-5), dict(chunk_points=2.5),
-               dict(chunk_points=True), dict(n_paths=0), dict(n_paths=20.0)],
+               dict(chunk_points=True), dict(n_paths=0), dict(n_paths=20.0), dict(n_x=0),
+               dict(n_x=-5), dict(n_x=2.5)],
         ids=["chunk_zero", "chunk_negative", "chunk_float", "chunk_bool", "paths_zero",
-             "paths_float"],
+             "paths_float", "points_zero", "points_negative", "points_float"],
     )
     def test_bad_budget_raises_parameter_error(self, rng, unit_ball, kw):
-        args = {"n_paths": 20, "chunk_points": 64, **kw}
+        # n_x would otherwise be bent to 8 points per stratum
+        args = {"n_x": 300, "n_paths": 20, "chunk_points": 64, **kw}
         with pytest.raises(ParameterError):
-            z_trace(0.05, unit_ball, 300, args.pop("n_paths"), 0.05 / 8, rng.substream(37),
-                    ProcessParams(alpha=1.0, m=1.0, d=2), **args)
+            z_trace(0.05, unit_ball, args.pop("n_x"), args.pop("n_paths"), 0.05 / 8,
+                    rng.substream(37), ProcessParams(alpha=1.0, m=1.0, d=2), **args)
 
     @pytest.mark.parametrize("alpha,builds", [(1.0, False), (1.5, True)])
     def test_kernel_tables_only_off_alpha_one(self, monkeypatch, rng, unit_ball, alpha, builds):
@@ -942,6 +1027,17 @@ class TestTrace:
         for (a1, b1), (a2, _) in zip(strata[:-1], strata[1:]):
             assert b1 == a2
             assert b1 > a1
+
+
+class TestBudgets:
+    @pytest.mark.parametrize(
+        "name", ["n_paths", "n_x", "steps", "profile_n_paths", "chunk_points", "workers"])
+    @pytest.mark.parametrize("value", [0, 2.5])
+    def test_bad_count_raises_parameter_error(self, name, value):
+        # checked once, before residual_scan, lambda1_estimate or
+        # ryznar_check divide t by `steps` or march on the others
+        with pytest.raises(ParameterError, match=name):
+            Budgets(**{name: value})
 
 
 class TestResidualScan:
@@ -993,6 +1089,11 @@ class TestLambda1:
 
 
 class TestRyznar:
+    def test_no_points_raises_parameter_error(self, rng, cauchy2d, unit_ball):
+        # no point checked is no pass
+        with pytest.raises(ParameterError):
+            ryznar_check(0.1, [], unit_ball, Budgets(n_paths=300, steps=16), rng, cauchy2d)
+
     def test_massless_coincidence(self, rng, cauchy2d, unit_ball):
         budgets = Budgets(n_paths=4000, steps=32, extrapolate=True)
         rep = ryznar_check(
