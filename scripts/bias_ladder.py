@@ -1,9 +1,17 @@
 #!/usr/bin/env python3
 """Discrete-monitoring bias study for the boundary profile estimator.
 
-Estimates f_H(t, q) at one boundary distance across a dt-halving ladder and
-prints the level values, successive differences, and the Richardson
-residual, to inform the extrapolation-order choice.
+Estimates f_H(t, q) at one boundary distance on `--levels` grids of
+base_steps x 2^j steps and prints each level's value, the successive
+differences, and, from three levels on, the empirical bias order of the
+last three, to inform the extrapolation-order choice.
+
+Each level is an independent one-level `r_estimate` call on its own stream
+(level j on substream(j)), not the estimators' coupled march, which scores
+two levels off one fine path: the differences carry both levels' full
+Monte Carlo noise.
+
+    PYTHONPATH=src python scripts/bias_ladder.py --alpha 1.5 --levels 4
 """
 
 import argparse

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 from .errors import ParameterError
 from .geometry import parse_domain
 from .specfun import ProcessParams
-from .tracelab import MIN_PATHS, Budgets
+from .tracelab import MIN_PATHS, Budgets, _check_count
 
 FORMATS = ("csv", "json")  # artifact formats io.write_rows writes
 
@@ -39,12 +39,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # checked here so that a CLI run rejects them before any work starts
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ParameterError(f"workers must be an integer >= 1, got {self.workers!r}")
-        for name in ("steps", "chunk_points", "n_x", "n_paths", "profile_n_paths"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not value >= 1:
-                raise ParameterError(f"{name} must be >= 1, got {value!r}")
+        for name in ("steps", "chunk_points", "n_x", "n_paths", "profile_n_paths", "workers"):
+            _check_count(name, getattr(self, name))
         s = self.budget_scale
         if not isinstance(s, (int, float)) or not 0.0 < s < math.inf:
             raise ParameterError(f"budget_scale must be finite and > 0, got {s!r}")

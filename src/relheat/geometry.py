@@ -2,7 +2,9 @@
 
 Bounded shapes carry closed-form volume, surface area, inner-layer areas
 |boundary of D_q| for D_q = {x : dist(x, boundary) >= q}, and exact
-rejection-free uniform samplers (radial inverse CDF in r^d).  The
+rejection-free uniform samplers on the layers {q_lo <= dist < q_hi}
+(radial inverse CDF in r^d); the layer 0 <= dist < delta_max is the whole
+domain.  The
 half-space {x_1 > 0} supports membership and boundary distance only.
 """
 
@@ -118,12 +120,6 @@ class Ball(Domain):
         r_out, r_in = self.radius - q_lo, self.radius - q_hi
         return surface_area(self.d) / self.d * (r_out**self.d - r_in**self.d)
 
-    def sample_uniform(self, rng: RngStream | np.random.Generator, size: int):
-        self._require_bounded()
-        gen = rng.generator() if isinstance(rng, RngStream) else rng
-        r = self.radius * gen.random(size) ** (1.0 / self.d)
-        return np.asarray(self.center) + r[:, None] * _unit_vectors(gen, size, self.d)
-
     def sample_layer(self, q_lo: float, q_hi: float, rng, size: int):
         self._require_bounded()
         q_lo, q_hi = _check_layer(q_lo, q_hi, self.delta_max)
@@ -208,12 +204,6 @@ class Annulus(Domain):
             - (self.r_in + q_lo) ** self.d
         )
         return outer + max(inner, 0.0)
-
-    def sample_uniform(self, rng, size: int):
-        gen = rng.generator() if isinstance(rng, RngStream) else rng
-        rd = self.r_in**self.d + gen.random(size) * (self.r_out**self.d - self.r_in**self.d)
-        r = rd ** (1.0 / self.d)
-        return np.asarray(self.center) + r[:, None] * _unit_vectors(gen, size, self.d)
 
     def sample_layer(self, q_lo: float, q_hi: float, rng, size: int):
         q_lo, q_hi = _check_layer(q_lo, q_hi, self.delta_max)

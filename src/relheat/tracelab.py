@@ -200,13 +200,6 @@ class Budgets:
 # Exit engine
 # ---------------------------------------------------------------------------
 
-def _snap_steps(t: float, dt: float):
-    if dt <= 0.0 or dt > t:
-        raise ParameterError(f"need 0 < dt <= t, got dt={dt}, t={t}")
-    n_steps = max(1, int(round(t / dt)))
-    return n_steps, t / n_steps
-
-
 def _strides(levels):
     """How many march steps make one step of each ladder level, coarsest
     first: with two levels, level 0 is the march read at its even steps."""
@@ -575,7 +568,8 @@ def _r_moments(requests, domain, params, workers, levels=1):
     """The (n, means, M2) of r_D(t, x, x)'s score columns (`_march_batch`:
     the ladder levels, then their path-by-path combination), and the exit
     count on the finest level, for each request (t, x, n_paths, n_steps,
-    dt, rng), in one march, each on its (n_steps, dt) grid.  With `domain`
+    dt, rng), in one march, each on its (n_steps, dt) grid and stream rng
+    (a march of `_ladder`).  With `domain`
     None, of the half-space record sums of paths from the boundary point x
     (`_record_steps`), and the record count.
 
@@ -602,9 +596,33 @@ def _r_moments(requests, domain, params, workers, levels=1):
     return out
 
 
-def _r_estimates(requests, domain, params, *, workers=1, levels=1):
-    """r_D(t, x, x) for each request (t, x, n_paths, n_steps, dt, rng): the
-    estimates of `_r_moments`."""
+def _ladder(t, dt, rng, extrapolate):
+    """The one march of the dt-ladder of (t, dt) on rng: (levels, n_steps,
+    dt, stream).
+
+    Level 0 monitors at dt snapped to t/n, n = round(t/dt) >= 1.  With
+    `extrapolate` there are two levels, and the march is the fine one, 2n
+    steps of dt/2, with level 0 read off its even steps (`_level_grids`).
+    Either way it draws on rng.substream(0).
+    """
+    if dt <= 0.0 or dt > t:
+        raise ParameterError(f"need 0 < dt <= t, got dt={dt}, t={t}")
+    levels = 2 if extrapolate else 1
+    n_steps = max(1, int(round(t / dt)))
+    return levels, n_steps * levels, t / n_steps / levels, rng.substream(0)
+
+
+def _r_estimates(points, domain, n_paths, params, *, extrapolate, workers):
+    """Estimates of r_D(t, x, x) at each point (t, x, dt, rng) from
+    `n_paths` paths on the one march of the ladder of its dt and rng
+    (`_ladder`), two levels Richardson-extrapolated when `extrapolate`;
+    every point marches in one batch (`_r_moments`)."""
+    marches = [_ladder(t, dt, rng, extrapolate) for t, _, dt, rng in points]
+    if not marches:
+        return []  # no point, no march
+    levels = marches[0][0]  # one `extrapolate`, so one level count for every point
+    requests = [(t, x, n_paths, n_steps, dt, stream)
+                for (t, x, _, _), (_, n_steps, dt, stream) in zip(points, marches)]
     estimates = []
     for (t, x, _, _, dt, _), (moments, exits) in zip(
             requests, _r_moments(requests, domain, params, workers, levels)):
@@ -625,35 +643,10 @@ def r_estimate(
     *,
     workers: int = 1,
 ) -> TraceEstimate:
-    """Monte Carlo estimate of r_D(t, x, x), on one level, drawn on rng."""
-    return _r_estimates([(t, x, n_paths, *_snap_steps(t, dt), rng)], domain, params,
+    """Monte Carlo estimate of r_D(t, x, x) on the one-level ladder of dt
+    and rng (`_ladder`): its march draws on rng.substream(0)."""
+    return _r_estimates([(t, x, dt, rng)], domain, n_paths, params, extrapolate=False,
                         workers=workers)[0]
-
-
-def _ladder(t, dt, rng, levels):
-    """The one march of a dt-ladder of 1 or 2 levels: (n_steps, dt, stream).
-
-    Level 0 monitors at dt snapped to t/n (`_snap_steps`).  With two levels
-    the march is the fine level, 2n steps of dt/2, and level 0 is read off
-    its even steps (`_level_grids`).  Either way it draws on
-    rng.substream(0).
-    """
-    n_steps, dt = _snap_steps(t, dt)
-    return n_steps * levels, dt / levels, rng.substream(0)
-
-
-def _r_extrapolated(points, domain, n_paths, params, *, extrapolate=True, workers=1):
-    """Estimates of r_D(t, x, x) at each point (t, x, dt, rng), each on the
-    one march of the ladder of its dt and rng (`_ladder`), two levels
-    Richardson-extrapolated when `extrapolate`; every point marches in one
-    batch."""
-    levels = 2 if extrapolate else 1
-    requests = [(t, x, n_paths, *_ladder(t, dt, rng, levels)) for t, x, dt, rng in points]
-    return _r_estimates(requests, domain, params, workers=workers, levels=levels)
-
-
-def r_estimate_extrapolated(t, x, domain, n_paths, dt, rng, params, *, workers=1) -> TraceEstimate:
-    return _r_extrapolated([(t, x, dt, rng)], domain, n_paths, params, workers=workers)[0]
 
 
 def _axis_point(q, d):
@@ -681,11 +674,11 @@ def halfspace_profile(
     rng.substream(i).substream(0); every node marches in one pool.
     """
     q_grid = np.asarray(q_grid, dtype=float)
-    if (q_grid <= 0).any():
-        raise ParameterError("q grid must be positive")
+    if q_grid.ndim != 1 or not len(q_grid) or not (q_grid > 0).all():
+        raise ParameterError("q grid must be a non-empty 1-d grid of positive depths")
     points = [(t, _axis_point(q, params.d), dt, rng.substream(i)) for i, q in enumerate(q_grid)]
-    f_values = _r_extrapolated(points, HalfSpace(d=params.d), n_paths, params,
-                               extrapolate=extrapolate, workers=workers)
+    f_values = _r_estimates(points, HalfSpace(d=params.d), n_paths, params,
+                            extrapolate=extrapolate, workers=workers)
     return HalfspaceProfile(t=t, q_grid=q_grid, f_values=tuple(f_values))
 
 
@@ -708,8 +701,7 @@ def c2_of_t(
     in one pool; `records_per_path` is the mean number of record steps per
     path at the finest level.
     """
-    levels = 2 if extrapolate else 1
-    n_steps, dt, stream = _ladder(t, dt, rng, levels)
+    levels, n_steps, dt, stream = _ladder(t, dt, rng, extrapolate)
     request = (t, np.zeros(params.d), n_paths, n_steps, dt, stream)
     ((moments, records),) = _r_moments([request], None, params, workers, levels)
     meta = {"estimator": "C2", "m": params.m, "records_per_path": records / moments[0]}
@@ -827,8 +819,7 @@ def z_trace(
     _check_count("chunk_points", chunk_points)
     strata = default_strata(domain, t, params)
     ft = first_term(t, domain, params)
-    levels = 2 if extrapolate else 1
-    n_steps, dt, sub = _ladder(t, dt, rng, levels)
+    levels, n_steps, dt, sub = _ladder(t, dt, rng, extrapolate)
     layers = []
     for j, ((q_lo, q_hi), n_j) in enumerate(zip(strata, _allocate(domain, strata, t, params, n_x))):
         vol = domain.layer_volume(q_lo, q_hi)
@@ -1046,8 +1037,8 @@ def ryznar_check(
     stable = params.with_mass(0.0)
     dt = t / budgets.steps
     ests = [
-        _r_extrapolated([(t, x, dt, rng.substream(i, branch)) for i, x in enumerate(xs)], domain,
-                        budgets.n_paths, p, workers=budgets.workers)
+        _r_estimates([(t, x, dt, rng.substream(i, branch)) for i, x in enumerate(xs)], domain,
+                     budgets.n_paths, p, extrapolate=True, workers=budgets.workers)
         for branch, p in ((0, params), (1, stable))
     ]
     grow = math.exp(2.0 * params.m * t)

@@ -24,13 +24,12 @@ from .sampler import RngStream, empirical_transform, sample_brownian_leg, sample
 from .specfun import ProcessParams, characteristic_exponent, stable_subordinator_density
 from .tracelab import (
     Z_SIGMA,
-    _r_extrapolated,
     _loglog_fit,
+    _r_estimates,
     c2_of_t,
     c4_const,
     first_term,
     halfspace_profile,
-    r_estimate_extrapolated,
     residual_scan,
     ryznar_check,
     z_trace,
@@ -250,7 +249,7 @@ def check_halfspace_scaling(cfg: ExperimentConfig) -> CheckResult:
             (t, np.array([q, 0.0]), t / cfg.steps, rng.substream(idx, 0)),
             (1.0, np.array([q1, 0.0]), 1.0 / cfg.steps, rng.substream(idx, 1)),
         ]
-    ests = _r_extrapolated(points, half, n, params, workers=cfg.workers)
+    ests = _r_estimates(points, half, n, params, extrapolate=True, workers=cfg.workers)
     rows = []
     worst_z = 0.0
     for (t, q), e_t, e_1 in zip(pairs, ests[::2], ests[1::2]):
@@ -413,10 +412,8 @@ def check_inequalities(cfg: ExperimentConfig) -> CheckResult:
                  + ("ok" if z_ok else "violated"))
 
     n_r = cfg.scaled(20_000, 2000)
-    r_est = r_estimate_extrapolated(
-        t, np.array([0.85, 0.0]), ball, n_r, t / cfg.steps, rng.substream(1), params,
-        workers=cfg.workers,
-    )
+    (r_est,) = _r_estimates([(t, np.array([0.85, 0.0]), t / cfg.steps, rng.substream(1))], ball,
+                            n_r, params, extrapolate=True, workers=cfg.workers)
     p0 = free_density(t, 0.0, params)
     r_ok = r_est.value <= p0 + Z_SIGMA * r_est.stderr
     if not r_ok:

@@ -67,7 +67,12 @@ class TestConfig:
          ("profile_n_paths", 0), ("budget_scale", 0.0), ("budget_scale", -1.0),
          ("budget_scale", math.inf), ("budget_scale", math.nan), ("n_x", "many"),
          ("t_grid", (0.0,)), ("t_grid", (0.1, -0.2)), ("t_grid", (math.inf,)),
-         ("t_grid", (math.nan,)), ("seed", -1), ("seed", 1.5), ("fmt", "jsonl")],
+         ("t_grid", (math.nan,)), ("seed", -1), ("seed", 1.5), ("fmt", "jsonl"),
+         # every count is an integer >= 1, and a bool is not one: a
+         # fractional steps would run on a rounded grid, and n_paths=True on
+         # the path floor
+         ("steps", 2.5), ("chunk_points", 1.5), ("n_x", 64.0), ("profile_n_paths", 200.5),
+         ("workers", True), ("n_paths", True)],
     )
     def test_bad_budget_rejected(self, key, value):
         with pytest.raises(ParameterError):

@@ -166,9 +166,11 @@ class TestAreasAndVolumes:
 
 
 class TestSampling:
+    # the layer 0 <= delta < delta_max is the whole domain; `z_trace` draws
+    # its points with this sampler, so its law is checked, not only its range
     def test_uniform_ball_fraction(self, unit_ball, rng, within_se):
         n = 100_000
-        pts = unit_ball.sample_uniform(rng.substream(0), n)
+        pts = unit_ball.sample_layer(0.0, unit_ball.delta_max, rng.substream(0), n)
         assert unit_ball.contains(pts).all()
         frac = (unit_ball.delta(pts) >= 0.5).mean()
         target = 0.25  # (1/2)^d of the volume
@@ -176,7 +178,7 @@ class TestSampling:
 
     def test_uniform_annulus_radial_law(self, annulus, rng, within_se):
         n = 100_000
-        pts = annulus.sample_uniform(rng.substream(1), n)
+        pts = annulus.sample_layer(0.0, annulus.delta_max, rng.substream(1), n)
         assert annulus.contains(pts).all()
         radii = np.linalg.norm(pts, axis=1)
         mid = 2.0

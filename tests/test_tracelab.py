@@ -31,7 +31,6 @@ from relheat.tracelab import (
     halfspace_profile,
     lambda1_estimate,
     r_estimate,
-    r_estimate_extrapolated,
     residual_scan,
     ryznar_check,
     z_trace,
@@ -78,6 +77,13 @@ class SerialPool:
         return map(fn, *iterables)
 
 
+def r_extrapolated(t, x, domain, n_paths, dt, rng, params, workers=1):
+    """r_D(t, x, x) on the two-level ladder of dt and rng, as
+    `halfspace_profile`, `ryznar_check` and verify mark a point."""
+    return tracelab._r_estimates([(t, x, dt, rng)], domain, n_paths, params, extrapolate=True,
+                                 workers=workers)[0]
+
+
 def make_path(positions, dt=0.1):
     positions = np.asarray(positions, dtype=float)
     horizon = dt * (len(positions) - 1)
@@ -114,7 +120,7 @@ class TestFirstExit:
         means = []
         ses = []
         for j, steps in enumerate((8, 16, 32)):
-            n_steps, dt = tracelab._snap_steps(t, t / steps)
+            _, n_steps, dt, _ = tracelab._ladder(t, t / steps, rng, False)
             gen = rng.substream(20, j).generator()
             exited, exit_step, _ = one_chunk_exits(np.zeros((n, 2)), ball, n_steps, dt, p, gen)
             tau = np.where(exited, (exit_step - 0.5) * dt, t)
@@ -306,6 +312,19 @@ class TestRunExits:
             assert 0 < count == (scores[0] > 0).sum()  # every exit scores
 
 
+class TestLadder:
+    @pytest.mark.parametrize("dt", [0.0, -0.1, 0.6], ids=["zero", "negative", "above_t"])
+    def test_bad_step_rejected(self, rng, dt):
+        with pytest.raises(ParameterError):
+            tracelab._ladder(0.5, dt, rng, False)
+
+    @pytest.mark.parametrize("extrapolate,levels", [(False, 1), (True, 2)])
+    def test_snaps_the_step_and_marches_the_finest_level(self, rng, extrapolate, levels):
+        # dt = 0.3 snaps to t/3; with two levels the march is 6 steps of t/6
+        assert tracelab._ladder(1.0, 0.3, rng, extrapolate) == (
+            levels, 3 * levels, 1.0 / 3 / levels, rng.substream(0))
+
+
 class TestREstimate:
     def test_whole_space_never_exits(self, rng, cauchy2d):
         free = Ball(center=(0.0, 0.0), radius=math.inf, d=2)
@@ -429,7 +448,7 @@ class TestREstimate:
         assert sizes == []
 
     def test_extrapolated_reports_bias_budget(self, rng, cauchy2d, unit_ball):
-        est = r_estimate_extrapolated(
+        est = r_extrapolated(
             0.2, np.array([0.8, 0.0]), unit_ball, 3000, 0.2 / 16, rng.substream(9), cauchy2d
         )
         assert est.meta["extrapolated"] is True
@@ -441,8 +460,8 @@ class TestREstimate:
         # three tasks, so the march starts one pool
         monkeypatch.setattr(tracelab, "CHUNK_PATHS", 100)
         starts = record_pools(monkeypatch, tracelab.ProcessPoolExecutor)
-        est = r_estimate_extrapolated(0.2, np.array([0.8, 0.0]), unit_ball, 300, 0.2 / 8,
-                                      rng.substream(34), cauchy2d, workers=2)
+        est = r_extrapolated(0.2, np.array([0.8, 0.0]), unit_ball, 300, 0.2 / 8,
+                             rng.substream(34), cauchy2d, workers=2)
         assert starts == [2]
         assert est.n_samples == 600
 
@@ -460,19 +479,14 @@ class TestHalfspaceProfile:
 
     @pytest.mark.parametrize("extrapolate", [False, True])
     def test_equals_separate_point_estimates(self, monkeypatch, rng, relativistic2d, extrapolate):
-        # one march over all nodes gives each node the numbers of its own
-        # point estimate on the same ladder (the march of node i on
-        # substream(40, i, 0)), at any worker count, in one pool
+        # one march over all nodes gives node i the numbers of its own point
+        # estimate on rng.substream(40, i), at any worker count, in one pool
         half = HalfSpace(d=2)
         t, qs, n = 0.1, [0.02, 0.1, 0.3], 1500
-        if extrapolate:
-            direct = [r_estimate_extrapolated(t, np.array([q, 0.0]), half, n, t / 16,
-                                              rng.substream(40, i), relativistic2d)
-                      for i, q in enumerate(qs)]
-        else:
-            direct = [r_estimate(t, np.array([q, 0.0]), half, n, t / 16,
-                                 rng.substream(40, i, 0), relativistic2d)
-                      for i, q in enumerate(qs)]
+        point = r_extrapolated if extrapolate else r_estimate
+        direct = [point(t, np.array([q, 0.0]), half, n, t / 16, rng.substream(40, i),
+                        relativistic2d)
+                  for i, q in enumerate(qs)]
         starts = record_pools(monkeypatch, tracelab.ProcessPoolExecutor)
         for workers in (1, 2):
             prof = halfspace_profile(t, qs, n, t / 16, rng.substream(40), relativistic2d,
@@ -485,6 +499,12 @@ class TestHalfspaceProfile:
     def test_rejects_nonpositive_q(self, rng, cauchy2d):
         with pytest.raises(ParameterError):
             halfspace_profile(0.5, [0.0, 0.5], 1000, 0.05, rng, cauchy2d)
+
+    @pytest.mark.parametrize("q_grid", [[], [[0.1, 0.5]]], ids=["empty", "two_d"])
+    def test_rejects_grid_that_is_not_a_list_of_depths(self, rng, cauchy2d, q_grid):
+        # no node is no profile; a 2-d grid has no node order
+        with pytest.raises(ParameterError):
+            halfspace_profile(0.5, q_grid, 1000, 0.05, rng, cauchy2d)
 
     def test_bounded_by_free_density(self, rng, cauchy2d):
         t = 0.5
@@ -1120,7 +1140,7 @@ class TestRyznar:
         t, budgets = 0.1, Budgets(n_paths=300, steps=16)
         xs = [np.array([0.0, 0.0]), np.array([0.6, 0.0]), np.array([0.0, -0.8])]
         direct = [
-            [r_estimate_extrapolated(t, x, unit_ball, 300, t / 16, rng.substream(29, i, branch), p)
+            [r_extrapolated(t, x, unit_ball, 300, t / 16, rng.substream(29, i, branch), p)
              for branch, p in ((0, relativistic2d), (1, relativistic2d.with_mass(0.0)))]
             for i, x in enumerate(xs)
         ]
@@ -1163,9 +1183,10 @@ class TestMomentMerge:
         # 350 paths run in four chunks (100, 100, 100, 50); the estimate is
         # the sample mean of their merged (n, mean, M2), field for field
         monkeypatch.setattr(tracelab, "CHUNK_PATHS", 100)
-        requests = [(0.1, np.array([0.8, 0.0]), 350, 8, 0.1 / 8, rng.substream(31))]
+        x = np.array([0.8, 0.0])
+        requests = [(0.1, x, 350, 8, 0.1 / 8, rng.substream(31, 0))]  # the one-level ladder
         ((moments, exits),) = tracelab._r_moments(requests, unit_ball, relativistic2d, 1)
-        (est,) = tracelab._r_estimates(requests, unit_ball, relativistic2d)
+        est = r_estimate(0.1, x, unit_ball, 350, 0.1 / 8, rng.substream(31), relativistic2d)
         ref = tracelab._from_moments(moments, est.dt, 0.1, est.meta)
         assert moments[0] == est.n_samples == 350
         assert (est.value, est.stderr, est.n_samples) == (ref.value, ref.stderr, ref.n_samples)

@@ -48,8 +48,8 @@ def test_inequality_lines_report_the_comparison(monkeypatch, tmp_path, violated)
         return lambda *args, **kwargs: SimpleNamespace(value=value, stderr=stderr)
 
     monkeypatch.setattr(verify, "z_trace", estimate(1e6 if violated == "Z(" else 0.0))
-    monkeypatch.setattr(verify, "r_estimate_extrapolated",
-                        estimate(1e6 if violated == "r_D(" else 0.0))
+    r_point = estimate(1e6 if violated == "r_D(" else 0.0)
+    monkeypatch.setattr(verify, "_r_estimates", lambda *args, **kwargs: [r_point()])
     monkeypatch.setattr(verify, "c2_of_t", estimate(0.0, 0.01))
     monkeypatch.setattr(verify, "c4_const", estimate(1.0, 0.01))
     res = verify.check_inequalities(ExperimentConfig(out=str(tmp_path), budget_scale=0.01))
