@@ -5,9 +5,11 @@ the boundary correction to the free kernel.  Paths are monitored on a
 grid of step dt; the first grid index outside the domain defines the exit,
 with the exit time placed mid-step to halve the timing bias.  The
 remaining discrete-monitoring bias is handled by a dt-halving ladder with
-Richardson extrapolation (`_ladder`).  Its two levels come from one march
-on the fine grid of step dt/2, drawn on rng.substream(0): the path at step
-2j of dt/2 is a path at step j of dt, exactly in law, so the coarse level
+Richardson extrapolation (`_ladder`).  Its levels come from one march on
+the grid (t, n_steps, dt, levels) of the finest level, drawn on
+rng.substream(0), and each level reads every stride-th march step
+(`_levels`, one rule for both marches): the path at step 2j of dt/2 is a
+path at step j of dt, exactly in law, so with two levels the coarse level
 is the fine path read at its even steps.  Each path (each start point in
 `z_trace`) scores both levels; the extrapolated value is the reported one,
 its stderr that of the per-path combination 2F - C, and the ladder
@@ -17,11 +19,11 @@ r_D at a point, the half-space profile f_H(t, q) and the strata of int_D
 r_D are one expectation at different start points.  Each estimator call
 hands `_march` one group of chunks per point request or per stratum; a
 chunk is the unit of a random stream, paths from given start points on
-one generator.  `_march` packs the chunks of one (t, n_steps, dt) grid
-into batches of at most one full chunk's rows (and with several workers,
-of at most the grid's rows over the workers), and the one march task,
-`_march_batch`, marches a batch in lockstep as one array (`_exit_steps`)
-and scores its exits on every ladder level (`_scored`).  Each chunk's
+one generator.  `_march` packs the chunks of one grid into batches of at
+most one full chunk's rows (and with several workers, of at most the
+grid's rows over the workers), and the one march task, `_march_batch`,
+marches a batch in lockstep as one array (`_exit_steps`) and scores its
+exits on every ladder level (`_scored`).  Each chunk's
 generator makes the draws of a march of that chunk alone, so every output
 is bit for bit that of marching the chunks one by one.  All batches run
 through one `_execute`, after one `_warm` of the kernel tables when
@@ -200,39 +202,40 @@ class Budgets:
 # Exit engine
 # ---------------------------------------------------------------------------
 
-def _strides(levels):
-    """How many march steps make one step of each ladder level, coarsest
-    first: with two levels, level 0 is the march read at its even steps."""
-    return [2 ** (levels - 1 - level) for level in range(levels)]
+def _levels(grid):
+    """The ladder levels of a march on `grid` = (t, n_steps, dt, levels),
+    coarsest first, as (stride, n_steps, dt): level j reads every stride-th
+    march step, stride 2^(levels - 1 - j), so the finest level is the march
+    itself and, with two levels, level 0 reads its even steps."""
+    _, n_steps, dt, levels = grid
+    strides = [2 ** (levels - 1 - level) for level in range(levels)]
+    return [(stride, n_steps // stride, dt * stride) for stride in strides]
 
 
-def _level_grids(n_steps, dt, levels):
-    """The (n_steps, dt) grid of each ladder level of a march on the
-    (n_steps, dt) grid, coarsest first."""
-    return [(n_steps // stride, dt * stride) for stride in _strides(levels)]
-
-
-def _exit_steps(starts, gens, sizes, domain, n_steps, dt, params, levels=1):
+def _exit_steps(starts, gens, sizes, domain, grid, params):
     """March paths from the rows of `starts` until exit or horizon, in
     chunks: chunk c is the next sizes[c] rows, drawn by gens[c].  Yield
-    each step on which some row exits a ladder level (`_level_grids`).
+    each step on which some row exits a ladder level (`_levels`).
 
     Each item is (level, k, rows, dist, None): the level, the first step k
     outside the domain on its grid, the exiting rows in path order, and
-    |X_exit - start|; an exit carries no weight.  With two levels a row
-    exits the fine level at its first step outside the domain, and marches
-    on to its first even step k outside, its coarse exit at step k/2, which
-    is never earlier; only then is it dropped.  `pos` holds the alive rows
-    only, in path order (`idx`, their paths).  Each chunk's generator makes
-    the draws of a march of that chunk alone, and the arithmetic is row by
-    row, so every draw and every item falls bit for bit as in a march of
-    each chunk alone, updating all its rows in place.
+    |X_exit - start|; an exit carries no weight.  A row exits a level at
+    the first step that level reads outside the domain.  Level 0 reads the
+    fewest steps, so its exit is never earlier than a finer one: a row
+    marches on to its level-0 exit and is dropped only then.  `pos` holds
+    the alive rows only, in path order (`idx`, their paths), and each finer
+    level an open mask of the alive rows yet to exit it.  Each chunk's
+    generator makes the draws of a march of that chunk alone, and the
+    arithmetic is row by row, so every draw and every item falls bit for
+    bit as in a march of each chunk alone, updating all its rows in place.
     """
+    _, n_steps, dt, _ = grid
+    (stride0, _, _), *finer = _levels(grid)
     ends = np.cumsum(sizes)
     counts = sizes  # alive rows of each chunk
     pos = np.array(starts, dtype=float)
     idx = np.arange(len(starts))
-    fine_open = np.ones(len(starts), dtype=bool)  # alive rows yet to exit the fine level
+    open_rows = [np.ones(len(starts), dtype=bool) for _ in finer]
     for k in range(1, n_steps + 1):
         if len(idx) == 0:
             break
@@ -242,29 +245,31 @@ def _exit_steps(starts, gens, sizes, domain, n_steps, dt, params, levels=1):
         if inside.all():
             continue
         gone = ~inside
-        if levels == 2:
-            first = gone & fine_open
+        for level, ((stride, _, _), still_open) in enumerate(zip(finer, open_rows), 1):
+            if k % stride:
+                continue
+            first = gone & still_open
             if first.any():
                 rows = idx[first]
-                yield 1, k, rows, row_norms(pos.compress(first, axis=0) - starts[rows]), None
-            fine_open &= inside
-            if k % 2:
-                continue  # level 0 reads even steps only
-            fine_open = fine_open[inside]
-        # on the grid of level 0; compress copies the rows of a 2-d array
-        # several times faster than boolean indexing does
+                dist = row_norms(pos.compress(first, axis=0) - starts[rows])
+                yield level, k // stride, rows, dist, None
+            still_open &= inside
+        if k % stride0:
+            continue
+        # compress copies the rows of a 2-d array several times faster than
+        # boolean indexing does
         rows = idx[gone]
-        yield 0, k // levels, rows, row_norms(pos.compress(gone, axis=0) - starts[rows]), None
+        yield 0, k // stride0, rows, row_norms(pos.compress(gone, axis=0) - starts[rows]), None
         pos, idx = pos.compress(inside, axis=0), idx[inside]
+        open_rows = [still_open[inside] for still_open in open_rows]
         counts = _rows_per_block(idx, ends)
 
 
-def _record_steps(gens, sizes, n_steps, dt, params, levels=1):
+def _record_steps(gens, sizes, grid, params):
     """March paths from the boundary of the half-space H = {x_1 > 0} to the
     horizon, none killed, in chunks as `_exit_steps` does; yield each step
     on which some path sets a new minimum of its normal coordinate W_1 on a
-    ladder level (`_level_grids`; with two levels, level 0 reads the march
-    at its even steps only).
+    ladder level (`_levels`).
 
     Each item is (level, k, rows, dist, weight): the level, the step k on
     its grid, the record rows in path order, |W_k|, and the fall of their
@@ -282,12 +287,13 @@ def _record_steps(gens, sizes, n_steps, dt, params, levels=1):
     by row, so every item falls bit for bit as in a march of each chunk
     alone.
     """
+    _, n_steps, dt, _ = grid
+    strides = [stride for stride, _, _ in _levels(grid)]
     ends = np.cumsum(sizes)
     n = int(ends[-1])
     normal, since = np.zeros(n), np.zeros(n)
-    lows = np.zeros((levels, n))
+    lows = np.zeros((len(strides), n))
     tangent = np.zeros((n, params.d - 1))
-    strides = _strides(levels)
     for k in range(1, n_steps + 1):
         u, _ = sample_tempered_blocks(dt, params, gens, sizes)
         normal += sample_leg_blocks(u, 1, gens, sizes)[:, 0]
@@ -335,11 +341,11 @@ def _kernel_at(k, dists, per_chunk, t, dt, params):
                            for n, b in zip(per_chunk, ends) if n])
 
 
-def _scored(steps, sizes, t, n_steps, dt, params, levels):
+def _scored(steps, sizes, grid, params):
     """Each chunk's per-path scores, one row per ladder level, and its count
     of events on the finest level, from the items (level, k, rows, dist,
     weight) of `steps` (`_exit_steps` or `_record_steps`) of a march in
-    chunks of `sizes` rows on the (n_steps, dt) grid.
+    chunks of `sizes` rows on `grid`.
 
     An event adds weight x p(t - (k - 1/2) dt, dist) (`_kernel_at`, dt that
     of its level) to its row's score on its level, the weight 1 when None.
@@ -352,14 +358,14 @@ def _scored(steps, sizes, t, n_steps, dt, params, levels):
     on that level.
     """
     ends = np.cumsum(sizes)
-    grids = _level_grids(n_steps, dt, levels)
-    scores = np.zeros((levels, int(ends[-1])))
+    levels = _levels(grid)
+    scores = np.zeros((len(levels), int(ends[-1])))
     counts = np.zeros(len(sizes), dtype=np.int64)
     for level, k, rows, dist, weight in steps:
         per_chunk = _rows_per_block(rows, ends)
-        score = _kernel_at(k, dist, per_chunk, t, grids[level][1], params)
+        score = _kernel_at(k, dist, per_chunk, grid[0], levels[level][2], params)
         scores[level, rows] += score if weight is None else weight * score
-        if level == levels - 1:
+        if level == len(levels) - 1:
             counts += per_chunk
     return [(scores[:, b - size:b], int(count)) for size, b, count in zip(sizes, ends, counts)]
 
@@ -374,14 +380,14 @@ def _combined(levels):
     return fine + (fine - coarse) / (2.0**RICHARDSON_ORDER - 1.0)
 
 
-def _march_batch(params, domain, t, n_steps, dt, levels, chunks):
+def _march_batch(params, domain, grid, chunks):
     """The one march task: chunks (points, n_paths, gen), `n_paths` paths
-    from each of `points` on `gen`, marched together on the (n_steps, dt)
-    grid (with two levels, the fine level of the ladder, read at its even
-    steps for the coarse one) and scored on every level (`_scored`) at
-    their exits (`_exit_steps`).  With `domain` None no path is killed: the
-    paths run from the boundary of the half-space and score their record
-    sums (`_record_steps`), one point per chunk.
+    from each of `points` on `gen`, marched together on `grid` (the finest
+    ladder level, read at every stride-th step for each coarser one,
+    `_levels`) and scored on every level (`_scored`) at their exits
+    (`_exit_steps`).  With `domain` None no path is killed: the paths run
+    from the boundary of the half-space and score their record sums
+    (`_record_steps`), one point per chunk.
 
     Returns each chunk's per-point means and M2 (sums of squared deviations
     from the mean) of its score columns, and its exit (or record) count on
@@ -394,13 +400,12 @@ def _march_batch(params, domain, t, n_steps, dt, levels, chunks):
     gens = [gen for _, _, gen in chunks]
     sizes = [len(points) * n_paths for points, n_paths, _ in chunks]
     if domain is None:
-        steps = _record_steps(gens, sizes, n_steps, dt, params, levels)
+        steps = _record_steps(gens, sizes, grid, params)
     else:
         starts = np.concatenate([np.repeat(points, n_paths, axis=0) for points, n_paths, _ in chunks])
-        steps = _exit_steps(starts, gens, sizes, domain, n_steps, dt, params, levels)
+        steps = _exit_steps(starts, gens, sizes, domain, grid, params)
     results = []
-    for (_, n_paths, _), (scores, count) in zip(chunks, _scored(steps, sizes, t, n_steps, dt,
-                                                                params, levels)):
+    for (_, n_paths, _), (scores, count) in zip(chunks, _scored(steps, sizes, grid, params)):
         per_level = [level_scores.reshape(-1, n_paths) for level_scores in scores]
         columns = [*per_level, _combined(per_level)]
         means = [column.mean(axis=1) for column in columns]
@@ -410,14 +415,14 @@ def _march_batch(params, domain, t, n_steps, dt, levels, chunks):
 
 
 def _batches(chunks, max_rows, workers):
-    """Indices of `chunks` (t, n_steps, dt, points, n_paths, gen) in march
-    batches: each grid's chunks in order, as many consecutive ones as hold
-    at most a cap of rows together, and a larger chunk alone.  The cap is
-    `max_rows`, or a grid's rows over `workers` if that is less, so that a
-    grid of enough chunks keeps every worker busy."""
+    """Indices of `chunks` (grid, points, n_paths, gen) in march batches:
+    each grid's chunks in order, as many consecutive ones as hold at most a
+    cap of rows together, and a larger chunk alone.  The cap is `max_rows`,
+    or a grid's rows over `workers` if that is less, so that a grid of
+    enough chunks keeps every worker busy."""
     by_grid = {}
-    for i, (t, n_steps, dt, points, n_paths, _) in enumerate(chunks):
-        by_grid.setdefault((t, n_steps, dt), []).append((i, len(points) * n_paths))
+    for i, (grid, points, n_paths, _) in enumerate(chunks):
+        by_grid.setdefault(grid, []).append((i, len(points) * n_paths))
     batches = []
     for members in by_grid.values():
         cap = min(max_rows, -(-sum(n for _, n in members) // workers))
@@ -431,10 +436,10 @@ def _batches(chunks, max_rows, workers):
     return batches
 
 
-def _march(groups, domain, params, workers, max_rows, levels=1):
-    """Run groups of chunk requests (t, n_steps, dt, points, n_paths, gen),
-    each scoring `levels` ladder levels off its (n_steps, dt) grid; results
-    come back grouped the same way.
+def _march(groups, domain, params, workers, max_rows):
+    """Run groups of chunk requests (grid, points, n_paths, gen), each
+    scoring every ladder level of its march grid (t, n_steps, dt, levels);
+    results come back grouped the same way.
 
     The chunks of one grid march in batches of at most `max_rows` rows, or
     fewer so that there are enough batches for the workers (`_batches`),
@@ -446,10 +451,9 @@ def _march(groups, domain, params, workers, max_rows, levels=1):
     _check_count("workers", workers)
     chunks = [c for group in groups for c in group]
     if params.alpha != 1.0:
-        _warm(dict.fromkeys(c[:3] for c in chunks), params, levels)
+        _warm(dict.fromkeys(c[0] for c in chunks), params)
     batches = _batches(chunks, max_rows, workers)
-    tasks = [(params, domain, *chunks[b[0]][:3], levels, [chunks[i][3:] for i in b])
-             for b in batches]
+    tasks = [(params, domain, chunks[b[0]][0], [chunks[i][1:] for i in b]) for b in batches]
     done = _execute(_march_batch, tasks, workers)
     by_index = dict(zip([i for b in batches for i in b], [r for out in done for r in out]))
     results = (by_index[i] for i in range(len(chunks)))
@@ -471,21 +475,21 @@ def _merge_moments(a, b):
     return n, (n_a * mean_a + n_b * mean_b) / n, m2_a + m2_b + delta * delta * n_a * n_b / n
 
 
-def _from_moments(moments, dt, t, meta) -> TraceEstimate:
+def _from_moments(moments, grid, meta) -> TraceEstimate:
     """The estimate of a sample's (n, means, M2) over the score columns of
     `_march_batch`: the level means, with the sample stderr of the last
     column, their path-by-path combination."""
     n, means, m2 = moments
     stderr = math.sqrt(float(m2[-1]) / (n - 1) / n)
-    return _estimate([float(v) for v in means[:-1]], stderr, n, dt, t, meta)
+    return _estimate([float(v) for v in means[:-1]], stderr, n, grid, meta)
 
 
-def _estimate(values, stderr, n_paths, dt, t, meta) -> TraceEstimate:
+def _estimate(values, stderr, n_paths, grid, meta) -> TraceEstimate:
     """The estimate of a ladder's level values, coarsest first, each scored
     by `n_paths` samples, with the stderr of their sample-by-sample
     combination: one level as it is, two Richardson-extrapolated with the
-    ladder correction as the reported bias budget.  `dt` is the finest
-    level's, and `n_samples` counts paths per level summed over levels."""
+    ladder correction as the reported bias budget.  `dt` is the march
+    grid's, the finest level's; `n_samples` sums paths over levels."""
     if len(values) == 2:
         coarse, fine = values
         meta = {
@@ -497,12 +501,12 @@ def _estimate(values, stderr, n_paths, dt, t, meta) -> TraceEstimate:
             "value_fine": fine,
         }
     return TraceEstimate(value=_combined(values), stderr=stderr, n_samples=n_paths * len(values),
-                         dt=dt, t=t, meta=meta)
+                         dt=grid[2], t=grid[0], meta=meta)
 
 
-def _warm(grids, params, levels=1):
-    """Build every kernel table a march on the (t, n_steps, dt) grids can
-    use, scoring `levels` ladder levels off each.
+def _warm(grids, params):
+    """Build every kernel table a march on the (t, n_steps, dt, levels)
+    grids can use, on every ladder level of each.
 
     Called before `_execute`, so the tables, and the theta_beta values on
     the log-z lattice they need, are in the process a pool forks and its
@@ -512,9 +516,9 @@ def _warm(grids, params, levels=1):
     single lookup.
     """
     mts = dict.fromkeys(
-        params.m * (t - (k - 0.5) * dt_level)
-        for t, n_steps, dt in grids
-        for n_level, dt_level in _level_grids(n_steps, dt, levels)
+        params.m * (grid[0] - (k - 0.5) * dt_level)
+        for grid in grids
+        for _, n_level, dt_level in _levels(grid)
         for k in range(1, n_level + 1)
     )
     build_tables(mts, params)
@@ -564,21 +568,20 @@ def first_exit(path: PathGrid, domain: Domain):
     return k, path.positions[k]
 
 
-def _r_moments(requests, domain, params, workers, levels=1):
+def _r_moments(requests, domain, params, workers):
     """The (n, means, M2) of r_D(t, x, x)'s score columns (`_march_batch`:
     the ladder levels, then their path-by-path combination), and the exit
-    count on the finest level, for each request (t, x, n_paths, n_steps,
-    dt, rng), in one march, each on its (n_steps, dt) grid and stream rng
-    (a march of `_ladder`).  With `domain`
-    None, of the half-space record sums of paths from the boundary point x
-    (`_record_steps`), and the record count.
+    count on the finest level, for each request (grid, x, n_paths, rng), in
+    one march, each on its grid and stream rng (a march of `_ladder`).
+    With `domain` None, of the half-space record sums of paths from the
+    boundary point x (`_record_steps`), and the record count.
 
     A request's paths run in chunks of at most `CHUNK_PATHS` on the streams
     rng.substream(c), and their moments are merged chunk by chunk; at most
     `CHUNK_PATHS` paths march at once.
     """
     groups = []
-    for t, x, n_paths, n_steps, dt, rng in requests:
+    for grid, x, n_paths, rng in requests:
         _check_count("n_paths", n_paths)
         if n_paths < MIN_PATHS:
             raise BudgetError(f"n_paths={n_paths} below {MIN_PATHS}; stderr would be meaningless")
@@ -586,30 +589,30 @@ def _r_moments(requests, domain, params, workers, levels=1):
         if domain is not None and not domain.contains(x):
             raise ParameterError("x must lie inside the domain")
         groups.append([
-            (t, n_steps, dt, x[None], m, rng.substream(c).generator())
+            (grid, x[None], m, rng.substream(c).generator())
             for c, m in enumerate(_chunk_sizes(n_paths, CHUNK_PATHS))
         ])
     out = []
-    for group, results in zip(groups, _march(groups, domain, params, workers, CHUNK_PATHS, levels)):
-        chunks = ((c[4], means[:, 0], m2[:, 0]) for c, (means, m2, _) in zip(group, results))
+    for group, results in zip(groups, _march(groups, domain, params, workers, CHUNK_PATHS)):
+        chunks = ((c[2], means[:, 0], m2[:, 0]) for c, (means, m2, _) in zip(group, results))
         out.append((functools.reduce(_merge_moments, chunks), sum(e for _, _, e in results)))
     return out
 
 
 def _ladder(t, dt, rng, extrapolate):
-    """The one march of the dt-ladder of (t, dt) on rng: (levels, n_steps,
-    dt, stream).
+    """The one march of the dt-ladder of (t, dt) on rng: (grid, stream),
+    the march grid (t, n_steps, dt, levels) and rng.substream(0).
 
     Level 0 monitors at dt snapped to t/n, n = round(t/dt) >= 1.  With
-    `extrapolate` there are two levels, and the march is the fine one, 2n
-    steps of dt/2, with level 0 read off its even steps (`_level_grids`).
-    Either way it draws on rng.substream(0).
+    `extrapolate` there are two levels, and the march is the finest one,
+    whose every stride-th step level 0 reads (`_levels`): 2n steps of dt/2.
     """
     if dt <= 0.0 or dt > t:
         raise ParameterError(f"need 0 < dt <= t, got dt={dt}, t={t}")
     levels = 2 if extrapolate else 1
-    n_steps = max(1, int(round(t / dt)))
-    return levels, n_steps * levels, t / n_steps / levels, rng.substream(0)
+    n = max(1, int(round(t / dt)))
+    stride = _levels((t, n, t / n, levels))[0][0]  # march steps per step of level 0
+    return (t, n * stride, t / n / stride, levels), rng.substream(0)
 
 
 def _r_estimates(points, domain, n_paths, params, *, extrapolate, workers):
@@ -618,17 +621,13 @@ def _r_estimates(points, domain, n_paths, params, *, extrapolate, workers):
     (`_ladder`), two levels Richardson-extrapolated when `extrapolate`;
     every point marches in one batch (`_r_moments`)."""
     marches = [_ladder(t, dt, rng, extrapolate) for t, _, dt, rng in points]
-    if not marches:
-        return []  # no point, no march
-    levels = marches[0][0]  # one `extrapolate`, so one level count for every point
-    requests = [(t, x, n_paths, n_steps, dt, stream)
-                for (t, x, _, _), (_, n_steps, dt, stream) in zip(points, marches)]
+    requests = [(grid, x, n_paths, stream) for (_, x, _, _), (grid, stream) in zip(points, marches)]
     estimates = []
-    for (t, x, _, _, dt, _), (moments, exits) in zip(
-            requests, _r_moments(requests, domain, params, workers, levels)):
+    for (grid, x, _, _), (moments, exits) in zip(
+            requests, _r_moments(requests, domain, params, workers)):
         meta = {"estimator": "r_D", "exit_fraction": exits / moments[0],
                 "x_delta": float(domain.delta(np.asarray(x, dtype=float)))}
-        estimates.append(_from_moments(moments, dt, t, meta))
+        estimates.append(_from_moments(moments, grid, meta))
     return estimates
 
 
@@ -701,11 +700,11 @@ def c2_of_t(
     in one pool; `records_per_path` is the mean number of record steps per
     path at the finest level.
     """
-    levels, n_steps, dt, stream = _ladder(t, dt, rng, extrapolate)
-    request = (t, np.zeros(params.d), n_paths, n_steps, dt, stream)
-    ((moments, records),) = _r_moments([request], None, params, workers, levels)
+    grid, stream = _ladder(t, dt, rng, extrapolate)
+    ((moments, records),) = _r_moments([(grid, np.zeros(params.d), n_paths, stream)], None,
+                                       params, workers)
     meta = {"estimator": "C2", "m": params.m, "records_per_path": records / moments[0]}
-    return _from_moments(moments, dt, t, meta)
+    return _from_moments(moments, grid, meta)
 
 
 def c4_const(
@@ -819,7 +818,7 @@ def z_trace(
     _check_count("chunk_points", chunk_points)
     strata = default_strata(domain, t, params)
     ft = first_term(t, domain, params)
-    levels, n_steps, dt, sub = _ladder(t, dt, rng, extrapolate)
+    grid, sub = _ladder(t, dt, rng, extrapolate)
     layers = []
     for j, ((q_lo, q_hi), n_j) in enumerate(zip(strata, _allocate(domain, strata, t, params, n_x))):
         vol = domain.layer_volume(q_lo, q_hi)
@@ -829,16 +828,15 @@ def z_trace(
     groups = []
     for j, q_lo, q_hi, _, sizes in layers:
         gens = [sub.substream(j, c).generator() for c in range(len(sizes))]
-        groups.append([(t, n_steps, dt, domain.sample_layer(q_lo, q_hi, g, m), n_paths, g)
+        groups.append([(grid, domain.sample_layer(q_lo, q_hi, g, m), n_paths, g)
                        for g, m in zip(gens, sizes)])
-    per_stratum = _march(groups, domain, params, workers, chunk_points * n_paths, levels)
+    per_stratum = _march(groups, domain, params, workers, chunk_points * n_paths)
     n_points = sum(sum(layer[-1]) for layer in layers)
-    interior, var = [0.0] * levels, 0.0
+    interior, var = [0.0] * grid[-1], 0.0  # one sum per ladder level
     for (_, _, _, vol, _), results in zip(layers, per_stratum):
         # per point: each level's path mean, then their combination
         means = np.concatenate([chunk_means for chunk_means, _, _ in results], axis=1)
-        for level in range(levels):
-            interior[level] += vol * means[level].mean()
+        interior = [total + vol * level_means.mean() for total, level_means in zip(interior, means)]
         sem = means[-1].std(ddof=1) / math.sqrt(means.shape[1])
         var += (vol * sem) ** 2
     se = math.sqrt(var)
@@ -849,7 +847,7 @@ def z_trace(
         "interior_se": se,
         "n_strata": len(strata),
     }
-    return _estimate([ft - i for i in interior], se, n_points * n_paths, dt, t, meta)
+    return _estimate([ft - i for i in interior], se, n_points * n_paths, grid, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -1038,7 +1036,7 @@ def ryznar_check(
     dt = t / budgets.steps
     ests = [
         _r_estimates([(t, x, dt, rng.substream(i, branch)) for i, x in enumerate(xs)], domain,
-                     budgets.n_paths, p, extrapolate=True, workers=budgets.workers)
+                     budgets.n_paths, p, extrapolate=budgets.extrapolate, workers=budgets.workers)
         for branch, p in ((0, params), (1, stable))
     ]
     grow = math.exp(2.0 * params.m * t)

@@ -78,8 +78,8 @@ class SerialPool:
 
 
 def r_extrapolated(t, x, domain, n_paths, dt, rng, params, workers=1):
-    """r_D(t, x, x) on the two-level ladder of dt and rng, as
-    `halfspace_profile`, `ryznar_check` and verify mark a point."""
+    """r_D(t, x, x) on the two-level ladder of dt and rng, as an
+    extrapolating `halfspace_profile` or `ryznar_check` marks a point."""
     return tracelab._r_estimates([(t, x, dt, rng)], domain, n_paths, params, extrapolate=True,
                                  workers=workers)[0]
 
@@ -120,7 +120,7 @@ class TestFirstExit:
         means = []
         ses = []
         for j, steps in enumerate((8, 16, 32)):
-            _, n_steps, dt, _ = tracelab._ladder(t, t / steps, rng, False)
+            (_, n_steps, dt, _), _ = tracelab._ladder(t, t / steps, rng, False)
             gen = rng.substream(20, j).generator()
             exited, exit_step, _ = one_chunk_exits(np.zeros((n, 2)), ball, n_steps, dt, p, gen)
             tau = np.where(exited, (exit_step - 0.5) * dt, t)
@@ -130,16 +130,17 @@ class TestFirstExit:
             assert b <= a + 3 * math.hypot(sa, sb)
 
 
-def exit_arrays(starts, gens, sizes, domain, n_steps, dt, params, levels=1):
-    """Each chunk's (exited, exit_step, exit_dist), one row per ladder level,
-    coarsest first, rebuilt from the exit events of `_exit_steps`: a mask,
-    the exit step on the level's grid and |X_exit - start|."""
-    n = len(starts)
+def exit_arrays(starts, gens, sizes, domain, grid, params):
+    """Each chunk's (exited, exit_step, exit_dist), one row per ladder level
+    of the march grid (t, n_steps, dt, levels), coarsest first, rebuilt from
+    the exit events of `_exit_steps`: a mask, the exit step on the level's
+    grid and |X_exit - start|."""
+    n, levels = len(starts), grid[-1]
     exited = np.zeros((levels, n), dtype=bool)
     exit_step = np.zeros((levels, n), dtype=np.int64)
     exit_dist = np.zeros((levels, n))
-    for level, k, rows, dist, weight in tracelab._exit_steps(starts, gens, sizes, domain,
-                                                             n_steps, dt, params, levels):
+    for level, k, rows, dist, weight in tracelab._exit_steps(starts, gens, sizes, domain, grid,
+                                                             params):
         assert weight is None and not exited[level, rows].any()  # one exit per level
         exited[level, rows] = True
         exit_step[level, rows] = k
@@ -151,8 +152,8 @@ def exit_arrays(starts, gens, sizes, domain, n_steps, dt, params, levels=1):
 
 def one_chunk_exits(starts, domain, n_steps, dt, params, gen):
     """The exit arrays of `starts` marched as one chunk, on one level."""
-    return tuple(a[0] for a in exit_arrays(starts, [gen], [len(starts)], domain, n_steps, dt,
-                                           params)[0])
+    grid = (n_steps * dt, n_steps, dt, 1)
+    return tuple(a[0] for a in exit_arrays(starts, [gen], [len(starts)], domain, grid, params)[0])
 
 
 def gather_scatter_exits(starts, domain, n_steps, dt, params, gen):
@@ -274,7 +275,7 @@ class TestRunExits:
         n_steps, dt = 16, 0.2 / 16
         gens = [np.random.default_rng(seed) for seed in range(len(starts))]
         batch = exit_arrays(np.concatenate(starts), gens, [len(s) for s in starts], domain,
-                            n_steps, dt, params)
+                            (0.2, n_steps, dt, 1), params)
         for seed, (s, gen, got) in enumerate(zip(starts, gens, batch)):
             alone = np.random.default_rng(seed)
             want = gather_scatter_exits(s, domain, n_steps, dt, params, alone)
@@ -296,14 +297,14 @@ class TestRunExits:
         params = ProcessParams(alpha=0.5, m=1.0, d=2)
         disc = Ball(center=(0.0, 0.0), radius=1.0, d=2)
         t, n_steps, sizes = 0.05, 8, [1500, 1000]
-        dt = t / n_steps
-        tracelab._warm([(t, n_steps, dt)], params)
+        grid = (t, n_steps, t / n_steps, 1)
+        tracelab._warm([grid], params)
 
         def scored(seeds, sizes):
             gens = [np.random.default_rng(seed) for seed in seeds]
-            steps = tracelab._exit_steps(np.zeros((sum(sizes), 2)), gens, sizes, disc, n_steps,
-                                         dt, params)
-            return tracelab._scored(steps, sizes, t, n_steps, dt, params, 1)
+            steps = tracelab._exit_steps(np.zeros((sum(sizes), 2)), gens, sizes, disc, grid,
+                                         params)
+            return tracelab._scored(steps, sizes, grid, params)
 
         batch = scored([0, 1], sizes)
         for seed, size, (scores, count) in zip([0, 1], sizes, batch):
@@ -322,7 +323,7 @@ class TestLadder:
     def test_snaps_the_step_and_marches_the_finest_level(self, rng, extrapolate, levels):
         # dt = 0.3 snaps to t/3; with two levels the march is 6 steps of t/6
         assert tracelab._ladder(1.0, 0.3, rng, extrapolate) == (
-            levels, 3 * levels, 1.0 / 3 / levels, rng.substream(0))
+            (1.0, 3 * levels, 1.0 / 3 / levels, levels), rng.substream(0))
 
 
 class TestREstimate:
@@ -426,7 +427,7 @@ class TestREstimate:
             kernels._table_key(params.m * (t - (k - 0.5) * dt), params)
             for k in range(1, n_steps + 1)
         ]
-        _warm([(t, n_steps, dt)], params)
+        _warm([(t, n_steps, dt, 1)], params)
         seen = _execute(cached_in_worker, [(keys, params.beta)] * 2, workers=2)
         assert seen == [(True, True)] * 2
 
@@ -548,12 +549,12 @@ class ScriptedNormals:
         out[...] = np.reshape([queue.pop(0) for _ in range(out.size)], out.shape)
 
 
-def record_sums(gens, sizes, t, n_steps, dt, params, levels=1):
-    """Each chunk's per-path record sums, one row per ladder level, and its
-    record count on the finest level: the record events of `_record_steps`
-    scored by `_scored`."""
-    steps = tracelab._record_steps(gens, sizes, n_steps, dt, params, levels)
-    return tracelab._scored(steps, sizes, t, n_steps, dt, params, levels)
+def record_sums(gens, sizes, grid, params):
+    """Each chunk's per-path record sums, one row per ladder level of the
+    march grid (t, n_steps, dt, levels), and its record count on the finest
+    level: the record events of `_record_steps` scored by `_scored`."""
+    return tracelab._scored(tracelab._record_steps(gens, sizes, grid, params), sizes, grid,
+                            params)
 
 
 class TestRecordMarch:
@@ -581,7 +582,7 @@ class TestRecordMarch:
         assert n_records == 4
 
         gen = ScriptedNormals(levy, normal, tangential)
-        ((sums, count),) = record_sums([gen], [1], t, n_steps, dt, params)
+        ((sums, count),) = record_sums([gen], [1], (t, n_steps, dt, 1), params)
         assert count == n_records
 
         depths = np.unique(np.concatenate([[0.0], -np.minimum.accumulate(np.minimum(w1, 0.0))]))
@@ -606,7 +607,7 @@ class TestRecordMarch:
         f = np.zeros((len(depths), n))
         lows = np.zeros(n)
         gen = rng.substream(40).generator()
-        for _, k, rows, dist, fall in tracelab._record_steps([gen], [n], n_steps, dt,
+        for _, k, rows, dist, fall in tracelab._record_steps([gen], [n], (t, n_steps, dt, 1),
                                                              relativistic2d):
             score = tracelab.cauchy_density(t - (k - 0.5) * dt, dist, relativistic2d)
             low, new_low = lows[rows], lows[rows] - fall
@@ -630,14 +631,14 @@ class TestRecordMarch:
         params = ProcessParams(alpha=alpha, m=m, d=3)
         t, n_steps, sizes = 0.2, 16, [170, 1, 40]
         for levels in (1, 2):
+            grid = (t, n_steps, t / n_steps, levels)
             if alpha != 1.0:
-                tracelab._warm([(t, n_steps, t / n_steps)], params, levels)
+                tracelab._warm([grid], params)
             gens = [np.random.default_rng(seed) for seed in range(len(sizes))]
-            batch = record_sums(gens, sizes, t, n_steps, t / n_steps, params, levels)
+            batch = record_sums(gens, sizes, grid, params)
             for seed, (size, gen, (sums, count)) in enumerate(zip(sizes, gens, batch)):
                 alone = np.random.default_rng(seed)
-                ((want, want_count),) = record_sums([alone], [size], t, n_steps, t / n_steps,
-                                                    params, levels)
+                ((want, want_count),) = record_sums([alone], [size], grid, params)
                 assert np.array_equal(sums, want) and count == want_count
                 assert gen.bit_generator.state == alone.bit_generator.state
             assert batch[0][1] > 170
@@ -656,7 +657,7 @@ def single_level_record_sum(w1, s, tangent, t, dt, params):
             tangential += list((tangent[k] - tangent[last]) / math.sqrt(2.0 * (s[k] - s[last])))
             low, last = w1[k], k
     gen = ScriptedNormals(levy, normal, tangential)
-    ((sums, _),) = record_sums([gen], [1], t, len(w1) - 1, dt, params)
+    ((sums, _),) = record_sums([gen], [1], (t, len(w1) - 1, dt, 1), params)
     return sums[0, 0]
 
 
@@ -671,7 +672,9 @@ class TestCoupledLadder:
         # first leaves at the even step 4, which exits both levels; the
         # third is out at step 7 only, which the coarse level never sees.
         # Each level's exit and score are those of `first_exit` on the path
-        # (fine) and on its even-step subsequence (coarse)
+        # (fine) and on its even-step subsequence (coarse).  Three levels
+        # read steps 4 and 8, the even steps and every step by the same
+        # rule: the first path is kept to its level-0 exit at step 8
         params = ProcessParams(alpha=1.0, m=0.0, d=2)
         disc = Ball(center=(0.0, 0.0), radius=1.0, d=2)
         t, n_steps = 0.8, 8
@@ -692,23 +695,30 @@ class TestCoupledLadder:
             return [ScriptedNormals(levy, [], leg.ravel()) for leg in legs]
 
         starts = paths[:, 0]
-        exits = exit_arrays(starts, gens(), [1, 1, 1], disc, n_steps, dt, params, levels=2)
-        steps = tracelab._exit_steps(starts, gens(), [1, 1, 1], disc, n_steps, dt, params, 2)
-        scored = tracelab._scored(steps, [1, 1, 1], t, n_steps, dt, params, 2)
-        want_steps = [(3, 3), (2, 4), (None, 7)]  # (coarse, fine)
-        for path, (exited, exit_step, _), (scores, count), steps in zip(
-                paths, exits, scored, want_steps):
-            assert count == 1
-            for level, (grid, dt_level) in enumerate([(path[::2], 2 * dt), (path, dt)]):
-                k, x = first_exit(PathGrid(start=grid[0], dt=dt_level, horizon=t, positions=grid),
-                                  disc)
-                assert k == steps[level]
-                if k is None:
-                    assert not exited[level, 0] and scores[level, 0] == 0.0
-                    continue
-                assert exited[level, 0] and exit_step[level, 0] == k
-                want = tracelab.cauchy_density(t - (k - 0.5) * dt_level, np.linalg.norm(x), params)
-                assert scores[level, 0] == pytest.approx(want, rel=1e-12)
+        # each path's exit step on each level, coarsest first
+        want_steps = {2: [(3, 3), (2, 4), (None, 7)],
+                      3: [(2, 3, 3), (1, 2, 4), (None, None, 7)]}
+        for levels, want in want_steps.items():
+            march = (t, n_steps, dt, levels)
+            exits = exit_arrays(starts, gens(), [1, 1, 1], disc, march, params)
+            steps = tracelab._exit_steps(starts, gens(), [1, 1, 1], disc, march, params)
+            scored = tracelab._scored(steps, [1, 1, 1], march, params)
+            for path, (exited, exit_step, _), (scores, count), steps in zip(
+                    paths, exits, scored, want):
+                assert count == 1
+                for level in range(levels):
+                    stride = 2 ** (levels - 1 - level)
+                    grid, dt_level = path[::stride], stride * dt
+                    k, x = first_exit(
+                        PathGrid(start=grid[0], dt=dt_level, horizon=t, positions=grid), disc)
+                    assert k == steps[level]
+                    if k is None:
+                        assert not exited[level, 0] and scores[level, 0] == 0.0
+                        continue
+                    assert exited[level, 0] and exit_step[level, 0] == k
+                    want_score = tracelab.cauchy_density(t - (k - 0.5) * dt_level,
+                                                         np.linalg.norm(x), params)
+                    assert scores[level, 0] == pytest.approx(want_score, rel=1e-12)
 
     def test_level_record_sums_are_single_level_record_sums(self):
         # a hand-built d = 3 path whose coarse records (even steps 2, 4, 6,
@@ -732,7 +742,7 @@ class TestCoupledLadder:
                 tangent[k] += draws[union.index(k)] * math.sqrt(2.0 * (s[k] - s[last]))
                 last = k
         gen = ScriptedNormals(levy, normal, draws.ravel())
-        ((sums, count),) = record_sums([gen], [1], t, n_steps, dt, params, levels=2)
+        ((sums, count),) = record_sums([gen], [1], (t, n_steps, dt, 2), params)
         assert count == 3 and not gen.queues[(2,)]
         coarse = single_level_record_sum(w1[::2], s[::2], tangent[::2], t, 2 * dt, params)
         fine = single_level_record_sum(w1, s, tangent, t, dt, params)
@@ -744,15 +754,15 @@ class TestCoupledLadder:
         # a march task returns the levels' record sums and their path-by-path
         # combination 2F - C, whose sample stderr the estimate reports
         t, n_steps, n = 0.5, 32, 2000
-        args = ([np.random.default_rng(5)], [n], t, n_steps, t / n_steps, cauchy2d, 2)
-        ((sums, _),) = record_sums(*args)
-        ((means, m2, _),) = tracelab._march_batch(cauchy2d, None, t, n_steps, t / n_steps, 2,
+        grid = (t, n_steps, t / n_steps, 2)
+        ((sums, _),) = record_sums([np.random.default_rng(5)], [n], grid, cauchy2d)
+        ((means, m2, _),) = tracelab._march_batch(cauchy2d, None, grid,
                                                   [(np.zeros((1, 2)), n, np.random.default_rng(5))])
         paired = 2.0 * sums[1] - sums[0]
         for column, want in zip(means[:, 0], (sums[0].mean(), sums[1].mean(), paired.mean())):
             assert column == pytest.approx(want, rel=1e-12)
         assert m2[-1, 0] == pytest.approx(((paired - paired.mean()) ** 2).sum(), rel=1e-12)
-        est = tracelab._from_moments((n, means[:, 0], m2[:, 0]), t / n_steps, t, {})
+        est = tracelab._from_moments((n, means[:, 0], m2[:, 0]), grid, {})
         assert est.value == 2.0 * means[1, 0] - means[0, 0]
         assert est.stderr == pytest.approx(paired.std(ddof=1) / math.sqrt(n), rel=1e-12)
         # far below the se of independent levels, sqrt(4 Var F + Var C / n)
@@ -995,9 +1005,31 @@ class TestTrace:
         # eight 100-row chunks of one grid under a 10 000-row cap are one
         # batch for one worker, and at least one batch per worker for more;
         # a chunk of another grid is batched apart
-        chunks = [(0.1, 8, 0.0125, np.zeros((10, 2)), 10, None)] * 8
-        chunks.append((0.1, 16, 0.00625, np.zeros((1, 2)), 10, None))
+        chunks = [((0.1, 8, 0.0125, 1), np.zeros((10, 2)), 10, None)] * 8
+        chunks.append(((0.1, 16, 0.00625, 1), np.zeros((1, 2)), 10, None))
         assert tracelab._batches(chunks, 10_000, workers) == batches
+
+    def test_level_count_is_part_of_the_batch_key(self, relativistic2d, unit_ball):
+        # two groups on the same (t, n_steps, dt), one scoring one level and
+        # one two: never one batch, and one march of both gives each group
+        # the numbers of its own march
+        def groups():
+            points = np.array([[0.8, 0.0], [0.0, 0.5]])
+            return [[((0.1, 8, 0.1 / 8, levels), points, 100, np.random.default_rng(2 * levels + c))
+                     for c in range(2)]
+                    for levels in (1, 2)]
+
+        chunks = [c for group in groups() for c in group]
+        assert tracelab._batches(chunks, 10_000, 1) == [[0, 1], [2, 3]]
+        together = tracelab._march(groups(), unit_ball, relativistic2d, 1, 10_000)
+        alone = [tracelab._march([group], unit_ball, relativistic2d, 1, 10_000)[0]
+                 for group in groups()]
+        for got, want in zip(together, alone):
+            for (means, m2, count), (want_means, want_m2, want_count) in zip(got, want):
+                assert np.array_equal(means, want_means) and np.array_equal(m2, want_m2)
+                assert count == want_count
+        shapes = [means.shape for means, _, _ in together[0] + together[1]]
+        assert shapes == [(2, 2)] * 2 + [(3, 2)] * 2  # levels and their combination, per point
 
     @pytest.mark.parametrize(
         "kw", [dict(chunk_points=0), dict(chunk_points=-5), dict(chunk_points=2.5),
@@ -1013,12 +1045,17 @@ class TestTrace:
             z_trace(0.05, unit_ball, args.pop("n_x"), args.pop("n_paths"), 0.05 / 8,
                     rng.substream(37), ProcessParams(alpha=1.0, m=1.0, d=2), **args)
 
+    @pytest.mark.parametrize("extrapolate", [False, True])
     @pytest.mark.parametrize("alpha,builds", [(1.0, False), (1.5, True)])
-    def test_kernel_tables_only_off_alpha_one(self, monkeypatch, rng, unit_ball, alpha, builds):
+    def test_kernel_tables_only_off_alpha_one(self, monkeypatch, rng, unit_ball, alpha, builds,
+                                              extrapolate):
         # alpha = 1 scores exits in closed form: no table, no far-field
         # quadrature; the one profile quadrature left is the first term's
-        # C1(t), at rho = 0
+        # C1(t), at rho = 0.  Other alpha build every table of every ladder
+        # level in the warm-up (`_warm`'s one `build_tables`), so the march
+        # that follows, the coarse level's scores too, builds none
         calls = []
+        warm = []
 
         def recording(name, fn):
             def wrapper(*args, **kwargs):
@@ -1026,19 +1063,28 @@ class TestTrace:
                     calls.append((name, np.asarray(args[0]).tolist()))
                 else:
                     calls.append(name)
-                return fn(*args, **kwargs)
+                out = fn(*args, **kwargs)
+                if name == "build_tables":
+                    warm.append(set(kernels._TABLE_CACHE))
+                return out
             return wrapper
 
+        monkeypatch.setattr(kernels, "_TABLE_CACHE", {})  # tables of earlier tests hide none
         for module, name in ((tracelab, "build_tables"), (tracelab, "build_table"),
                              (kernels, "_profile_batch")):
             monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
         params = ProcessParams(alpha=alpha, m=1.0, d=2)
         est = z_trace(0.05, unit_ball, 200, 20, 0.05 / 8, rng.substream(35), params,
-                      chunk_points=64)
+                      extrapolate=extrapolate, chunk_points=64)
         assert est.value > 0
         assert ("build_tables" in calls) == builds
-        if not builds:
-            assert calls == [("_profile_batch", [0.0])]
+        if builds:
+            assert calls.count("build_tables") == 1
+            assert set(kernels._TABLE_CACHE) == warm[0]
+            # each step of each level: 8 steps of 0.05/8, and 16 of 0.05/16
+            assert len(warm[0]) == (24 if extrapolate else 8)
+        else:
+            assert calls == [("_profile_batch", [0.0])] and not kernels._TABLE_CACHE
 
     def test_default_strata_cover_domain(self, cauchy2d, unit_ball):
         strata = default_strata(unit_ball, 0.02, cauchy2d)
@@ -1134,13 +1180,16 @@ class TestRyznar:
         assert rep.n_violations == 0
 
 
-    def test_one_march_per_mass(self, monkeypatch, rng, relativistic2d, unit_ball):
+    @pytest.mark.parametrize("extrapolate", [False, True])
+    def test_one_march_per_mass(self, monkeypatch, rng, relativistic2d, unit_ball, extrapolate):
         # the points of each mass march as one batch, with the numbers of
-        # separate per-point calls on the same substreams, at any worker count
-        t, budgets = 0.1, Budgets(n_paths=300, steps=16)
+        # separate per-point calls on the same substreams and on the ladder
+        # the budgets ask for, at any worker count
+        t, budgets = 0.1, Budgets(n_paths=300, steps=16, extrapolate=extrapolate)
         xs = [np.array([0.0, 0.0]), np.array([0.6, 0.0]), np.array([0.0, -0.8])]
         direct = [
-            [r_extrapolated(t, x, unit_ball, 300, t / 16, rng.substream(29, i, branch), p)
+            [tracelab._r_estimates([(t, x, t / 16, rng.substream(29, i, branch))], unit_ball, 300,
+                                   p, extrapolate=budgets.extrapolate, workers=1)[0]
              for branch, p in ((0, relativistic2d), (1, relativistic2d.with_mass(0.0)))]
             for i, x in enumerate(xs)
         ]
@@ -1184,10 +1233,11 @@ class TestMomentMerge:
         # the sample mean of their merged (n, mean, M2), field for field
         monkeypatch.setattr(tracelab, "CHUNK_PATHS", 100)
         x = np.array([0.8, 0.0])
-        requests = [(0.1, x, 350, 8, 0.1 / 8, rng.substream(31, 0))]  # the one-level ladder
+        grid = (0.1, 8, 0.1 / 8, 1)  # the one-level ladder
+        requests = [(grid, x, 350, rng.substream(31, 0))]
         ((moments, exits),) = tracelab._r_moments(requests, unit_ball, relativistic2d, 1)
         est = r_estimate(0.1, x, unit_ball, 350, 0.1 / 8, rng.substream(31), relativistic2d)
-        ref = tracelab._from_moments(moments, est.dt, 0.1, est.meta)
+        ref = tracelab._from_moments(moments, grid, est.meta)
         assert moments[0] == est.n_samples == 350
         assert (est.value, est.stderr, est.n_samples) == (ref.value, ref.stderr, ref.n_samples)
         assert est.meta["exit_fraction"] == exits / 350
