@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 from .errors import ParameterError
 from .geometry import parse_domain
 from .specfun import ProcessParams
-from .tracelab import MIN_PATHS, Budgets, _check_count
+from .tracelab import MIN_PATHS, Budgets, _check_count, _check_flag
 
 FORMATS = ("csv", "json")  # artifact formats io.write_rows writes
 
@@ -41,13 +41,16 @@ class ExperimentConfig:
         # checked here so that a CLI run rejects them before any work starts
         for name in ("steps", "chunk_points", "n_x", "n_paths", "profile_n_paths", "workers"):
             _check_count(name, getattr(self, name))
+        # a bool passes isinstance(x, int), but is no scale or seed
         s = self.budget_scale
-        if not isinstance(s, (int, float)) or not 0.0 < s < math.inf:
+        if isinstance(s, bool) or not isinstance(s, (int, float)) or not 0.0 < s < math.inf:
             raise ParameterError(f"budget_scale must be finite and > 0, got {s!r}")
-        if not all(0.0 < t < math.inf for t in self.t_grid):
-            raise ParameterError(f"every t must be finite and > 0, got t_grid={self.t_grid!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not self.t_grid or not all(0.0 < t < math.inf for t in self.t_grid):
+            raise ParameterError(
+                f"t_grid must hold at least one t, each finite and > 0, got {self.t_grid!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ParameterError(f"seed must be an integer >= 0, got {self.seed!r}")
+        _check_flag("extrapolate", self.extrapolate)
         if self.fmt not in FORMATS:
             raise ParameterError(f"fmt must be one of {', '.join(FORMATS)}, got {self.fmt!r}")
 

@@ -11,9 +11,9 @@ rng.substream(0), and each level reads every stride-th march step
 (`_levels`, one rule for both marches): the path at step 2j of dt/2 is a
 path at step j of dt, exactly in law, so with two levels the coarse level
 is the fine path read at its even steps.  Each path (each start point in
-`z_trace`) scores both levels; the extrapolated value is the reported one,
-its stderr that of the per-path combination 2F - C, and the ladder
-difference the reported bias budget.
+`z_trace`) scores every level; the reported value is the Richardson
+combination 2F - C of the two finest (`_combined`), its stderr that of the
+per-path combination, and their difference the reported bias budget.
 
 r_D at a point, the half-space profile f_H(t, q) and the strata of int_D
 r_D are one expectation at different start points.  Each estimator call
@@ -182,7 +182,8 @@ class Budgets:
     substream, whatever the worker count), and chunk_points x n_paths is
     the most rows marched at once: smaller chunks of one grid march
     together up to that many rows.  Every count is an integer >= 1,
-    checked here once for the estimators that divide by it.
+    checked here once for the estimators that divide by it, and
+    `extrapolate` is a bool.
     """
 
     n_paths: int = 2000
@@ -196,6 +197,7 @@ class Budgets:
     def __post_init__(self):
         for name in ("n_paths", "n_x", "steps", "profile_n_paths", "chunk_points", "workers"):
             _check_count(name, getattr(self, name))
+        _check_flag("extrapolate", self.extrapolate)
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +374,12 @@ def _scored(steps, sizes, grid, params):
 
 def _combined(levels):
     """The Richardson combination of a ladder's levels, coarsest first, as
-    values or sample by sample: with levels at dt (coarse) and dt/2 (fine),
-    fine + (fine - coarse) / (2^RICHARDSON_ORDER - 1); one level is its own."""
+    values or sample by sample: of its two finest, at dt (coarse) and dt/2
+    (fine), fine + (fine - coarse) / (2^RICHARDSON_ORDER - 1); one level is
+    its own."""
     if len(levels) == 1:
         return levels[0]
-    coarse, fine = levels
+    coarse, fine = levels[-2:]
     return fine + (fine - coarse) / (2.0**RICHARDSON_ORDER - 1.0)
 
 
@@ -487,11 +490,12 @@ def _from_moments(moments, grid, meta) -> TraceEstimate:
 def _estimate(values, stderr, n_paths, grid, meta) -> TraceEstimate:
     """The estimate of a ladder's level values, coarsest first, each scored
     by `n_paths` samples, with the stderr of their sample-by-sample
-    combination: one level as it is, two Richardson-extrapolated with the
-    ladder correction as the reported bias budget.  `dt` is the march
-    grid's, the finest level's; `n_samples` sums paths over levels."""
-    if len(values) == 2:
-        coarse, fine = values
+    combination: one level as it is, more Richardson-extrapolated from the
+    two finest (`_combined`), their ladder correction the reported bias
+    budget.  `dt` is the march grid's, the finest level's; `n_samples` sums
+    paths over levels."""
+    if len(values) > 1:
+        coarse, fine = values[-2:]
         meta = {
             **meta,
             "extrapolated": True,
@@ -539,6 +543,12 @@ def _check_count(name, value):
     """A sample count or chunk size must be an integer >= 1."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_flag(name, value):
+    """A switch must be a bool: the string "no" is truthy."""
+    if not isinstance(value, bool):
+        raise ParameterError(f"{name} must be True or False, got {value!r}")
 
 
 def _chunk_sizes(total, chunk):
@@ -869,6 +879,8 @@ def residual_scan(
     if not getattr(domain, "bounded", False):
         raise ParameterError("residual_scan requires a bounded domain")
     t_grid = sorted(float(t) for t in t_grid)
+    if not t_grid:
+        raise ParameterError("residual_scan needs at least one t")
     r_smooth = domain.smoothness_radius
     for t in t_grid:
         if t ** (1.0 / params.alpha) > r_smooth / 2.0:
@@ -960,7 +972,7 @@ def lambda1_estimate(
     """Principal eigenvalue from the large-t slope of -log Z_D(t).
 
     Valid once a single mode dominates (Z below ~1.5); curvature of log Z
-    beyond its standard error flags second-mode contamination.
+    beyond `Z_SIGMA` of its standard error flags second-mode contamination.
     """
     t_grid = sorted(float(t) for t in t_grid_large)
     if len(t_grid) < 2:
@@ -994,14 +1006,18 @@ def lambda1_estimate(
     y = -np.log(np.array([e.value for e in zs]))
     var_y = np.array([(e.stderr / e.value) ** 2 for e in zs])
     slope, slope_se, _ = _weighted_line_fit(ts, y, 1.0 / var_y)
-    # quadratic term of an unweighted fit measures curvature of log Z
-    curvature = float(np.polyfit(ts, y, 2)[0]) if len(ts) >= 3 else 0.0
+    # the quadratic term of a weighted fit measures the curvature of log Z,
+    # and the same fit gives its stderr
+    curvature, curvature_se = 0.0, math.inf
+    if len(ts) >= 3:
+        coeffs, cov = np.polyfit(ts, y, 2, w=1.0 / np.sqrt(var_y), cov="unscaled")
+        curvature, curvature_se = float(coeffs[0]), math.sqrt(cov[0, 0])
     meta = {
         "estimator": "lambda1",
         "z_values": [e.value for e in zs],
         "z_stderrs": [e.stderr for e in zs],
         "curvature": curvature,
-        "second_mode_flag": bool(len(ts) >= 3 and abs(curvature) > slope_se),
+        "second_mode_flag": bool(abs(curvature) > Z_SIGMA * curvature_se),
     }
     return TraceEstimate(
         value=float(slope),

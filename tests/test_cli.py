@@ -72,7 +72,9 @@ class TestConfig:
          # fractional steps would run on a rounded grid, and n_paths=True on
          # the path floor
          ("steps", 2.5), ("chunk_points", 1.5), ("n_x", 64.0), ("profile_n_paths", 200.5),
-         ("workers", True), ("n_paths", True)],
+         ("workers", True), ("n_paths", True), ("seed", True), ("budget_scale", True),
+         # an empty grid leaves the commands nothing to run; "no" is truthy
+         ("t_grid", ()), ("extrapolate", "no")],
     )
     def test_bad_budget_rejected(self, key, value):
         with pytest.raises(ParameterError):

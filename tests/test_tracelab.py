@@ -557,6 +557,32 @@ def record_sums(gens, sizes, grid, params):
                             params)
 
 
+def bridge_c2(t, n_steps, m, n, gen):
+    """n samples of p(t, 0) M at alpha = 1, d = 2, mass m: C2(t) of the
+    process monitored at the n_steps grid steps is their mean.
+
+    Given the subordinator S, the path pinned at X_t = X_0 is a Brownian
+    bridge of duration S_t read at the S_k, and the monitored depth of the
+    half-space exits integrated over start depths is M = max(0, -min_k b_k)
+    of its normal coordinate b.  Size-biasing the law of S by S_t^(-1)
+    (d = 2) makes w = v^(1/2) ~ Gamma(2, rate t), tilted by the mass, and
+    the steps inverse Gaussian, tempered at rate w^2 + m^2.  Shares no code
+    with the record march, its scorer or the kernel tables."""
+    dt = t / n_steps
+    w = np.empty(0)
+    while len(w) < n:
+        draw = gen.gamma(2.0, 1.0 / t, size=n)
+        keep = gen.random(n) < np.exp(-t * (np.hypot(draw, m) - draw))
+        w = np.concatenate([w, draw[keep]])
+    rate = np.hypot(w[:n], m)
+    ds = gen.wald(np.repeat(dt / (2.0 * rate[:, None]), n_steps, axis=1), dt * dt / 2.0)
+    s = np.cumsum(ds, axis=1)
+    walk = np.cumsum(gen.normal(size=ds.shape) * np.sqrt(2.0 * ds), axis=1)
+    bridge = walk - s / s[:, -1:] * walk[:, -1:]
+    p0 = (1.0 + m * t) / (2.0 * math.pi * t * t)  # p(t, 0) of the alpha = 1 kernel in d = 2
+    return p0 * np.maximum(0.0, -bridge.min(axis=1))
+
+
 class TestRecordMarch:
     def test_record_sum_is_the_depth_integral_of_exit_scores(self):
         # one hand-built path at alpha = 1, m = 0, d = 3: its record sum is
@@ -642,6 +668,25 @@ class TestRecordMarch:
                 assert np.array_equal(sums, want) and count == want_count
                 assert gen.bit_generator.state == alone.bit_generator.state
             assert batch[0][1] > 170
+
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    def test_grid_exact_record_sums_match_the_bridge(self, rng, m):
+        # an independent oracle: the record sums scored at their grid times,
+        # p(t - k dt) and 0 at k = n, are C2(t) of the grid-monitored process,
+        # as is p(t, 0) E_Q[M] of the bridge representation (`bridge_c2`)
+        params = ProcessParams(alpha=1.0, m=m, d=2)
+        t, n_steps, n = 1.0, 16, 200_000
+        dt = t / n_steps
+        sums = np.zeros(n)
+        gen = rng.substream(42, int(m)).generator()
+        for _, k, rows, dist, fall in tracelab._record_steps([gen], [n], (t, n_steps, dt, 1),
+                                                             params):
+            if k < n_steps:
+                sums[rows] += fall * tracelab.cauchy_density(t - k * dt, dist, params)
+        bridge = bridge_c2(t, n_steps, m, n, np.random.default_rng(43 + int(m)))
+        se = [x.std(ddof=1) / math.sqrt(n) for x in (sums, bridge)]
+        assert abs(sums.mean() - bridge.mean()) <= tracelab.Z_SIGMA * math.hypot(*se), (
+            sums.mean(), bridge.mean(), se)
 
 
 def single_level_record_sum(w1, s, tangent, t, dt, params):
@@ -750,23 +795,30 @@ class TestCoupledLadder:
         assert sums[1, 0] == pytest.approx(fine, rel=1e-12)
         assert coarse != pytest.approx(fine, rel=1e-3)
 
-    def test_score_columns_are_levels_then_their_combination(self, cauchy2d):
-        # a march task returns the levels' record sums and their path-by-path
-        # combination 2F - C, whose sample stderr the estimate reports
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_score_columns_are_levels_then_their_combination(self, cauchy2d, levels):
+        # a march task returns the levels' record sums, coarsest first, and
+        # the path-by-path combination 2F - C of the two finest, whose sample
+        # stderr the estimate reports, with their values as its ladder meta
         t, n_steps, n = 0.5, 32, 2000
-        grid = (t, n_steps, t / n_steps, 2)
+        grid = (t, n_steps, t / n_steps, levels)
         ((sums, _),) = record_sums([np.random.default_rng(5)], [n], grid, cauchy2d)
         ((means, m2, _),) = tracelab._march_batch(cauchy2d, None, grid,
                                                   [(np.zeros((1, 2)), n, np.random.default_rng(5))])
-        paired = 2.0 * sums[1] - sums[0]
-        for column, want in zip(means[:, 0], (sums[0].mean(), sums[1].mean(), paired.mean())):
+        assert means.shape == m2.shape == (levels + 1, 1)
+        coarse, fine = sums[-2:]
+        paired = 2.0 * fine - coarse
+        for column, want in zip(means[:, 0], [*(s.mean() for s in sums), paired.mean()]):
             assert column == pytest.approx(want, rel=1e-12)
         assert m2[-1, 0] == pytest.approx(((paired - paired.mean()) ** 2).sum(), rel=1e-12)
         est = tracelab._from_moments((n, means[:, 0], m2[:, 0]), grid, {})
-        assert est.value == 2.0 * means[1, 0] - means[0, 0]
+        assert est.value == 2.0 * means[-2, 0] - means[-3, 0]
         assert est.stderr == pytest.approx(paired.std(ddof=1) / math.sqrt(n), rel=1e-12)
+        assert (est.meta["value_coarse"], est.meta["value_fine"]) == (means[-3, 0], means[-2, 0])
+        assert est.meta["bias_budget"] == abs(means[-2, 0] - means[-3, 0])
+        assert est.n_samples == levels * n and est.dt == t / n_steps
         # far below the se of independent levels, sqrt(4 Var F + Var C / n)
-        independent = math.sqrt((4.0 * sums[1].var(ddof=1) + sums[0].var(ddof=1)) / n)
+        independent = math.sqrt((4.0 * fine.var(ddof=1) + coarse.var(ddof=1)) / n)
         assert est.stderr < 0.6 * independent
 
     def test_paired_stderr_is_honest(self):
@@ -1097,11 +1149,13 @@ class TestTrace:
 
 class TestBudgets:
     @pytest.mark.parametrize(
-        "name", ["n_paths", "n_x", "steps", "profile_n_paths", "chunk_points", "workers"])
-    @pytest.mark.parametrize("value", [0, 2.5])
+        "name",
+        ["n_paths", "n_x", "steps", "profile_n_paths", "chunk_points", "workers", "extrapolate"])
+    @pytest.mark.parametrize("value", [0, 2.5, "no"])
     def test_bad_count_raises_parameter_error(self, name, value):
         # checked once, before residual_scan, lambda1_estimate or
-        # ryznar_check divide t by `steps` or march on the others
+        # ryznar_check divide t by `steps` or march on the others; and
+        # `extrapolate` is a bool, since the string "no" is truthy
         with pytest.raises(ParameterError, match=name):
             Budgets(**{name: value})
 
@@ -1110,6 +1164,10 @@ class TestResidualScan:
     def test_regime_precondition(self, rng, relativistic2d, unit_ball):
         with pytest.raises(ParameterError):
             residual_scan((0.6,), unit_ball, Budgets(), rng, relativistic2d)
+
+    def test_empty_grid_rejected(self, rng, relativistic2d, unit_ball):
+        with pytest.raises(ParameterError, match="at least one t"):
+            residual_scan((), unit_ball, Budgets(), rng, relativistic2d)
 
     def test_report_structure(self, rng, relativistic2d, unit_ball):
         budgets = Budgets(n_paths=120, n_x=800, steps=32, extrapolate=False,
@@ -1152,6 +1210,29 @@ class TestLambda1:
         within_se(l_big.value, l_small.value / 2,
                   math.hypot(l_big.stderr, l_small.stderr / 2), z=3.0,
                   msg="stable scaling of lambda1")
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0])
+    @pytest.mark.parametrize("second_difference, flagged", [(0.1, False), (1.0, True)])
+    def test_second_mode_flag_weighs_curvature_by_its_stderr(
+            self, monkeypatch, rng, cauchy2d, unit_ball, scale, second_difference, flagged):
+        # -log Z at three equally spaced t, each with se 0.05: the curvature
+        # Delta^2 y / (2 h^2) has se sqrt(6) 0.05 / (2 h^2), so a second
+        # difference of 0.1 is within 1 se and one of 1.0 is 8 se out, on
+        # either time scale (the curvature and its se both scale as
+        # 1/scale^2).  An unweighted curvature against the slope's se, in
+        # other units, flags the first at scale 1
+        ts = scale * np.array([1.0, 1.5, 2.0])
+        y = np.array([2.0, 3.0, 4.0 + second_difference])
+        z = dict(zip(ts.tolist(), np.exp(-y).tolist()))
+
+        def fixed(t, *args, **kw):
+            return TraceEstimate(value=z[t], stderr=0.05 * z[t], n_samples=1, dt=t / 8, t=t)
+
+        monkeypatch.setattr(tracelab, "z_trace", fixed)
+        est = lambda1_estimate(unit_ball, tuple(ts), Budgets(), rng, cauchy2d)
+        h = 0.5 * scale
+        assert est.meta["curvature"] == pytest.approx(second_difference / (2.0 * h * h), rel=1e-9)
+        assert est.meta["second_mode_flag"] is flagged
 
 
 class TestRyznar:
