@@ -19,7 +19,7 @@ from .config import FORMATS, ExperimentConfig, load_config
 from .errors import BudgetError, ParameterError, QuadratureError, StepTooLargeError
 from .io import _jsonable, write_rows
 from .kernels import build_table, c1_const, c1_of_t, free_density
-from .sampler import RngStream, empirical_transform, sample_brownian_leg, sample_tempered_subordinator
+from .sampler import RngStream, empirical_transform, sample_increment, sample_tempered_subordinator
 from .specfun import characteristic_exponent, laplace_exponent
 from .tracelab import (
     c2_of_t,
@@ -118,8 +118,7 @@ def cmd_charfn(cfg: ExperimentConfig) -> str:
     n = cfg.scaled(500_000, 1000)
     dt = 0.1
     gen = RngStream(cfg.seed, 21).generator()
-    u = sample_tempered_subordinator(dt, params, gen, size=n)
-    x = sample_brownian_leg(u, params.d, gen)
+    x = sample_increment(dt, params, gen, size=n)
     rows = []
     for xi in (0.25, 0.5, 1.0, 2.0, 4.0):
         target = math.exp(-dt * characteristic_exponent(xi, params))

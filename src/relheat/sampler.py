@@ -1,17 +1,25 @@
 """Exact-in-distribution sampling of subordinator increments and paths.
 
-Stable subordinator draws are rejection-free: at beta = 1/2 (alpha = 1)
-the Levy draw T = dt^2 / (2 Z^2) from one standard normal Z, at every
-other beta the angle/exponential (Kanter) transformation.  The
-relativistic (tempered) subordinator is obtained from these proposals by
-exponential-tilting rejection with acceptance probability e^{-m dt} per
-proposal.  Process increments are Gaussian with per-coordinate variance
-2u conditional on the subordinator value u, matching the Brownian
-convention E e^{i xi . B_t} = e^{-t |xi|^2}.
+One step primitive, `sample_step_blocks`, draws the clock u of a step
+(the relativistic subordinator T_beta(dt, m)) and the process increment x
+over it.  Stable proposals are rejection-free, and the relativistic
+(tempered) subordinator is obtained from them by exponential-tilting
+rejection with acceptance probability e^{-m dt} per proposal.  Increments
+are Gaussian with per-coordinate variance 2u conditional on the clock u,
+matching the Brownian convention E e^{i xi . B_t} = e^{-t |xi|^2}.
+
+At beta = 1/2 (alpha = 1) a proposal is drawn from two uniforms, one of
+them as an exponential, and is the pair of the increment's first
+coordinate and its clock: the coordinate is Cauchy, dt tan(pi (V - 1/2)),
+and given it the clock is inverse gamma (Devroye, Non-Uniform Random
+Variate Generation, 1986, ch. IV).  Tilting accepts or redraws the pair,
+and only the other d - 1 coordinates need normals.  Every other beta
+proposes by the angle/exponential (Kanter) transformation and draws all d
+coordinates of the increment as normals.
 
 The exit engine draws for many chunks of paths at once, one generator
-per chunk: `sample_tempered_blocks` and `sample_leg_blocks` have each
-generator make its raw draws (normals, angles, exponentials, uniforms)
+per chunk: `sample_step_blocks` and `sample_leg_blocks` have each
+generator make its raw draws (uniforms, exponentials, angles, normals)
 for its block of rows, exactly the calls it makes alone, and run each
 transform once on all blocks.  The one-generator samplers are their
 one-block case.
@@ -30,7 +38,7 @@ __all__ = [
     "PathGrid",
     "kanter_transform",
     "sample_stable_subordinator",
-    "sample_tempered_blocks",
+    "sample_step_blocks",
     "sample_tempered_subordinator",
     "sample_leg_blocks",
     "sample_brownian_leg",
@@ -125,43 +133,38 @@ def _blocks(gens, counts):
             lo += k
 
 
-def _stable_blocks(dt: float, beta: float, gens, counts):
-    """Stable proposals T_beta(dt) for consecutive blocks of rows, block c
-    drawn by gens[c] as it would draw them alone: the normals Z of the Levy
-    draw dt^2 / (2 Z^2) at beta = 1/2, else the angles phi ~ Uniform(0, pi)
-    and then W ~ Exp(1) of `kanter_transform`.  The transform runs once,
-    on all blocks; phi and W go in separate arrays, as the transform runs
-    about 10% slower on the rows of one 2-d array."""
+def _proposals(dt: float, beta: float, gens, counts):
+    """Stable proposals for consecutive blocks of rows, block c drawn by
+    gens[c] as it would draw them alone: a tuple whose first array is the
+    clock u, the transforms run once on all blocks.
+
+    At beta = 1/2 a proposal is the pair (u, dt tau) from V ~ Uniform(0, 1)
+    and then E ~ Exp(1): tau = tan(pi (V - 1/2)) is standard Cauchy, dt tau
+    is the first coordinate of the step's increment, and given it the
+    clock is inverse gamma, u = dt^2 (1 + tau^2) / (4 E).  Every other beta
+    draws the angles phi ~ Uniform(0, pi) and then W ~ Exp(1) of
+    `kanter_transform`, in separate arrays, as the transform runs about 10%
+    slower on the rows of one 2-d array.
+    """
     n = int(sum(counts))
     if beta == 0.5:
-        z = np.empty(n)
+        tau, u = np.empty(n), np.empty(n)
         for gen, rows in _blocks(gens, counts):
-            gen.standard_normal(out=z[rows])
-        z *= z
-        z *= 2.0  # 2 (z z), bit for bit (2 z) z
-        return np.divide(dt * dt, z, out=z)  # dt^2 / (2 z^2), in place
+            gen.random(out=tau[rows])
+            gen.standard_exponential(out=u[rows])
+        tau -= 0.5
+        tau *= math.pi
+        np.tan(tau, out=tau)
+        scale = np.multiply(tau, tau)
+        scale += 1.0
+        scale *= 0.25 * dt * dt
+        tau *= dt
+        return np.divide(scale, u, out=u), tau  # dt^2 / 4 (1 + tau^2) / E, dt tau
     phi, w = np.empty(n), np.empty(n)
     for gen, rows in _blocks(gens, counts):
         phi[rows] = gen.uniform(0.0, math.pi, rows.stop - rows.start)
         gen.standard_exponential(out=w[rows])
-    return kanter_transform(phi, w, dt, beta)
-
-
-def sample_stable_subordinator(dt: float, beta: float, rng: RngStream | np.random.Generator, size=None):
-    """Draws of T_beta(dt), the subordinator with E e^{-lam T} = e^{-dt lam^beta}.
-
-    At beta = 1/2 this is the Levy law, drawn as dt^2 / (2 Z^2) with Z
-    standard normal; `kanter_transform`, which every other beta uses, draws
-    the same law and is its test oracle.
-    """
-    if dt <= 0.0:
-        raise ParameterError(f"dt must be > 0, got {dt}")
-    if not 0.0 < beta < 1.0:
-        raise ParameterError(f"beta must be in (0, 1), got {beta}")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    n = 1 if size is None else int(size)
-    out = _stable_blocks(dt, beta, [gen], [n])
-    return float(out[0]) if size is None else out
+    return (kanter_transform(phi, w, dt, beta),)
 
 
 def _rejected(u, tilt: float, gens, counts):
@@ -175,25 +178,26 @@ def _rejected(u, tilt: float, gens, counts):
     return np.flatnonzero(uniforms >= np.exp(p_accept, out=p_accept))
 
 
-def sample_tempered_blocks(
-    dt: float,
-    params: ProcessParams,
-    gens,
-    counts,
-):
-    """Relativistic subordinator steps T_beta(dt, m) for consecutive blocks
-    of rows, by tilting rejection; returns (draws, number of proposals).
+def sample_step_blocks(dt: float, params: ProcessParams, d: int, gens, counts):
+    """One step of length dt for consecutive blocks of rows: (u, x, number
+    of proposals), u the clock T_beta(dt, m) and x the (rows, d) increment
+    of the process over it; d = 0 draws the clock alone.
 
-    Proposals are stable draws accepted with probability e^{-m^{1/beta} u};
-    the overall acceptance rate is e^{-m dt}.  When that rate falls below
+    Clocks come from stable proposals (`_proposals`) by tilting rejection:
+    a proposal is accepted with probability e^{-m^{1/beta} u}, so the
+    overall rate is e^{-m dt}, and when that rate falls below
     `ACCEPTANCE_FLOOR` the step is refused outright.  Round 1 proposes
-    every row and keeps the proposals as the draws; each later round
-    proposes again for the rows the previous round rejected, and only those
-    rows are drawn and written.  Generator gens[c] makes block c's
-    counts[c] draws: its proposals, then (m > 0) their acceptance uniforms,
-    then the same for its rejected rows, until none is left, the calls of a
-    march of that block alone.  The transforms and the acceptance test run
-    once per round on every block together.
+    every row and keeps the proposals; each later round proposes again for
+    the rows the previous round rejected, and only those rows are drawn and
+    written.  At beta = 1/2 a proposal is the pair of the first coordinate
+    dt tau and its clock, accepted or redrawn together, and coordinates
+    2..d are sqrt(2u) G; at every other beta all d coordinates are
+    sqrt(2u) G (`sample_leg_blocks`).  Generator gens[c] makes block c's
+    draws: its counts[c] proposals, then (m > 0) their acceptance
+    uniforms, then the same for its rejected rows until none is left, and
+    then its normals G, the calls of a step of that block alone.  The
+    transforms and the acceptance test run once per round on every block
+    together.
     """
     if dt <= 0.0:
         raise ParameterError(f"dt must be > 0, got {dt}")
@@ -204,21 +208,44 @@ def sample_tempered_blocks(
             f"{ACCEPTANCE_FLOOR:.1e}; reduce dt below {-math.log(ACCEPTANCE_FLOOR) / params.m:.3e}"
         )
     beta = params.beta
-    n = int(sum(counts))
-    if params.m == 0.0:
-        return _stable_blocks(dt, beta, gens, counts), n
-    tilt = params.m ** (1.0 / beta)
-    ends = np.cumsum(counts)
-    out = _stable_blocks(dt, beta, gens, counts)
-    rejected = _rejected(out, tilt, gens, counts)
-    n_proposals = n
-    while len(rejected):
-        per_block = _rows_per_block(rejected, ends)
-        u = _stable_blocks(dt, beta, gens, per_block)
-        out[rejected] = u
-        rejected = rejected[_rejected(u, tilt, gens, per_block)]
-        n_proposals += len(u)
-    return out, n_proposals
+    out = _proposals(dt, beta, gens, counts)
+    n_proposals = len(out[0])
+    if params.m > 0.0:
+        tilt = params.m ** (1.0 / beta)
+        ends = np.cumsum(counts)
+        rejected = _rejected(out[0], tilt, gens, counts)
+        while len(rejected):
+            per_block = _rows_per_block(rejected, ends)
+            redrawn = _proposals(dt, beta, gens, per_block)
+            for array, values in zip(out, redrawn):
+                array[rejected] = values
+            rejected = rejected[_rejected(redrawn[0], tilt, gens, per_block)]
+            n_proposals += len(redrawn[0])
+    u = out[0]
+    if beta != 0.5:
+        return u, sample_leg_blocks(u, d, gens, counts), n_proposals
+    x = out[1][:, None]  # the first coordinates, as a column
+    if d > 1:
+        x = np.concatenate([x, sample_leg_blocks(u, d - 1, gens, counts)], axis=1)
+    return u, x[:, :d], n_proposals
+
+
+def sample_stable_subordinator(dt: float, beta: float, rng: RngStream | np.random.Generator, size=None):
+    """Draws of T_beta(dt), the subordinator with E e^{-lam T} = e^{-dt lam^beta}:
+    the clocks of `sample_step_blocks` at m = 0, with one block and no leg.
+
+    At beta = 1/2 this is the Levy law, drawn from (V, E) as the clock of a
+    Cauchy step, dt^2 (1 + tan^2(pi (V - 1/2))) / (4 E); `kanter_transform`,
+    which every other beta uses, draws the same law and is its test oracle.
+    """
+    if dt <= 0.0:
+        raise ParameterError(f"dt must be > 0, got {dt}")
+    if not 0.0 < beta < 1.0:
+        raise ParameterError(f"beta must be in (0, 1), got {beta}")
+    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    n = 1 if size is None else int(size)
+    out, _, _ = sample_step_blocks(dt, ProcessParams(alpha=2.0 * beta), 0, [gen], [n])
+    return float(out[0]) if size is None else out
 
 
 def sample_tempered_subordinator(
@@ -229,10 +256,11 @@ def sample_tempered_subordinator(
     return_stats: bool = False,
 ):
     """Draws of the relativistic subordinator T_beta(dt, m) by tilting
-    rejection: `sample_tempered_blocks` with one block."""
+    rejection: the clocks of `sample_step_blocks` with one block and no
+    leg."""
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     n = 1 if size is None else int(size)
-    out, n_proposals = sample_tempered_blocks(dt, params, [gen], [n])
+    out, _, n_proposals = sample_step_blocks(dt, params, 0, [gen], [n])
     result = float(out[0]) if size is None else out
     if return_stats:
         return result, n_proposals
@@ -258,11 +286,11 @@ def sample_brownian_leg(u, d: int, gen: np.random.Generator):
 
 
 def sample_increment(dt: float, params: ProcessParams, rng: RngStream | np.random.Generator, size=None):
-    """Increment of the relativistic process over a step of length dt."""
+    """Increment of the relativistic process over a step of length dt: the
+    legs of `sample_step_blocks` with one block."""
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     n = 1 if size is None else int(size)
-    u = np.atleast_1d(sample_tempered_subordinator(dt, params, gen, size=n))
-    x = sample_brownian_leg(u, params.d, gen)
+    _, x, _ = sample_step_blocks(dt, params, params.d, [gen], [n])
     return x[0] if size is None else x
 
 

@@ -65,7 +65,7 @@ from .sampler import (
     RngStream,
     _rows_per_block,
     sample_leg_blocks,
-    sample_tempered_blocks,
+    sample_step_blocks,
 )
 from .specfun import ProcessParams
 
@@ -241,8 +241,7 @@ def _exit_steps(starts, gens, sizes, domain, grid, params):
     for k in range(1, n_steps + 1):
         if len(idx) == 0:
             break
-        u, _ = sample_tempered_blocks(dt, params, gens, counts)
-        pos += sample_leg_blocks(u, params.d, gens, counts)
+        pos += sample_step_blocks(dt, params, params.d, gens, counts)[1]
         inside = domain.contains(pos)
         if inside.all():
             continue
@@ -282,7 +281,9 @@ def _record_steps(gens, sizes, grid, params):
     over every start depth.
 
     A path carries W_1, each level's running minimum and the operational
-    time since its last record on any level, S_k - S_last.  The d - 1
+    time since its last record on any level, S_k - S_last.  A step draws
+    the increment of W_1 with its clock, a 1-d leg of `sample_step_blocks`
+    (at alpha = 1 the Cauchy pair, with no normal at all).  The d - 1
     tangential coordinates are drawn at those record steps only, as
     T += N(0, 2 (S_k - S_last) I): given S that is exact in law.  Each
     chunk's generator makes the draws of a march of that chunk alone, row
@@ -297,27 +298,30 @@ def _record_steps(gens, sizes, grid, params):
     lows = np.zeros((len(strides), n))
     tangent = np.zeros((n, params.d - 1))
     for k in range(1, n_steps + 1):
-        u, _ = sample_tempered_blocks(dt, params, gens, sizes)
-        normal += sample_leg_blocks(u, 1, gens, sizes)[:, 0]
+        u, x, _ = sample_step_blocks(dt, params, 1, gens, sizes)
+        normal += x[:, 0]
         since += u
+        del u, x  # freed before the next step draws, so they never coexist
         read = [level for level, stride in enumerate(strides) if k % stride == 0]
-        new = [normal < lows[level] for level in read]
-        rows = np.flatnonzero(functools.reduce(np.logical_or, new))
+        # a record on any level is one on the coarsest level reading step k,
+        # whose running minimum, over the fewest steps, is the highest
+        rows = np.flatnonzero(normal < lows[read[0]])
         if len(rows) == 0:
             continue
-        dist = np.abs(normal[rows])
+        value = normal[rows]
+        dist = np.abs(value)
         if params.d > 1:
             moved = tangent[rows] + sample_leg_blocks(since[rows], params.d - 1, gens,
                                                       _rows_per_block(rows, ends))
             tangent[rows] = moved
             since[rows] = 0.0
             dist = np.hypot(dist, row_norms(moved))
-        for level, is_new in zip(read, new):
-            hit = is_new[rows]
+        for level in read:
+            hit = value < lows[level, rows]
             level_rows = rows[hit]
             if len(level_rows) == 0:
                 continue  # a coarse record need not be a fine one
-            new_low = normal[level_rows]
+            new_low = value[hit]
             fall = lows[level, level_rows] - new_low
             lows[level, level_rows] = new_low
             yield level, k // strides[level], level_rows, dist[hit], fall

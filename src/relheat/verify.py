@@ -20,7 +20,7 @@ from scipy.integrate import quad
 from .config import ExperimentConfig
 from .geometry import Annulus, Ball, HalfSpace
 from .kernels import c1_const, c1_of_t, cauchy_density, free_density, levy_half_density
-from .sampler import RngStream, empirical_transform, sample_brownian_leg, sample_tempered_subordinator
+from .sampler import RngStream, empirical_transform, sample_step_blocks
 from .specfun import ProcessParams, characteristic_exponent, stable_subordinator_density
 from .tracelab import (
     Z_SIGMA,
@@ -133,7 +133,9 @@ def check_free_density(cfg: ExperimentConfig) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def check_sampler_law(cfg: ExperimentConfig) -> CheckResult:
-    """Empirical characteristic function of increments and tempering acceptance."""
+    """Empirical characteristic function of the increments of the march's
+    step primitive (at alpha = 1 its tan/exponential pair) and the
+    tempering acceptance rate from its proposal count."""
     n = cfg.scaled(1_000_000, 10_000)
     dt = 0.1
     rows = []
@@ -142,8 +144,7 @@ def check_sampler_law(cfg: ExperimentConfig) -> CheckResult:
     for i, (alpha, m) in enumerate(((1.0, 0.0), (1.0, 1.0), (0.5, 1.0))):
         params = ProcessParams(alpha=alpha, m=m, d=2)
         gen = rng.substream(i).generator()
-        u, n_prop = sample_tempered_subordinator(dt, params, gen, size=n, return_stats=True)
-        x = sample_brownian_leg(u, 2, gen)
+        _, x, n_prop = sample_step_blocks(dt, params, params.d, [gen], [n])
         for xi1 in (0.5, 1.0, 2.0):
             target = math.exp(-dt * characteristic_exponent(xi1, params))
             ecf, z = empirical_transform(np.cos(x[:, 0] * xi1), target)

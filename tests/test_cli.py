@@ -8,7 +8,7 @@ import pytest
 from relheat import cli, verify
 from relheat.config import ExperimentConfig, dump_config, load_config
 from relheat.errors import ParameterError
-from relheat.sampler import RngStream, sample_brownian_leg, sample_tempered_subordinator
+from relheat.sampler import RngStream, sample_increment, sample_tempered_subordinator
 from relheat.specfun import ProcessParams, stable_levy_density
 
 
@@ -210,8 +210,7 @@ class TestSubcommands:
         rows = [json.loads(line) for line in lines[1:]]
         n, dt = 5000, 0.1  # max(1000, 500 000 x budget_scale 0.01)
         gen = RngStream(99, 21).generator()
-        u = sample_tempered_subordinator(dt, cfg.params(), gen, size=n)
-        x = sample_brownian_leg(u, 2, gen)
+        x = sample_increment(dt, cfg.params(), gen, size=n)
         xis = (0.25, 0.5, 1.0, 2.0, 4.0)
         assert [row["xi"] for row in rows] == list(xis)
         for row, xi in zip(rows, xis):

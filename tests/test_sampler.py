@@ -12,9 +12,8 @@ from relheat.sampler import (
     kanter_transform,
     sample_brownian_leg,
     sample_increment,
-    sample_leg_blocks,
     sample_stable_subordinator,
-    sample_tempered_blocks,
+    sample_step_blocks,
     sample_tempered_subordinator,
     simulate_path,
 )
@@ -129,7 +128,8 @@ class TestTemperedSubordinator:
 
 
 class TestLevyDraws:
-    """beta = 1/2 draws dt^2 / (2 Z^2) instead of the Kanter transform."""
+    """beta = 1/2 draws the pair of a Cauchy step's first coordinate and
+    its clock instead of the Kanter transform."""
 
     @pytest.mark.parametrize("m", [1.0, 20.0])
     @pytest.mark.parametrize("dt", [1e-3, 0.1])
@@ -145,6 +145,21 @@ class TestLevyDraws:
             within_se(emp.mean(), target, emp.std(ddof=1) / math.sqrt(n), z=4.0,
                       msg=f"m={m}, dt={dt}, lam={lam}")
 
+    @pytest.mark.parametrize("m", [0.0, 1.0, 20.0])
+    def test_joint_law_of_leg_and_clock(self, m, rng, within_se):
+        # given its clock u the first coordinate is N(0, 2u), so
+        # E cos(xi x_1) e^{-lam u} = E e^{-(lam + xi^2) u}
+        #                          = e^{-dt (sqrt(lam + xi^2 + m^2) - m)},
+        # at xi and sqrt(lam) on the scales of the step (1/dt) and the mass
+        p = ProcessParams(alpha=1.0, m=m, d=2)
+        n, dt = 200_000, 0.1
+        u, x, _ = sample_step_blocks(dt, p, 1, [rng.substream(43, int(m)).generator()], [n])
+        for xi, lam in ((5.0, 0.0), (0.0, 100.0), (5.0, 100.0), (20.0, 400.0), (2.0, m * m)):
+            emp = np.cos(xi * x[:, 0]) * np.exp(-lam * u)
+            target = math.exp(-dt * (math.sqrt(lam + xi * xi + m * m) - m))
+            within_se(emp.mean(), target, emp.std(ddof=1) / math.sqrt(n), z=4.0,
+                      msg=f"m={m}, xi={xi}, lam={lam}")
+
     def test_same_law_as_kanter_transform(self, rng):
         n, dt = 20_000, 0.1
         draws = sample_stable_subordinator(dt, 0.5, rng.substream(41), size=n)
@@ -153,32 +168,43 @@ class TestLevyDraws:
         assert ks_2samp(draws, oracle).pvalue > 1e-3
 
 
-def tempered_reference(dt, params, gen, n):
-    """Tilting rejection written out for one generator: n stable proposals,
-    then their acceptance uniforms, then the same for the rejected rows.
-    Returns the draws and the number of proposals."""
+def step_reference(dt, params, d, gen, n):
+    """One step of n rows written out for one generator: n stable
+    proposals, then their acceptance uniforms, then the same for the
+    rejected rows, then the normals of the leg.  At beta = 1/2 a proposal
+    is the clock drawn from V ~ Uniform(0, 1) and then E ~ Exp(1) with the
+    leg's first coordinate dt tan(pi (V - 1/2)), and coordinates 2..d are
+    the normals.  Returns the clocks, the (n, d) legs and the number of
+    proposals."""
     beta = params.beta
 
-    def stable(k):
+    def propose(k):
         if beta == 0.5:
-            z = gen.standard_normal(k)
-            return dt * dt / (2.0 * z * z)
-        return kanter_transform(gen.uniform(0.0, math.pi, k), gen.standard_exponential(k), dt, beta)
+            tau = np.tan(math.pi * (gen.random(k) - 0.5))
+            return 0.25 * dt * dt * (1.0 + tau * tau) / gen.standard_exponential(k), dt * tau
+        return kanter_transform(gen.uniform(0.0, math.pi, k), gen.standard_exponential(k), dt,
+                                beta), np.empty(k)
 
-    if params.m == 0.0:
-        return stable(n), n
-    out, pending, n_proposals = np.empty(n), np.arange(n), 0
+    u, first, pending, n_proposals = np.empty(n), np.empty(n), np.arange(n), 0
     while len(pending):
-        u = stable(len(pending))
-        accept = gen.random(len(pending)) < np.exp(-params.m ** (1.0 / beta) * u)
-        out[pending[accept]] = u[accept]
+        clock, x1 = propose(len(pending))
+        accept = np.ones(len(pending), dtype=bool)
+        if params.m > 0.0:
+            accept = gen.random(len(pending)) < np.exp(-params.m ** (1.0 / beta) * clock)
+        u[pending[accept]] = clock[accept]
+        first[pending[accept]] = x1[accept]
         n_proposals += len(pending)
         pending = pending[~accept]
-    return out, n_proposals
+    if beta != 0.5:
+        return u, gen.standard_normal((n, d)) * np.sqrt(2.0 * u)[:, None], n_proposals
+    if d == 0:
+        return u, np.empty((n, 0)), n_proposals
+    legs = gen.standard_normal((n, d - 1)) * np.sqrt(2.0 * u)[:, None]
+    return u, np.column_stack([first, legs]), n_proposals
 
 
 class TestBlocks:
-    """Draws for blocks of rows, one generator per block, against each
+    """Steps for blocks of rows, one generator per block, against each
     generator drawing alone."""
 
     @pytest.mark.parametrize("m", [0.0, 1.0, 20.0])
@@ -186,30 +212,31 @@ class TestBlocks:
     def test_blocks_equal_separate_draws(self, alpha, m):
         # m = 20 at dt = 0.1 accepts 14% of proposals: many rounds, in
         # which the blocks' pending counts differ and reach 0 at different
-        # rounds; an empty block draws nothing
+        # rounds; an empty block draws nothing.  Leg dimension 0 is the
+        # clock alone and 1 the record march's normal coordinate
         params = ProcessParams(alpha=alpha, m=m, d=3)
         counts = [500, 0, 1, 37]
-        gens = [np.random.default_rng(seed) for seed in range(len(counts))]
-        u, n_proposals = sample_tempered_blocks(0.1, params, gens, counts)
-        legs = sample_leg_blocks(u, 3, gens, counts)
-        lo, want_proposals = 0, 0
-        for seed, (gen, k) in enumerate(zip(gens, counts)):
-            alone = np.random.default_rng(seed)
-            want, proposals = tempered_reference(0.1, params, alone, k)
-            want_proposals += proposals
-            assert np.array_equal(u[lo:lo + k], want)
-            leg = alone.standard_normal((k, 3)) * np.sqrt(2.0 * want)[:, None]
-            assert np.array_equal(legs[lo:lo + k], leg)
-            assert gen.bit_generator.state == alone.bit_generator.state
-            lo += k
-        assert n_proposals == want_proposals
-        assert (n_proposals == sum(counts)) == (m == 0.0)
+        for d in (0, 1, 3):
+            gens = [np.random.default_rng(seed) for seed in range(len(counts))]
+            u, legs, n_proposals = sample_step_blocks(0.1, params, d, gens, counts)
+            assert legs.shape == (sum(counts), d)
+            lo, want_proposals = 0, 0
+            for seed, (gen, k) in enumerate(zip(gens, counts)):
+                alone = np.random.default_rng(seed)
+                want, want_legs, proposals = step_reference(0.1, params, d, alone, k)
+                want_proposals += proposals
+                assert np.array_equal(u[lo:lo + k], want)
+                assert np.array_equal(legs[lo:lo + k], want_legs)
+                assert gen.bit_generator.state == alone.bit_generator.state
+                lo += k
+            assert n_proposals == want_proposals
+            assert (n_proposals == sum(counts)) == (m == 0.0)
 
     def test_step_too_large(self, rng):
         # the march draws through the blocks, so they refuse such a step too
         p = ProcessParams(alpha=1.0, m=1.0, d=2)
         with pytest.raises(StepTooLargeError):
-            sample_tempered_blocks(8.0, p, [rng.generator()], [10])
+            sample_step_blocks(8.0, p, 2, [rng.generator()], [10])
 
 
 class TestIncrements:

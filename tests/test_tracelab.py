@@ -15,8 +15,7 @@ from relheat.kernels import build_table, free_density, table_eval
 from relheat.sampler import (
     PathGrid,
     RngStream,
-    sample_brownian_leg,
-    sample_tempered_subordinator,
+    sample_increment,
     simulate_path,
 )
 from relheat.specfun import ProcessParams
@@ -158,7 +157,8 @@ def one_chunk_exits(starts, domain, n_steps, dt, params, gen):
 
 def gather_scatter_exits(starts, domain, n_steps, dt, params, gen):
     """Reference march: every step gathers the alive rows out of all n
-    paths, adds the legs, scatters them back and gathers them again for
+    paths, adds their increments (`sample_increment`, one generator
+    drawing alone), scatters them back and gathers them again for
     membership.  The exit events of `_exit_steps` must give its arrays bit
     for bit."""
     n = len(starts)
@@ -171,8 +171,7 @@ def gather_scatter_exits(starts, domain, n_steps, dt, params, gen):
         m = len(alive)
         if m == 0:
             break
-        u = sample_tempered_subordinator(dt, params, gen, size=m)
-        pos[alive] += sample_brownian_leg(u, params.d, gen)
+        pos[alive] += sample_increment(dt, params, gen, size=m)
         inside = domain.contains(pos[alive])
         out = ~inside
         if out.any():
@@ -536,17 +535,36 @@ class TestHalfspaceProfile:
         assert 0.0 < est.value <= free_density(t, 0.0, params) + 3 * est.stderr
 
 
-class ScriptedNormals:
-    """A generator stand-in whose standard normals are given, one list per
-    kind of draw: the Levy draws of the subordinator (1-d), the normal leg
-    ((n, 1)) and the tangential legs ((n, 2), so d = 3)."""
+class ScriptedDraws:
+    """A generator stand-in whose draws are given, one list per kind: the
+    uniforms V and exponentials E of the alpha = 1, m = 0 steps
+    (`pair_draws`) and the standard normals of the legs, coordinate 2 of a
+    d = 2 step or the tangential legs of the record march at d = 3."""
 
-    def __init__(self, levy, normal, tangential):
-        self.queues = {(): list(levy), (1,): list(normal), (2,): list(tangential)}
+    def __init__(self, uniforms, exponentials, normals):
+        self.queues = {"random": list(uniforms), "standard_exponential": list(exponentials),
+                       "standard_normal": list(normals)}
+
+    def _fill(self, kind, out):
+        queue = self.queues[kind]
+        out[...] = np.reshape([queue.pop(0) for _ in range(out.size)], out.shape)
+
+    def random(self, out):
+        self._fill("random", out)
+
+    def standard_exponential(self, out):
+        self._fill("standard_exponential", out)
 
     def standard_normal(self, out):
-        queue = self.queues[out.shape[1:]]
-        out[...] = np.reshape([queue.pop(0) for _ in range(out.size)], out.shape)
+        self._fill("standard_normal", out)
+
+
+def pair_draws(x1, u, dt):
+    """The uniforms V and exponentials E from which an alpha = 1 step of
+    length dt draws first coordinates x1 = dt tau, tau = tan(pi (V - 1/2)),
+    and clocks u = dt^2 (1 + tau^2) / (4 E), to rounding."""
+    tau = np.asarray(x1, dtype=float) / dt
+    return np.arctan(tau) / math.pi + 0.5, dt * dt * (1.0 + tau * tau) / (4.0 * np.asarray(u))
 
 
 def record_sums(gens, sizes, grid, params):
@@ -591,11 +609,11 @@ class TestRecordMarch:
         params = ProcessParams(alpha=1.0, m=0.0, d=3)
         t, n_steps = 1.0, 8
         dt = t / n_steps
-        levy = [1.0, 0.5, 2.0, 1.5, 0.8, 1.2, 0.3, 2.5]
+        u = dt * dt / (2.0 * np.square([1.0, 0.5, 2.0, 1.5, 0.8, 1.2, 0.3, 2.5]))
         normal = [-0.3, 0.2, -1.0, -0.2, 0.4, -0.7, 0.3, -0.9]  # records at steps 1, 3, 4, 6
         tangential = [0.7, -0.2, 1.1, 0.3, -0.5, 0.8, 0.2, -1.3, 0.6, 0.4, -0.9, 0.1, 1.5, -0.7]
-        u = dt * dt / (2.0 * np.square(levy))
-        w1 = np.cumsum(np.array(normal) * np.sqrt(2.0 * u))
+        x1 = np.array(normal) * np.sqrt(2.0 * u)
+        w1 = np.cumsum(x1)
         s = np.cumsum(u)
         # the tangential part moves by N(0, 2 dS) between records only
         positions = np.zeros((n_steps + 1, 3))
@@ -607,7 +625,7 @@ class TestRecordMarch:
             positions[k] = [w1[k - 1], *tang]
         assert n_records == 4
 
-        gen = ScriptedNormals(levy, normal, tangential)
+        gen = ScriptedDraws(*pair_draws(x1, u, dt), tangential)
         ((sums, count),) = record_sums([gen], [1], (t, n_steps, dt, 1), params)
         assert count == n_records
 
@@ -693,15 +711,12 @@ def single_level_record_sum(w1, s, tangent, t, dt, params):
     """The record sum of `record_sums` on one level, scripted to march the
     path with normal coordinate w1[k], operational time s[k] and tangential
     position tangent[k] at its steps k (index 0 the start, all zero)."""
-    du = np.diff(s)
-    levy = dt / np.sqrt(2.0 * du)  # u = dt^2 / (2 z^2)
-    normal = np.diff(w1) / np.sqrt(2.0 * du)
     tangential, low, last = [], 0.0, 0
     for k in range(1, len(w1)):
         if w1[k] < low:
             tangential += list((tangent[k] - tangent[last]) / math.sqrt(2.0 * (s[k] - s[last])))
             low, last = w1[k], k
-    gen = ScriptedNormals(levy, normal, tangential)
+    gen = ScriptedDraws(*pair_draws(np.diff(w1), np.diff(s), dt), tangential)
     ((sums, _),) = record_sums([gen], [1], (t, len(w1) - 1, dt, 1), params)
     return sums[0, 0]
 
@@ -732,12 +747,12 @@ class TestCoupledLadder:
             [[0.0, 0.0], [0.1, 0.1], [0.2, -0.3], [0.4, 0.1], [0.3, 0.3], [0.5, 0.5],
              [0.6, 0.2], [1.05, 0.2], [0.7, 0.0]],
         ])
-        levy = np.array([0.1, 0.2, 0.05, 0.1, 0.3, 0.1, 0.2, 0.1])
-        u = dt * dt / (2.0 * np.square(levy))
-        legs = np.diff(paths, axis=1) / np.sqrt(2.0 * u)[:, None]
+        u = dt * dt / (2.0 * np.square([0.1, 0.2, 0.05, 0.1, 0.3, 0.1, 0.2, 0.1]))
+        legs = np.diff(paths, axis=1)
 
-        def gens():  # the legs of d = 2 are (n, 2) draws
-            return [ScriptedNormals(levy, [], leg.ravel()) for leg in legs]
+        def gens():  # a d = 2 step draws its second coordinate as an (n, 1) normal
+            return [ScriptedDraws(*pair_draws(leg[:, 0], u, dt), leg[:, 1] / np.sqrt(2.0 * u))
+                    for leg in legs]
 
         starts = paths[:, 0]
         # each path's exit step on each level, coarsest first
@@ -774,9 +789,8 @@ class TestCoupledLadder:
         t, n_steps = 1.0, 8
         dt = t / n_steps
         w1 = np.array([0.0, -0.3, -0.2, -1.0, -0.5, 0.4, -0.7, -1.2, -1.1])
-        levy = np.array([1.0, 0.5, 2.0, 1.5, 0.8, 1.2, 0.3, 2.5])
-        s = np.concatenate([[0.0], np.cumsum(dt * dt / (2.0 * np.square(levy)))])
-        normal = np.diff(w1) / np.sqrt(2.0 * np.diff(s))
+        s = np.concatenate([[0.0], np.cumsum(dt * dt / (2.0 * np.square(
+            [1.0, 0.5, 2.0, 1.5, 0.8, 1.2, 0.3, 2.5])))])
         union = [1, 2, 3, 4, 6, 7, 8]
         draws = np.array([0.7, -0.2, 1.1, 0.3, -0.5, 0.8, 0.2, -1.3, 0.6, 0.4, -0.9, 0.1,
                           1.5, -0.7]).reshape(-1, 2)
@@ -786,9 +800,9 @@ class TestCoupledLadder:
             if k in union:
                 tangent[k] += draws[union.index(k)] * math.sqrt(2.0 * (s[k] - s[last]))
                 last = k
-        gen = ScriptedNormals(levy, normal, draws.ravel())
+        gen = ScriptedDraws(*pair_draws(np.diff(w1), np.diff(s), dt), draws.ravel())
         ((sums, count),) = record_sums([gen], [1], (t, n_steps, dt, 2), params)
-        assert count == 3 and not gen.queues[(2,)]
+        assert count == 3 and not any(gen.queues.values())
         coarse = single_level_record_sum(w1[::2], s[::2], tangent[::2], t, 2 * dt, params)
         fine = single_level_record_sum(w1, s, tangent, t, dt, params)
         assert sums[0, 0] == pytest.approx(coarse, rel=1e-12)
@@ -841,10 +855,10 @@ class TestCoupledLadder:
 # change to the draws or to their order shows here
 ONE_LEVEL_PINS = {
     1.0: {
-        "z_trace": (204.2302869234265, 0.6677161740474933),
-        "c2_of_t": (0.22357706538173192, 0.004586030556467333),
-        "halfspace_profile": [(2.1634610105642125, 0.13491008288346784),
-                              (0.005690879630992158, 0.0009672348451222137)],
+        "z_trace": (205.03450985560954, 0.15588611840365793),
+        "c2_of_t": (0.21745712467343065, 0.004229278356107303),
+        "halfspace_profile": [(2.352807981964912, 0.14003640060662073),
+                              (0.005391439073977799, 0.0009320670001848088)],
     },
     1.5: {
         "z_trace": (14.702122930177042, 0.04760165594990232),
@@ -859,10 +873,10 @@ ONE_LEVEL_PINS = {
 # exits of the killing march and the coupled records of the record march
 TWO_LEVEL_PINS = {
     1.0: {
-        "z_trace": (203.69502669618868, 0.2089659747105832),
-        "c2_of_t": (0.24667307202948993, 0.00463846154448431),
-        "halfspace_profile": [(2.9056525792540717, 0.18640258126372355),
-                              (0.005266415736462239, 0.00091193233444511)],
+        "z_trace": (204.15678887298563, 0.1794011203982503),
+        "c2_of_t": (0.24220078160662584, 0.004638233904450915),
+        "halfspace_profile": [(2.6737992375081703, 0.16146505355403684),
+                              (0.00743217160531743, 0.0011558384521374674)],
     },
     1.5: {
         "z_trace": (14.247448854222625, 0.05722688542393765),
