@@ -24,7 +24,9 @@ __all__ = ["Ball", "Annulus", "HalfSpace", "parse_domain"]
 class Domain:
     """Shared interface; all operations accept (n, d) arrays of points."""
 
-    def contains(self, x) -> np.ndarray:
+    def contains(self, x, out=None) -> np.ndarray:
+        """Membership of each point; `out`, a bool array of the points, is
+        written if given."""
         raise NotImplementedError
 
     def delta(self, x) -> np.ndarray:
@@ -58,6 +60,23 @@ def row_norms(y):
     for j in range(1, y.shape[1]):
         s += y[:, j] * y[:, j]
     return np.sqrt(s)
+
+
+def _radii(pts, center):
+    """`row_norms(pts - center)` bit for bit, one coordinate at a time: an
+    (n, d) - (d,) broadcast runs numpy's inner loop once per row.  A zero
+    centre coordinate is not subtracted: x - 0 is x."""
+    if pts.shape[1] >= 8:
+        return row_norms(pts - np.asarray(center))
+    s, y = np.empty(len(pts)), np.empty(len(pts))
+    for j, c in enumerate(center):
+        y_j = pts[:, j] if c == 0.0 else np.subtract(pts[:, j], c, out=y)
+        if j == 0:
+            np.multiply(y_j, y_j, out=s)
+        else:
+            np.multiply(y_j, y_j, out=y)
+            s += y
+    return np.sqrt(s, out=s)
 
 
 @dataclass(frozen=True)
@@ -94,15 +113,14 @@ class Ball(Domain):
         self._require_bounded()
         return surface_area(self.d) * self.radius ** (self.d - 1)
 
-    def contains(self, x):
+    def contains(self, x, out=None):
         pts, single = _points(x, self.d)
-        r = row_norms(pts - np.asarray(self.center))
-        out = r < self.radius
+        out = np.less(_radii(pts, self.center), self.radius, out=out)
         return bool(out[0]) if single else out
 
     def delta(self, x):
         pts, single = _points(x, self.d)
-        r = row_norms(pts - np.asarray(self.center))
+        r = _radii(pts, self.center)
         out = np.maximum(self.radius - r, 0.0)
         if not math.isfinite(self.radius):
             out = np.full(len(pts), math.inf)
@@ -177,15 +195,16 @@ class Annulus(Domain):
             self.r_out ** (self.d - 1) + self.r_in ** (self.d - 1)
         )
 
-    def contains(self, x):
+    def contains(self, x, out=None):
         pts, single = _points(x, self.d)
-        r = row_norms(pts - np.asarray(self.center))
-        out = (r > self.r_in) & (r < self.r_out)
+        r = _radii(pts, self.center)
+        out = np.greater(r, self.r_in, out=out)
+        out &= r < self.r_out
         return bool(out[0]) if single else out
 
     def delta(self, x):
         pts, single = _points(x, self.d)
-        r = row_norms(pts - np.asarray(self.center))
+        r = _radii(pts, self.center)
         out = np.maximum(np.minimum(r - self.r_in, self.r_out - r), 0.0)
         return float(out[0]) if single else out
 
@@ -248,9 +267,9 @@ class HalfSpace(Domain):
     def bounded(self) -> bool:
         return False
 
-    def contains(self, x):
+    def contains(self, x, out=None):
         pts, single = _points(x, self.d)
-        out = pts[:, 0] > 0.0
+        out = np.greater(pts[:, 0], 0.0, out=out)
         return bool(out[0]) if single else out
 
     def delta(self, x):

@@ -1,12 +1,13 @@
 """Exact-in-distribution sampling of subordinator increments and paths.
 
-One step primitive, `sample_step_blocks`, draws the clock u of a step
-(the relativistic subordinator T_beta(dt, m)) and the process increment x
-over it.  Stable proposals are rejection-free, and the relativistic
-(tempered) subordinator is obtained from them by exponential-tilting
-rejection with acceptance probability e^{-m dt} per proposal.  Increments
-are Gaussian with per-coordinate variance 2u conditional on the clock u,
-matching the Brownian convention E e^{i xi . B_t} = e^{-t |xi|^2}.
+Two step primitives draw one step of length dt.  `sample_step_blocks`
+draws the clock u of a step (the relativistic subordinator T_beta(dt, m))
+and the process increment x over it.  Stable proposals are
+rejection-free, and the relativistic (tempered) subordinator is obtained
+from them by exponential-tilting rejection with acceptance probability
+e^{-m dt} per proposal.  Increments are Gaussian with per-coordinate
+variance 2u conditional on the clock u, matching the Brownian convention
+E e^{i xi . B_t} = e^{-t |xi|^2}.
 
 At beta = 1/2 (alpha = 1) a proposal is drawn from two uniforms, one of
 them as an exponential, and is the pair of the increment's first
@@ -17,12 +18,23 @@ and only the other d - 1 coordinates need normals.  Every other beta
 proposes by the angle/exponential (Kanter) transformation and draws all d
 coordinates of the increment as normals.
 
-The exit engine draws for many chunks of paths at once, one generator
-per chunk: `sample_step_blocks` and `sample_leg_blocks` have each
-generator make its raw draws (uniforms, exponentials, angles, normals)
-for its block of rows, exactly the calls it makes alone, and run each
-transform once on all blocks.  The one-generator samplers are their
-one-block case.
+`sample_increment_blocks` draws the increment alone.  At alpha = 1 in the
+plane (d = 2) it needs no clock: by Archimedes' hat-box theorem
+c = dt / sqrt(dt^2 + |x|^2) of the bivariate Cauchy step is Uniform(0, 1]
+and independent of its uniform direction, and the mass tilts that law by
+(1 + mS) e^{-mS}, S = dt / c, the K_{3/2} case of Ryznar's kernel.  A step
+is three uniforms: c, its acceptance and the angle (`_plane_steps`).
+Every other (alpha, d) draws the step of `sample_step_blocks` and drops
+its clock.  The record march of the half-space reads the clock, as do the
+subordinator samplers, so they keep the pair.
+
+The marches draw for many chunks of paths at once, one generator per
+chunk: the block samplers have each generator make its raw draws
+(uniforms, exponentials, angles, normals) for its block of rows, exactly
+the calls it makes alone, and run each transform once on all blocks.  The
+one-generator samplers are their one-block case.  A march allocates the
+work arrays of its steps once (`step_work`), and the primitives write
+into their first columns.
 """
 
 import math
@@ -39,6 +51,8 @@ __all__ = [
     "kanter_transform",
     "sample_stable_subordinator",
     "sample_step_blocks",
+    "sample_increment_blocks",
+    "step_work",
     "sample_tempered_subordinator",
     "sample_leg_blocks",
     "sample_brownian_leg",
@@ -133,7 +147,7 @@ def _blocks(gens, counts):
             lo += k
 
 
-def _proposals(dt: float, beta: float, gens, counts):
+def _proposals(dt: float, beta: float, gens, counts, out=None):
     """Stable proposals for consecutive blocks of rows, block c drawn by
     gens[c] as it would draw them alone: a tuple whose first array is the
     clock u, the transforms run once on all blocks.
@@ -141,21 +155,22 @@ def _proposals(dt: float, beta: float, gens, counts):
     At beta = 1/2 a proposal is the pair (u, dt tau) from V ~ Uniform(0, 1)
     and then E ~ Exp(1): tau = tan(pi (V - 1/2)) is standard Cauchy, dt tau
     is the first coordinate of the step's increment, and given it the
-    clock is inverse gamma, u = dt^2 (1 + tau^2) / (4 E).  Every other beta
-    draws the angles phi ~ Uniform(0, pi) and then W ~ Exp(1) of
-    `kanter_transform`, in separate arrays, as the transform runs about 10%
-    slower on the rows of one 2-d array.
+    clock is inverse gamma, u = dt^2 (1 + tau^2) / (4 E); with `out`
+    (`step_work`) u and dt tau are written to its rows 0 and 1, and row 2
+    is scratch.  Every other beta draws the angles phi ~ Uniform(0, pi) and
+    then W ~ Exp(1) of `kanter_transform`, in separate arrays, as the
+    transform runs about 10% slower on the rows of one 2-d array.
     """
     n = int(sum(counts))
     if beta == 0.5:
-        tau, u = np.empty(n), np.empty(n)
+        u, tau, scale = (np.empty(n) for _ in range(3)) if out is None else out[:3, :n]
         for gen, rows in _blocks(gens, counts):
             gen.random(out=tau[rows])
             gen.standard_exponential(out=u[rows])
         tau -= 0.5
         tau *= math.pi
         np.tan(tau, out=tau)
-        scale = np.multiply(tau, tau)
+        np.multiply(tau, tau, out=scale)
         scale += 1.0
         scale *= 0.25 * dt * dt
         tau *= dt
@@ -167,18 +182,46 @@ def _proposals(dt: float, beta: float, gens, counts):
     return (kanter_transform(phi, w, dt, beta),)
 
 
-def _rejected(u, tilt: float, gens, counts):
+def _uniforms(gens, counts, out):
+    """`out` filled with uniforms on [0, 1), gens[c] drawing block c's."""
+    for gen, rows in _blocks(gens, counts):
+        gen.random(out=out[rows])
+    return out
+
+
+def _rejected(u, tilt: float, gens, counts, work=None):
     """Indices of the proposals u that tilting rejects: gens[c] draws the
     acceptance uniforms of block c, and row i is rejected unless its
-    uniform is below e^{-tilt u_i}."""
-    uniforms = np.empty(len(u))
-    for gen, rows in _blocks(gens, counts):
-        gen.random(out=uniforms[rows])
-    p_accept = np.multiply(u, -tilt)
+    uniform is below e^{-tilt u_i}.  `work`, two rows of len(u), holds the
+    uniforms and the acceptance probabilities."""
+    uniforms, p_accept = np.empty((2, len(u))) if work is None else work
+    _uniforms(gens, counts, uniforms)
+    np.multiply(u, -tilt, out=p_accept)
     return np.flatnonzero(uniforms >= np.exp(p_accept, out=p_accept))
 
 
-def sample_step_blocks(dt: float, params: ProcessParams, d: int, gens, counts):
+def _check_step(dt: float, m: float):
+    """A step needs dt > 0, and a tempering acceptance rate e^{-m dt} of at
+    least `ACCEPTANCE_FLOOR`."""
+    if dt <= 0.0:
+        raise ParameterError(f"dt must be > 0, got {dt}")
+    expected_rate = math.exp(-m * dt)
+    if expected_rate < ACCEPTANCE_FLOOR:
+        raise StepTooLargeError(
+            f"tempering acceptance e^(-m dt) = {expected_rate:.3e} below floor "
+            f"{ACCEPTANCE_FLOOR:.1e}; reduce dt below {-math.log(ACCEPTANCE_FLOOR) / m:.3e}"
+        )
+
+
+def step_work(n: int):
+    """Work arrays for steps of up to n rows, the `out` of
+    `sample_step_blocks` and `sample_increment_blocks`: a step of k rows
+    writes into their first k columns only, so a march whose rows only
+    shrink allocates them once."""
+    return np.empty((4, n))
+
+
+def sample_step_blocks(dt: float, params: ProcessParams, d: int, gens, counts, out=None):
     """One step of length dt for consecutive blocks of rows: (u, x, number
     of proposals), u the clock T_beta(dt, m) and x the (rows, d) increment
     of the process over it; d = 0 draws the clock alone.
@@ -198,36 +241,123 @@ def sample_step_blocks(dt: float, params: ProcessParams, d: int, gens, counts):
     then its normals G, the calls of a step of that block alone.  The
     transforms and the acceptance test run once per round on every block
     together.
+
+    With `out` (`step_work`), round 1 at beta = 1/2 draws and tests in its
+    rows, and for d <= 1 the u and x returned are views of them, valid
+    until the next step that writes there; other beta allocate.
     """
-    if dt <= 0.0:
-        raise ParameterError(f"dt must be > 0, got {dt}")
-    expected_rate = math.exp(-params.m * dt)
-    if expected_rate < ACCEPTANCE_FLOOR:
-        raise StepTooLargeError(
-            f"tempering acceptance e^(-m dt) = {expected_rate:.3e} below floor "
-            f"{ACCEPTANCE_FLOOR:.1e}; reduce dt below {-math.log(ACCEPTANCE_FLOOR) / params.m:.3e}"
-        )
+    _check_step(dt, params.m)
     beta = params.beta
-    out = _proposals(dt, beta, gens, counts)
-    n_proposals = len(out[0])
+    work = out if beta == 0.5 else None
+    proposed = _proposals(dt, beta, gens, counts, work)
+    n_proposals = len(proposed[0])
     if params.m > 0.0:
         tilt = params.m ** (1.0 / beta)
         ends = np.cumsum(counts)
-        rejected = _rejected(out[0], tilt, gens, counts)
+        scratch = None if work is None else work[2:, :n_proposals]
+        rejected = _rejected(proposed[0], tilt, gens, counts, scratch)
         while len(rejected):
             per_block = _rows_per_block(rejected, ends)
             redrawn = _proposals(dt, beta, gens, per_block)
-            for array, values in zip(out, redrawn):
+            for array, values in zip(proposed, redrawn):
                 array[rejected] = values
             rejected = rejected[_rejected(redrawn[0], tilt, gens, per_block)]
             n_proposals += len(redrawn[0])
-    u = out[0]
+    u = proposed[0]
     if beta != 0.5:
         return u, sample_leg_blocks(u, d, gens, counts), n_proposals
-    x = out[1][:, None]  # the first coordinates, as a column
+    x = proposed[1][:, None]  # the first coordinates, as a column
     if d > 1:
         x = np.concatenate([x, sample_leg_blocks(u, d - 1, gens, counts)], axis=1)
     return u, x[:, :d], n_proposals
+
+
+def _plane_rejected(v, m_dt: float, gens, counts, work):
+    """Indices of the rows whose V the mass rejects: gens[c] draws the
+    acceptance uniforms of block c, and row i is rejected unless its
+    uniform is below (1 + mS) e^{-mS}, mS = m dt / (1 - V_i).  `work`,
+    three rows of len(v), holds the uniforms and the scratch."""
+    uniforms, m_s, p_accept = work
+    _uniforms(gens, counts, uniforms)
+    np.subtract(1.0, v, out=m_s)
+    np.divide(-m_dt, m_s, out=m_s)  # -mS, exactly
+    np.exp(m_s, out=p_accept)
+    np.subtract(1.0, m_s, out=m_s)  # 1 + mS
+    p_accept *= m_s
+    return np.flatnonzero(uniforms >= p_accept)
+
+
+def _plane_steps(dt: float, m: float, gens, counts, work):
+    """The alpha = 1 steps of the plane (d = 2) for consecutive blocks of
+    rows, from three uniforms a row: (x, number of proposals), x the
+    (rows, 2) view of rows 0 and 1 of `work` (`step_work`).
+
+    By Archimedes' hat-box theorem c = dt / sqrt(dt^2 + |x|^2) of the
+    mass-zero step, bivariate Cauchy of scale dt, is Uniform(0, 1] and
+    independent of its uniform direction.  So c = 1 - V for V ~ Uniform(0,
+    1), and |x| = dt sqrt(V (2 - V)) / (1 - V).  The mass tilts the density
+    by e^{m dt} (1 + mS) e^{-mS}, S = sqrt(dt^2 + |x|^2) = dt / c (the
+    K_{3/2} case of Ryznar's kernel, Potential Anal. 17, 2002), so V is
+    accepted with probability (1 + mS) e^{-mS}, at rate e^{-m dt}, and
+    the rejected rows are redrawn.  The direction is ((1 - tau^2), 2 tau) /
+    (1 + tau^2), tau = tan(pi (W - 1/2)) for W ~ Uniform(0, 1).  Generator
+    gens[c] draws block c's V, then (m > 0) their acceptance uniforms, then
+    the same for its rejected rows until none is left, and then its W, the
+    calls of that block alone.
+    """
+    n = int(sum(counts))
+    x, v, w = work[:2, :n], work[2, :n], work[3, :n]
+    _uniforms(gens, counts, v)
+    n_proposals = n
+    if m > 0.0:
+        ends = np.cumsum(counts)
+        rejected = _plane_rejected(v, m * dt, gens, counts, (w, *x))
+        while len(rejected):
+            per_block = _rows_per_block(rejected, ends)
+            redrawn = _uniforms(gens, per_block, np.empty(len(rejected)))
+            v[rejected] = redrawn
+            rejected = rejected[_plane_rejected(redrawn, m * dt, gens, per_block,
+                                                np.empty((3, len(rejected))))]
+            n_proposals += len(redrawn)
+    _uniforms(gens, counts, w)
+    x0, x1 = x
+    np.subtract(2.0, v, out=x1)  # the radius, dt sqrt(V (2 - V)) / (1 - V)
+    x1 *= v
+    np.sqrt(x1, out=x1)
+    x1 *= dt
+    np.subtract(1.0, v, out=v)
+    x1 /= v
+    w -= 0.5  # tau
+    w *= math.pi
+    np.tan(w, out=w)
+    np.multiply(w, w, out=x0)
+    np.add(x0, 1.0, out=v)
+    x1 /= v  # the radius over 1 + tau^2
+    np.subtract(1.0, x0, out=x0)
+    x0 *= x1
+    w *= 2.0
+    x1 *= w
+    return x.T, n_proposals
+
+
+def sample_increment_blocks(dt: float, params: ProcessParams, gens, counts, out=None):
+    """The increments of one step of length dt for consecutive blocks of
+    rows, without their clocks: (x, number of proposals), x (rows, d).
+
+    At alpha = 1 in the plane (d = 2) a step is three uniforms a row
+    (`_plane_steps`), and x is a view of rows 0 and 1 of `out`
+    (`step_work`, made here when None), valid until the next step that
+    writes there.  Every other (alpha, d) draws the step of
+    `sample_step_blocks` and drops its clock.  On either route the
+    tempering acceptance rate is e^{-m dt}, checked against
+    `ACCEPTANCE_FLOOR`.
+    """
+    if params.alpha == 1.0 and params.d == 2:
+        _check_step(dt, params.m)
+        work = step_work(int(sum(counts))) if out is None else out
+        return _plane_steps(dt, params.m, gens, counts, work)
+    _, x, n_proposals = sample_step_blocks(dt, params, params.d, gens, counts, out)
+    return x, n_proposals
 
 
 def sample_stable_subordinator(dt: float, beta: float, rng: RngStream | np.random.Generator, size=None):
@@ -287,10 +417,10 @@ def sample_brownian_leg(u, d: int, gen: np.random.Generator):
 
 def sample_increment(dt: float, params: ProcessParams, rng: RngStream | np.random.Generator, size=None):
     """Increment of the relativistic process over a step of length dt: the
-    legs of `sample_step_blocks` with one block."""
+    increments of `sample_increment_blocks` with one block."""
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     n = 1 if size is None else int(size)
-    _, x, _ = sample_step_blocks(dt, params, params.d, [gen], [n])
+    x, _ = sample_increment_blocks(dt, params, [gen], [n])
     return x[0] if size is None else x
 
 

@@ -64,8 +64,10 @@ from .sampler import (
     PathGrid,
     RngStream,
     _rows_per_block,
+    sample_increment_blocks,
     sample_leg_blocks,
     sample_step_blocks,
+    step_work,
 )
 from .specfun import ProcessParams
 
@@ -226,23 +228,32 @@ def _exit_steps(starts, gens, sizes, domain, grid, params):
     fewest steps, so its exit is never earlier than a finer one: a row
     marches on to its level-0 exit and is dropped only then.  `pos` holds
     the alive rows only, in path order (`idx`, their paths), and each finer
-    level an open mask of the alive rows yet to exit it.  Each chunk's
-    generator makes the draws of a march of that chunk alone, and the
-    arithmetic is row by row, so every draw and every item falls bit for
-    bit as in a march of each chunk alone, updating all its rows in place.
+    level an open mask of the alive rows yet to exit it.  A step draws its
+    increments (`sample_increment_blocks`), moves `pos` and tests
+    membership in arrays allocated once, in their first columns.  Each
+    chunk's generator makes the draws of a march of that chunk alone, and
+    the arithmetic is row by row, so every draw and every item falls bit
+    for bit as in a march of each chunk alone, updating all its rows in
+    place.
     """
     _, n_steps, dt, _ = grid
     (stride0, _, _), *finer = _levels(grid)
     ends = np.cumsum(sizes)
     counts = sizes  # alive rows of each chunk
-    pos = np.array(starts, dtype=float)
-    idx = np.arange(len(starts))
-    open_rows = [np.ones(len(starts), dtype=bool) for _ in finer]
+    n = len(starts)
+    # the arrays every step writes are allocated here, once, and a step of
+    # the alive rows uses their first columns; positions are held
+    # coordinate by coordinate
+    pos_buf = np.array(starts.T, dtype=float)
+    work, inside_buf = step_work(n), np.empty(n, dtype=bool)
+    idx = np.arange(n)
+    open_rows = [np.ones(n, dtype=bool) for _ in finer]
     for k in range(1, n_steps + 1):
         if len(idx) == 0:
             break
-        pos += sample_step_blocks(dt, params, params.d, gens, counts)[1]
-        inside = domain.contains(pos)
+        pos = pos_buf[:, :len(idx)].T
+        pos += sample_increment_blocks(dt, params, gens, counts, work)[0]
+        inside = domain.contains(pos, out=inside_buf[:len(idx)])
         if inside.all():
             continue
         gone = ~inside
@@ -261,8 +272,13 @@ def _exit_steps(starts, gens, sizes, domain, grid, params):
         # boolean indexing does
         rows = idx[gone]
         yield 0, k // stride0, rows, row_norms(pos.compress(gone, axis=0) - starts[rows]), None
-        pos, idx = pos.compress(inside, axis=0), idx[inside]
-        open_rows = [still_open[inside] for still_open in open_rows]
+        keep = np.flatnonzero(inside)
+        scratch = work[0, :len(keep)]  # free until the next step draws
+        for coordinate in pos_buf:
+            np.take(coordinate, keep, out=scratch, mode="clip")  # clip: unbuffered
+            coordinate[:len(keep)] = scratch
+        idx = idx[keep]
+        open_rows = [still_open[keep] for still_open in open_rows]
         counts = _rows_per_block(idx, ends)
 
 
@@ -283,7 +299,8 @@ def _record_steps(gens, sizes, grid, params):
     A path carries W_1, each level's running minimum and the operational
     time since its last record on any level, S_k - S_last.  A step draws
     the increment of W_1 with its clock, a 1-d leg of `sample_step_blocks`
-    (at alpha = 1 the Cauchy pair, with no normal at all).  The d - 1
+    (at alpha = 1 the Cauchy pair, with no normal at all, drawn into work
+    arrays allocated once).  The d - 1
     tangential coordinates are drawn at those record steps only, as
     T += N(0, 2 (S_k - S_last) I): given S that is exact in law.  Each
     chunk's generator makes the draws of a march of that chunk alone, row
@@ -297,11 +314,12 @@ def _record_steps(gens, sizes, grid, params):
     normal, since = np.zeros(n), np.zeros(n)
     lows = np.zeros((len(strides), n))
     tangent = np.zeros((n, params.d - 1))
+    work = step_work(n)
     for k in range(1, n_steps + 1):
-        u, x, _ = sample_step_blocks(dt, params, 1, gens, sizes)
+        u, x, _ = sample_step_blocks(dt, params, 1, gens, sizes, work)
         normal += x[:, 0]
         since += u
-        del u, x  # freed before the next step draws, so they never coexist
+        del u, x  # at alpha != 1 freed before the next step draws, so they never coexist
         read = [level for level, stride in enumerate(strides) if k % stride == 0]
         # a record on any level is one on the coarsest level reading step k,
         # whose running minimum, over the fewest steps, is the highest

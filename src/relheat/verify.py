@@ -20,7 +20,7 @@ from scipy.integrate import quad
 from .config import ExperimentConfig
 from .geometry import Annulus, Ball, HalfSpace
 from .kernels import c1_const, c1_of_t, cauchy_density, free_density, levy_half_density
-from .sampler import RngStream, empirical_transform, sample_step_blocks
+from .sampler import RngStream, empirical_transform, sample_increment_blocks
 from .specfun import ProcessParams, characteristic_exponent, stable_subordinator_density
 from .tracelab import (
     Z_SIGMA,
@@ -134,8 +134,10 @@ def check_free_density(cfg: ExperimentConfig) -> CheckResult:
 
 def check_sampler_law(cfg: ExperimentConfig) -> CheckResult:
     """Empirical characteristic function of the increments of the march's
-    step primitive (at alpha = 1 its tan/exponential pair) and the
-    tempering acceptance rate from its proposal count."""
+    increment primitive (at alpha = 1 in the plane its three-uniform step),
+    on the first axis and in the direction (0.6, 0.8), which reads
+    coordinate 2 too, and the tempering acceptance rate from its proposal
+    count."""
     n = cfg.scaled(1_000_000, 10_000)
     dt = 0.1
     rows = []
@@ -144,21 +146,22 @@ def check_sampler_law(cfg: ExperimentConfig) -> CheckResult:
     for i, (alpha, m) in enumerate(((1.0, 0.0), (1.0, 1.0), (0.5, 1.0))):
         params = ProcessParams(alpha=alpha, m=m, d=2)
         gen = rng.substream(i).generator()
-        _, x, n_prop = sample_step_blocks(dt, params, params.d, [gen], [n])
+        x, n_prop = sample_increment_blocks(dt, params, [gen], [n])
         for xi1 in (0.5, 1.0, 2.0):
             target = math.exp(-dt * characteristic_exponent(xi1, params))
-            ecf, z = empirical_transform(np.cos(x[:, 0] * xi1), target)
-            worst_z = max(worst_z, abs(z))
-            rows.append({"alpha": alpha, "m": m, "xi": xi1, "ecf": float(ecf),
-                         "target": target, "z": float(z)})
+            for direction in ((1.0, 0.0), (0.6, 0.8)):
+                ecf, z = empirical_transform(np.cos(x @ np.multiply(xi1, direction)), target)
+                worst_z = max(worst_z, abs(z))
+                rows.append({"alpha": alpha, "m": m, "xi": xi1, "direction": list(direction),
+                             "ecf": float(ecf), "target": target, "z": float(z)})
         rate = n / n_prop
         rate_target = math.exp(-m * dt)
         rate_se = math.sqrt(rate_target * (1 - rate_target) / n_prop) if m > 0 else 0.0
         z_rate = 0.0 if m == 0 else (rate - rate_target) / rate_se
         worst_z = max(worst_z, abs(z_rate))
         rows.append(
-            {"alpha": alpha, "m": m, "xi": None, "ecf": rate, "target": rate_target,
-             "z": float(z_rate)}
+            {"alpha": alpha, "m": m, "xi": None, "direction": None, "ecf": rate,
+             "target": rate_target, "z": float(z_rate)}
         )
     passed = worst_z <= 4.0
     return _result(

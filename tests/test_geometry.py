@@ -79,10 +79,15 @@ class TestRowNorms:
         box = gen.uniform(-2.0, 2.0, (5000, d)) * max(radii)
         return np.concatenate([center + r[:, None] * u, center + box])
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
     @pytest.mark.parametrize("shape", ["ball", "annulus"])
     def test_membership_matches_norm_reference(self, shape, d):
-        center = np.array([0.3, -0.7, 0.2][:d])
+        # membership and distance work one coordinate at a time, and equal
+        # the route through row_norms(pts - center) bit for bit, also for
+        # points laid out coordinate by coordinate as the exit march holds
+        # them, and with the result written to `out`; a zero centre
+        # coordinate is not subtracted
+        center = np.array([0.3, 0.0, 0.2, 0.5, -0.1, 0.0, -0.4, 0.6][:d])
         if shape == "ball":
             dom = Ball(center=tuple(center), radius=1.3, d=d)
             radii = [dom.radius]
@@ -90,10 +95,20 @@ class TestRowNorms:
             dom = Annulus(center=tuple(center), r_in=0.4, r_out=1.1, d=d)
             radii = [dom.r_in, dom.r_out]
         pts = self.points(d, center, radii, seed=d)
-        r = np.linalg.norm(pts - center, axis=1)
-        ref = r < radii[0] if shape == "ball" else (r > radii[0]) & (r < radii[1])
-        assert np.array_equal(row_norms(pts - center), r)
-        assert np.array_equal(dom.contains(pts), ref)
+        r = row_norms(pts - center)
+        assert np.array_equal(r, np.linalg.norm(pts - center, axis=1))
+        if shape == "ball":
+            ref, ref_delta = r < radii[0], np.maximum(radii[0] - r, 0.0)
+        else:
+            ref = (r > radii[0]) & (r < radii[1])
+            ref_delta = np.maximum(np.minimum(r - radii[0], radii[1] - r), 0.0)
+        by_coordinate = np.array(pts.T).T
+        out = np.empty(len(pts) + 3, dtype=bool)
+        for x in (pts, by_coordinate):
+            assert np.array_equal(dom.contains(x), ref)
+            assert dom.contains(x, out=out[:len(pts)]).base is out
+            assert np.array_equal(out[:len(pts)], ref)
+            assert np.array_equal(dom.delta(x), ref_delta)
         # the near-boundary rays land on both sides of each sphere
         for R in radii:
             near = np.abs(r - R) <= 4 * np.spacing(R)

@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import chi2_contingency, kstest, ks_2samp
 
 from relheat.errors import ParameterError, StepTooLargeError
 from relheat.sampler import (
@@ -12,10 +12,12 @@ from relheat.sampler import (
     kanter_transform,
     sample_brownian_leg,
     sample_increment,
+    sample_increment_blocks,
     sample_stable_subordinator,
     sample_step_blocks,
     sample_tempered_subordinator,
     simulate_path,
+    step_work,
 )
 from relheat.specfun import ProcessParams
 
@@ -213,12 +215,14 @@ class TestBlocks:
         # m = 20 at dt = 0.1 accepts 14% of proposals: many rounds, in
         # which the blocks' pending counts differ and reach 0 at different
         # rounds; an empty block draws nothing.  Leg dimension 0 is the
-        # clock alone and 1 the record march's normal coordinate
+        # clock alone and 1 the record march's normal coordinate, drawn
+        # into the first columns of a larger work array, reused
         params = ProcessParams(alpha=alpha, m=m, d=3)
         counts = [500, 0, 1, 37]
-        for d in (0, 1, 3):
+        work = step_work(sum(counts) + 10)
+        for d, out in ((0, None), (1, None), (3, None), (1, work), (3, work), (1, work)):
             gens = [np.random.default_rng(seed) for seed in range(len(counts))]
-            u, legs, n_proposals = sample_step_blocks(0.1, params, d, gens, counts)
+            u, legs, n_proposals = sample_step_blocks(0.1, params, d, gens, counts, out)
             assert legs.shape == (sum(counts), d)
             lo, want_proposals = 0, 0
             for seed, (gen, k) in enumerate(zip(gens, counts)):
@@ -237,6 +241,114 @@ class TestBlocks:
         p = ProcessParams(alpha=1.0, m=1.0, d=2)
         with pytest.raises(StepTooLargeError):
             sample_step_blocks(8.0, p, 2, [rng.generator()], [10])
+
+
+def plane_reference(dt, m, gen, n):
+    """n alpha = 1 steps in the plane written out for one generator: n
+    uniforms V, then (m > 0) their acceptance uniforms, accepting V with
+    probability (1 + y) e^{-y}, y = m dt / (1 - V), then the same for the
+    rejected rows, then n uniforms W.  The step is dt sqrt(V (2 - V)) /
+    (1 - V) ((1 - tau^2), 2 tau) / (1 + tau^2), tau = tan(pi (W - 1/2)).
+    Returns the (n, 2) steps and the number of proposals."""
+    v, pending, n_proposals = gen.random(n), np.arange(n), n
+    while m > 0.0 and len(pending):
+        y = m * dt / (1.0 - v[pending])
+        rejected = pending[gen.random(len(pending)) >= np.exp(-y) * (1.0 + y)]
+        v[rejected] = gen.random(len(rejected))
+        n_proposals += len(rejected)
+        pending = rejected
+    tau = np.tan(math.pi * (gen.random(n) - 0.5))
+    f = dt * np.sqrt(v * (2.0 - v)) / (1.0 - v) / (1.0 + tau * tau)
+    return np.column_stack([f * (1.0 - tau * tau), f * (2.0 * tau)]), n_proposals
+
+
+class TestPlaneSteps:
+    """alpha = 1, d = 2: each step from three uniforms by the hat-box
+    theorem, tilted by the mass (`sample_increment_blocks`)."""
+
+    @pytest.mark.parametrize("m", [0.0, 1.0, 20.0])
+    def test_hat_box_coordinate_law(self, m, rng):
+        # c = dt / sqrt(dt^2 + |x|^2) has the exact CDF c exp(-m dt (1/c - 1)),
+        # so its values there are Uniform(0, 1)
+        n, dt = 200_000, 0.1
+        x = sample_increment(dt, ProcessParams(alpha=1.0, m=m, d=2), rng.substream(44, int(m)),
+                             size=n)
+        c = dt / np.hypot(dt, np.hypot(x[:, 0], x[:, 1]))
+        assert kstest(c * np.exp(-m * dt * (1.0 / c - 1.0)), "uniform").pvalue > 1e-3
+
+    def test_angle_uniform_and_independent_of_radius(self, rng):
+        n = 200_000
+        x = sample_increment(0.1, ProcessParams(alpha=1.0, m=1.0, d=2), rng.substream(45), size=n)
+        angle = np.arctan2(x[:, 1], x[:, 0]) / (2.0 * math.pi) + 0.5
+        assert kstest(angle, "uniform").pvalue > 1e-3
+        # a 4 x 4 table of radius quartile against angle quartile
+        radius = np.hypot(x[:, 0], x[:, 1])
+        rq = np.searchsorted(np.quantile(radius, [0.25, 0.5, 0.75]), radius)
+        table = np.zeros((4, 4))
+        np.add.at(table, (rq, np.minimum((4 * angle).astype(int), 3)), 1)
+        assert chi2_contingency(table).pvalue > 1e-3
+
+    @pytest.mark.parametrize("m", [0.0, 1.0, 20.0])
+    def test_characteristic_function_off_axis(self, m, rng, within_se):
+        # E cos(xi . x) = e^{-dt (sqrt(|xi|^2 + m^2) - m)} at xi off both axes
+        n, dt = 200_000, 0.1
+        x = sample_increment(dt, ProcessParams(alpha=1.0, m=m, d=2), rng.substream(46, int(m)),
+                             size=n)
+        for xi in ((3.0, 4.0), (15.0, -7.0)):
+            emp = np.cos(x @ np.array(xi))
+            target = math.exp(-dt * (math.sqrt(xi[0] ** 2 + xi[1] ** 2 + m * m) - m))
+            within_se(emp.mean(), target, emp.std(ddof=1) / math.sqrt(n), z=4.0,
+                      msg=f"m={m}, xi={xi}")
+
+    @pytest.mark.parametrize("m", [0.0, 1.0, 20.0])
+    def test_blocks_equal_separate_draws(self, m):
+        # m = 20 at dt = 0.1 redraws in many rounds, in which the blocks'
+        # pending counts differ; an empty block draws nothing.  The steps
+        # land in the first columns of a larger work array, reused
+        params = ProcessParams(alpha=1.0, m=m, d=2)
+        counts = [500, 0, 1, 37]
+        work = step_work(sum(counts) + 10)
+        for out in (None, work, work):
+            gens = [np.random.default_rng(seed) for seed in range(len(counts))]
+            x, n_proposals = sample_increment_blocks(0.1, params, gens, counts, out)
+            assert x.shape == (sum(counts), 2)
+            lo, want_proposals = 0, 0
+            for seed, (gen, k) in enumerate(zip(gens, counts)):
+                alone = np.random.default_rng(seed)
+                want, proposals = plane_reference(0.1, m, alone, k)
+                want_proposals += proposals
+                assert np.array_equal(x[lo:lo + k], want)
+                assert gen.bit_generator.state == alone.bit_generator.state
+                lo += k
+            assert n_proposals == want_proposals
+            assert (n_proposals == sum(counts)) == (m == 0.0)
+
+    def test_acceptance_rate(self, rng, within_se):
+        n, dt = 200_000, 0.1
+        _, n_prop = sample_increment_blocks(dt, ProcessParams(alpha=1.0, m=1.0, d=2),
+                                            [rng.substream(47).generator()], [n])
+        target = math.exp(-dt)
+        within_se(n / n_prop, target, math.sqrt(target * (1 - target) / n_prop), z=4.0,
+                  msg="acceptance rate")
+
+    def test_step_too_large(self, rng):
+        p = ProcessParams(alpha=1.0, m=1.0, d=2)
+        with pytest.raises(StepTooLargeError):
+            sample_increment_blocks(8.0, p, [rng.generator()], [10])
+        with pytest.raises(StepTooLargeError):
+            sample_increment(8.0, p, rng)
+
+    @pytest.mark.parametrize("alpha, d", [(1.0, 3), (1.0, 4), (1.5, 2)])
+    def test_other_routes_drop_the_clock(self, alpha, d):
+        # off the plane, or at alpha != 1, an increment is the leg of
+        # `sample_step_blocks`, drawn alike
+        params = ProcessParams(alpha=alpha, m=1.0, d=d)
+        gens = [np.random.default_rng(seed) for seed in range(2)]
+        x, n_proposals = sample_increment_blocks(0.1, params, gens, [300, 40], step_work(340))
+        same = [np.random.default_rng(seed) for seed in range(2)]
+        _, want, want_proposals = sample_step_blocks(0.1, params, d, same, [300, 40])
+        assert np.array_equal(x, want) and n_proposals == want_proposals
+        assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in same]
 
 
 class TestIncrements:

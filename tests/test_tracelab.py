@@ -537,9 +537,11 @@ class TestHalfspaceProfile:
 
 class ScriptedDraws:
     """A generator stand-in whose draws are given, one list per kind: the
-    uniforms V and exponentials E of the alpha = 1, m = 0 steps
-    (`pair_draws`) and the standard normals of the legs, coordinate 2 of a
-    d = 2 step or the tangential legs of the record march at d = 3."""
+    uniforms, the exponentials and the standard normals.  The uniforms and
+    exponentials are those of the alpha = 1 record-march steps, V and E
+    (`pair_draws`), or the uniforms of the alpha = 1 steps in the plane,
+    V, U and W (`plane_draws`); the normals are the tangential legs of the
+    record march at d = 3."""
 
     def __init__(self, uniforms, exponentials, normals):
         self.queues = {"random": list(uniforms), "standard_exponential": list(exponentials),
@@ -565,6 +567,18 @@ def pair_draws(x1, u, dt):
     and clocks u = dt^2 (1 + tau^2) / (4 E), to rounding."""
     tau = np.asarray(x1, dtype=float) / dt
     return np.arctan(tau) / math.pi + 0.5, dt * dt * (1.0 + tau * tau) / (4.0 * np.asarray(u))
+
+
+def plane_draws(legs, dt):
+    """The uniforms from which alpha = 1, m > 0 steps of length dt in the
+    plane draw the (n, 2) increments `legs`, to rounding, step by step: V
+    with dt / (1 - V) = sqrt(dt^2 + |x|^2), then an acceptance uniform
+    U = 0, which the mass never rejects, then W with 2 pi (W - 1/2) the
+    angle of x."""
+    legs = np.asarray(legs, dtype=float)
+    v = 1.0 - dt / np.hypot(dt, np.hypot(legs[:, 0], legs[:, 1]))
+    w = np.arctan2(legs[:, 1], legs[:, 0]) / (2.0 * math.pi) + 0.5
+    return np.column_stack([v, np.zeros(len(legs)), w]).ravel()
 
 
 def record_sums(gens, sizes, grid, params):
@@ -734,8 +748,9 @@ class TestCoupledLadder:
         # Each level's exit and score are those of `first_exit` on the path
         # (fine) and on its even-step subsequence (coarse).  Three levels
         # read steps 4 and 8, the even steps and every step by the same
-        # rule: the first path is kept to its level-0 exit at step 8
-        params = ProcessParams(alpha=1.0, m=0.0, d=2)
+        # rule: the first path is kept to its level-0 exit at step 8.  Each
+        # step draws V, the acceptance uniform U and W (`plane_draws`)
+        params = ProcessParams(alpha=1.0, m=1.0, d=2)
         disc = Ball(center=(0.0, 0.0), radius=1.0, d=2)
         t, n_steps = 0.8, 8
         dt = t / n_steps
@@ -747,12 +762,10 @@ class TestCoupledLadder:
             [[0.0, 0.0], [0.1, 0.1], [0.2, -0.3], [0.4, 0.1], [0.3, 0.3], [0.5, 0.5],
              [0.6, 0.2], [1.05, 0.2], [0.7, 0.0]],
         ])
-        u = dt * dt / (2.0 * np.square([0.1, 0.2, 0.05, 0.1, 0.3, 0.1, 0.2, 0.1]))
         legs = np.diff(paths, axis=1)
 
-        def gens():  # a d = 2 step draws its second coordinate as an (n, 1) normal
-            return [ScriptedDraws(*pair_draws(leg[:, 0], u, dt), leg[:, 1] / np.sqrt(2.0 * u))
-                    for leg in legs]
+        def gens():
+            return [ScriptedDraws(plane_draws(leg, dt), [], []) for leg in legs]
 
         starts = paths[:, 0]
         # each path's exit step on each level, coarsest first
@@ -855,10 +868,10 @@ class TestCoupledLadder:
 # change to the draws or to their order shows here
 ONE_LEVEL_PINS = {
     1.0: {
-        "z_trace": (205.03450985560954, 0.15588611840365793),
+        "z_trace": (205.22882531991112, 0.14693264008373813),
         "c2_of_t": (0.21745712467343065, 0.004229278356107303),
-        "halfspace_profile": [(2.352807981964912, 0.14003640060662073),
-                              (0.005391439073977799, 0.0009320670001848088)],
+        "halfspace_profile": [(2.5318640413142575, 0.15097656648994154),
+                              (0.005372520635786741, 0.0009506889722710452)],
     },
     1.5: {
         "z_trace": (14.702122930177042, 0.04760165594990232),
@@ -873,10 +886,10 @@ ONE_LEVEL_PINS = {
 # exits of the killing march and the coupled records of the record march
 TWO_LEVEL_PINS = {
     1.0: {
-        "z_trace": (204.15678887298563, 0.1794011203982503),
+        "z_trace": (203.6033386229634, 0.3150076441520962),
         "c2_of_t": (0.24220078160662584, 0.004638233904450915),
-        "halfspace_profile": [(2.6737992375081703, 0.16146505355403684),
-                              (0.00743217160531743, 0.0011558384521374674)],
+        "halfspace_profile": [(2.9687742713917213, 0.17770571910647717),
+                              (0.005741602216872999, 0.0009768980097020945)],
     },
     1.5: {
         "z_trace": (14.247448854222625, 0.05722688542393765),
