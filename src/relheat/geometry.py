@@ -64,17 +64,16 @@ def row_norms(y):
 
 def _radii(pts, center):
     """`row_norms(pts - center)` bit for bit, one coordinate at a time: an
-    (n, d) - (d,) broadcast runs numpy's inner loop once per row.  A zero
-    centre coordinate is not subtracted: x - 0 is x."""
+    (n, d) - (d,) broadcast runs numpy's inner loop once per row."""
     if pts.shape[1] >= 8:
         return row_norms(pts - np.asarray(center))
     s, y = np.empty(len(pts)), np.empty(len(pts))
     for j, c in enumerate(center):
-        y_j = pts[:, j] if c == 0.0 else np.subtract(pts[:, j], c, out=y)
+        np.subtract(pts[:, j], c, out=y)
         if j == 0:
-            np.multiply(y_j, y_j, out=s)
+            np.multiply(y, y, out=s)
         else:
-            np.multiply(y_j, y_j, out=y)
+            np.multiply(y, y, out=y)
             s += y
     return np.sqrt(s, out=s)
 

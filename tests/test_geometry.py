@@ -85,9 +85,8 @@ class TestRowNorms:
         # membership and distance work one coordinate at a time, and equal
         # the route through row_norms(pts - center) bit for bit, also for
         # points laid out coordinate by coordinate as the exit march holds
-        # them, and with the result written to `out`; a zero centre
-        # coordinate is not subtracted
-        center = np.array([0.3, 0.0, 0.2, 0.5, -0.1, 0.0, -0.4, 0.6][:d])
+        # them, and with the result written to `out`
+        center = np.array([0.3, -0.7, 0.2, 0.5, -0.1, 0.9, -0.4, 0.6][:d])
         if shape == "ball":
             dom = Ball(center=tuple(center), radius=1.3, d=d)
             radii = [dom.radius]
